@@ -1,7 +1,7 @@
 GO ?= go
 NCPU ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: all vet fmt-check lint manifest build test test-full check bench bench-go serve-demo clean
+.PHONY: all vet fmt-check lint manifest build test test-full bench-smoke check bench bench-go serve-demo clean
 
 all: vet build test
 
@@ -35,6 +35,12 @@ test:
 test-full:
 	$(GO) test -race ./...
 
+# The benchmark harness (benchmark/, its own module, frozen between benchmark
+# PRs) calls straight into internal/: its toy-size test (~2 s) fails here when
+# an internal API change breaks it, not later in the benchmark pipeline.
+bench-smoke:
+	cd benchmark && $(GO) test ./...
+
 # Focused gate for the incremental quantized-KV cache, the head-parallel
 # executor, the prefix-sharing CoW pool, the generation API, and the
 # observability surface: formatting, vet, build, the
@@ -53,18 +59,20 @@ test-full:
 # bit-exactness matrix (2- and 4-replica fleets with affinity routing vs a
 # single engine, every serving kernel) on the same two core counts, then the
 # steady-state allocation guards (attention + instrumentation + sampler
-# chain + batched decode + speculative pass) without -race (race
+# chain + batched decode + speculative pass, and the growing-context decode
+# guard: O(log n) allocations over 256 steps) without -race (race
 # instrumentation skews alloc counts, so the guards skip themselves
 # there). The gate opens with the static analysis suite: formatting, vet,
-# topick-lint (noalloc/metrics/trace/err discipline + manifest drift).
-check: fmt-check vet lint build
+# topick-lint (noalloc/metrics/trace/err discipline + manifest drift), and
+# the frozen benchmark harness's own test.
+check: fmt-check vet lint build bench-smoke
 	TOPICK_QUICK=1 $(GO) test -race ./internal/fixed/ ./internal/core/ ./internal/attention/ ./internal/spatten/ ./internal/exec/ ./internal/obs/ ./internal/sample/ ./internal/serve/ ./internal/fleet/ ./internal/httpapi/ ./internal/bench/
 	GOMAXPROCS=1 TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestPoolExecutorBitIdenticalToSerial|TestIncremental|TestPagedQuantSideCar|TestPrefixSharingLogitsBitExact|TestSharedQuant|TestSamplerGreedyEquivalence|TestSamplingDeterministicAcrossEngines' ./internal/bench/ ./internal/attention/ ./internal/serve/ ./internal/fixed/
 	GOMAXPROCS=$(NCPU) TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestPoolExecutorBitIdenticalToSerial|TestIncremental|TestPagedQuantSideCar|TestPrefixSharingLogitsBitExact|TestSharedQuant|TestSamplerGreedyEquivalence|TestSamplingDeterministicAcrossEngines' ./internal/bench/ ./internal/attention/ ./internal/serve/ ./internal/fixed/
 	TOPICK_QUICK=1 $(GO) test -race -count=1 -run 'TestParallelDecodeRace|TestHeadParallel|TestPreemptRequeueFinishes|TestSubmitCloseRace|TestMetricsReconcileUnderChurn|TestIterationBatchingSchedulerFairness' ./internal/bench/ ./internal/serve/
 	GOMAXPROCS=1 TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestBatchEngineMatchesSequential|TestIterationBatchingBitExact|TestIterationBatchingPreemptionChurnBitExact|TestSpeculativeDecodeMatchesSequential|TestSpeculativeDecodeSeededBitExact|TestSpeculativeServingBitExact|TestSpeculativeServingSeededBitExact|TestFleetServingBitExact' ./internal/model/ ./internal/serve/ ./internal/fleet/
 	GOMAXPROCS=$(NCPU) TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestBatchEngineMatchesSequential|TestIterationBatchingBitExact|TestIterationBatchingPreemptionChurnBitExact|TestSpeculativeDecodeMatchesSequential|TestSpeculativeDecodeSeededBitExact|TestSpeculativeServingBitExact|TestSpeculativeServingSeededBitExact|TestFleetServingBitExact' ./internal/model/ ./internal/serve/ ./internal/fleet/
-	TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestAttendSteadyStateZeroAllocs|TestSpeculativeDecodeSteadyStateZeroAllocs' ./internal/bench/
+	TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestAttendSteadyStateZeroAllocs|TestDecodeGrowingContextAllocs|TestSpeculativeDecodeSteadyStateZeroAllocs' ./internal/bench/
 	TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestBatchEngineSteadyStateZeroAllocs' ./internal/model/
 	TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestRecordPathsZeroAlloc' ./internal/obs/
 	TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestSampleSteadyStateZeroAllocs' ./internal/sample/

@@ -83,25 +83,6 @@ func (s *Stats) TotalReduction() float64 {
 	return float64(s.BaselineKBytes+s.BaselineVBytes) / float64(moved)
 }
 
-// growScratch returns scratch with at least n elements, padding capacity to
-// the next power of two (min 64) so per-step context growth reallocates
-// O(log n) times instead of every decode step.
-//
-//topick:alloc-ok amortized power-of-two growth; steady-state calls reuse capacity
-func growScratch(buf []float32, n int) []float32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	c := cap(buf)
-	if c < 64 {
-		c = 64
-	}
-	for c < n {
-		c *= 2
-	}
-	return make([]float32, c)[:n]
-}
-
 // quantScratch holds one slot's quantization state shared by every kernel
 // in this package: a quantized-query buffer and two fallback QuantCaches
 // for row sources that do not carry their own side-car. When the source
@@ -127,23 +108,20 @@ func (qs *quantScratch) keys(src tensor.RowSource, n, dim int, bits uint) ([]fix
 	return qs.qk.SyncFor(src, n, dim, bits)
 }
 
-// chunkedKeys additionally returns the chunk-contribution planes for cs when
-// src carries a side-car. Bare sources get nil planes: building all planes
-// eagerly would do more bit work than the estimator's lazy per-surviving-
-// token extraction, so the win only exists when the planes persist across
-// calls.
-func (qs *quantScratch) chunkedKeys(src tensor.RowSource, n, dim int, cs fixed.ChunkSpec) ([]fixed.Vector, [][]int32, float64) {
-	if cq, ok := src.(fixed.CacheQuantizer); ok {
-		rows, planes, scale := cq.QuantCache().SyncChunked(src, n, dim, cs)
-		return rows, planes, scale
-	}
-	qs.qk.Invalidate()
-	rows, scale := qs.qk.Sync(src, n, dim, cs.TotalBits)
-	return rows, nil, scale
-}
-
 func (qs *quantScratch) values(src tensor.RowSource, n, dim int, bits uint) ([]fixed.Vector, float64) {
 	return qs.qv.SyncFor(src, n, dim, bits)
+}
+
+// accumulate adds one attended value row to out: out += p·vScale·v, with the
+// dequantisation folded into a single float32 weight per row. Every quantized
+// kernel sums V through this one loop, so perplexity deltas between them
+// isolate pruning from value arithmetic.
+func accumulate(out []float32, p, vScale float64, v fixed.Vector) {
+	w := float32(p * vScale)
+	v = v[:len(out)]
+	for j := range out {
+		out[j] += w * float32(v[j])
+	}
 }
 
 // TokenPicker is the paper's kernel: probability-estimation pruning over
@@ -230,24 +208,22 @@ func (k *TokenPicker) attendTask(b *model.AttendBatch, t, slot int) {
 	keys, vals := b.Keys[t], b.Vals[t]
 	n, dim := b.TaskN(t), b.HeadDim
 	slope := b.TaskSlope(t)
-	cspec := s.est.Config().Chunks
-	kRows, kPlanes, kScale := s.qs.chunkedKeys(keys, n, dim, cspec)
+	cs := s.est.Config().Chunks
+	kRows, kScale := s.qs.keys(keys, n, dim, cs.TotalBits)
 	qq := s.qs.query(q, k.Bits)
-	s.qs.bias = growScratch(s.qs.bias, n)
+	s.qs.bias = tensor.Grow(s.qs.bias, n)
 	for i := 0; i < n; i++ {
 		s.qs.bias[i] = -slope * float32(n-1-i)
 	}
 	rep := &s.rep
 	s.est.RunInto(rep, core.Inputs{
-		Q:       qq,
-		K:       kRows,
-		KPlanes: kPlanes,
-		KScale:  kScale,
-		Scale:   float64(b.Scale),
-		Bias:    s.qs.bias,
+		Q:      qq,
+		K:      kRows,
+		KScale: kScale,
+		Scale:  float64(b.Scale),
+		Bias:   s.qs.bias,
 	})
 
-	cs := s.est.Config().Chunks
 	s.stats.Instances++
 	s.stats.Tokens += int64(n)
 	s.stats.Kept += int64(len(rep.Kept))
@@ -278,11 +254,7 @@ func (k *TokenPicker) attendTask(b *model.AttendBatch, t, slot int) {
 	// Weighted sum over kept tokens with quantized values.
 	vRows, vScale := s.qs.values(vals, n, dim, k.Bits)
 	for _, i := range rep.Kept {
-		p := float32(rep.Prob(i))
-		vRow := vRows[i]
-		for j := 0; j < dim; j++ {
-			out[j] += p * float32(vScale*float64(vRow[j]))
-		}
+		accumulate(out, rep.Prob(i), vScale, vRows[i])
 	}
 }
 
@@ -349,8 +321,8 @@ func (k *QuantizedExact) attendTask(b *model.AttendBatch, t, slot int) {
 	keys, vals := b.Keys[t], b.Vals[t]
 	n, dim := b.TaskN(t), b.HeadDim
 	slope := b.TaskSlope(t)
-	s.scores = growScratch(s.scores, n)
-	s.probs = growScratch(s.probs, n)
+	s.scores = tensor.Grow(s.scores, n)
+	s.probs = tensor.Grow(s.probs, n)
 	scores := s.scores
 	probs := s.probs
 	kRows, kScale := s.qs.keys(keys, n, dim, k.Bits)
@@ -365,11 +337,7 @@ func (k *QuantizedExact) attendTask(b *model.AttendBatch, t, slot int) {
 		out[j] = 0
 	}
 	for i := 0; i < n; i++ {
-		p := probs[i]
-		vRow := vRows[i]
-		for j := 0; j < dim; j++ {
-			out[j] += p * float32(vScale*float64(vRow[j]))
-		}
+		accumulate(out, float64(probs[i]), vScale, vRows[i])
 	}
 	cs := fixed.ChunkSpec{TotalBits: k.Bits, ChunkBits: k.Bits}
 	s.stats.Instances++
@@ -446,8 +414,8 @@ func (k *Oracle) attendTask(b *model.AttendBatch, t, slot int) {
 	keys, vals := b.Keys[t], b.Vals[t]
 	n, dim := b.TaskN(t), b.HeadDim
 	slope := b.TaskSlope(t)
-	s.scores = growScratch(s.scores, n)
-	s.probs = growScratch(s.probs, n)
+	s.scores = tensor.Grow(s.scores, n)
+	s.probs = tensor.Grow(s.probs, n)
 	scores := s.scores
 	probs := s.probs
 	kRows, kScale := s.qs.keys(keys, n, dim, k.Bits)
@@ -478,11 +446,7 @@ func (k *Oracle) attendTask(b *model.AttendBatch, t, slot int) {
 		out[j] = 0
 	}
 	for _, i := range keptIdx {
-		p := float32(float64(probs[i]) / keptMass)
-		vRow := vRows[i]
-		for j := 0; j < dim; j++ {
-			out[j] += p * float32(vScale*float64(vRow[j]))
-		}
+		accumulate(out, float64(probs[i])/keptMass, vScale, vRows[i])
 	}
 
 	cs := fixed.ChunkSpec{TotalBits: k.Bits, ChunkBits: k.Bits}

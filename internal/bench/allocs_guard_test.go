@@ -122,3 +122,46 @@ func TestAttendSteadyStateZeroAllocs(t *testing.T) {
 		t.Errorf("instrumented decode step allocates %g times per call", allocs)
 	}
 }
+
+// TestDecodeGrowingContextAllocs is the guard the fixed-context test above
+// cannot be: a decoding session's context grows by one row per step, so any
+// buffer sized to exactly n reallocates on every step (the estimator's
+// scratch and report slices used to — ~9 slices per head per step). Across
+// 256 consecutive Decoder.Steps with the token-picker kernel, allocations
+// must track the power-of-two growth of the context-sized buffers, not the
+// step count.
+func TestDecodeGrowingContextAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed by race instrumentation")
+	}
+	const steps = 256
+	cfg := model.TestConfig()
+	dec := model.NewDecoder(model.NewParams(cfg, 31), newDecodeKernel("token-picker", cfg))
+	tok := func(i int) int { return (i * 13) % cfg.VocabSize }
+	prompt := make([]int, 64)
+	for i := range prompt {
+		prompt[i] = tok(i)
+	}
+	dec.MustPrompt(prompt)
+	dec.MustStep(tok(dec.Len())) // provision the generation kernel's slots
+	start := dec.Len()
+	// AllocsPerRun calls the function once to warm up and once measured;
+	// both runs lengthen the context, the measured one from start+steps.
+	allocs := testing.AllocsPerRun(1, func() {
+		for i := 0; i < steps; i++ {
+			dec.MustStep(tok(dec.Len()))
+		}
+	})
+	// Context-sized buffers per (layer, head): K and V rows plus their
+	// quantized side-cars (backing, row headers, row maxima), the estimator's
+	// scratch and report, the bias. Each may double once or twice while the
+	// context goes from start+steps to start+2*steps; none may grow per step.
+	const perHead = 16
+	budget := float64(2 * perHead * cfg.Layers * cfg.Heads)
+	t.Logf("context %d -> %d: %g allocations over %d steps (budget %g)",
+		start+steps, dec.Len(), allocs, steps, budget)
+	if allocs > budget {
+		t.Fatalf("%g allocations over %d growing-context steps: some buffer still grows every step (budget %g)",
+			allocs, steps, budget)
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"tokenpicker/internal/fixed"
+	"tokenpicker/internal/tensor"
 )
 
 // Inputs is one attention instance presented to the estimator. All keys
@@ -15,11 +16,11 @@ type Inputs struct {
 	K      []fixed.Vector  // n quantized key vectors
 	KScale float64         // shared key scale
 	Scale  float64         // score scale, typically 1/sqrt(headDim)
-	// KPlanes optionally carries precomputed chunk-contribution planes for
-	// K (fixed.QuantCache.SyncChunked layout: KPlanes[b][i*dim+j]). When
-	// set, per-chunk partial scores are flat integer multiply-adds instead
-	// of per-element bit extraction — numerically identical, far cheaper.
-	// nil falls back to on-the-fly extraction.
+	// KPlanes is ignored: chunk b of a key is read from K as
+	// k & ChunkMask(b).
+	//
+	// Deprecated: kept only because the frozen benchmark harness still sets
+	// it; the next benchmark PR removes it (see ROADMAP item 3).
 	KPlanes [][]int32
 	// Bias is an optional additive score bias known before any K bits
 	// arrive (e.g. ALiBi recency bias); nil means zero. It shifts both
@@ -81,15 +82,14 @@ func (r *Report) BaselineVBytes(cs fixed.ChunkSpec, dim int) int64 {
 // Estimator runs Token-Picker probability estimation. It is not safe for
 // concurrent use; create one per goroutine.
 type Estimator struct {
-	cfg Config
+	cfg   Config
+	masks []int16 // masks[b] = cfg.Chunks.ChunkMask(b)
 
 	// reusable scratch
 	partial []int64
 	expMin  []float64
 	fxExp   []uint64
 	order   []int
-	active  []int
-	next    []int
 	margins fixed.Margins
 }
 
@@ -98,7 +98,11 @@ func NewEstimator(cfg Config) (*Estimator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	return &Estimator{cfg: cfg}, nil
+	e := &Estimator{cfg: cfg, masks: make([]int16, cfg.Chunks.NumChunks())}
+	for b := range e.masks {
+		e.masks[b] = cfg.Chunks.ChunkMask(b)
+	}
+	return e, nil
 }
 
 // MustNewEstimator is NewEstimator for static configs.
@@ -123,29 +127,18 @@ func (e *Estimator) Run(in Inputs) *Report {
 
 // RunInto is Run with a caller-owned report: rep's slices are resized in
 // place and reused across calls, so a kernel that keeps one report per
-// instance pays zero allocations in steady state. Previous report contents
-// are overwritten.
+// instance pays zero allocations in steady state. Report and scratch slices
+// grow by powers of two, so a context that lengthens by one token per call
+// reallocates O(log n) times. Previous report contents are overwritten.
 func (e *Estimator) RunInto(rep *Report, in Inputs) {
 	n := len(in.K)
-	cs := e.cfg.Chunks
-	numChunks := cs.NumChunks()
+	numChunks := len(e.masks)
 	rep.N = n
 	rep.Kept = rep.Kept[:0]
-	if cap(rep.PrunedAtChunk) < n {
-		rep.PrunedAtChunk = make([]int8, n)
-	}
-	rep.PrunedAtChunk = rep.PrunedAtChunk[:n]
-	if cap(rep.Scores) < n {
-		rep.Scores = make([]float64, n)
-	}
-	rep.Scores = rep.Scores[:n]
-	if cap(rep.ChunkFetches) < numChunks {
-		rep.ChunkFetches = make([]int64, numChunks)
-	}
-	rep.ChunkFetches = rep.ChunkFetches[:numChunks]
-	for b := range rep.ChunkFetches {
-		rep.ChunkFetches[b] = 0
-	}
+	rep.PrunedAtChunk = tensor.Grow(rep.PrunedAtChunk, n)
+	rep.Scores = tensor.Grow(rep.Scores, n)
+	rep.ChunkFetches = tensor.Grow(rep.ChunkFetches, numChunks)
+	clear(rep.ChunkFetches)
 	if n == 0 {
 		rep.LogDenominator = math.Inf(-1)
 		return
@@ -153,27 +146,69 @@ func (e *Estimator) RunInto(rep *Report, in Inputs) {
 	if in.Bias != nil && len(in.Bias) != n {
 		panic(fmt.Sprintf("core: bias length %d != n %d", len(in.Bias), n))
 	}
-	e.margins.Compute(cs, in.Q.Data)
-	// Integer score -> real score conversion factor.
-	c := in.Scale * in.Q.Scale * in.KScale
+	e.margins.Compute(e.cfg.Chunks, in.Q.Data)
 
-	e.ensureScratch(n)
-	for i := range e.partial {
-		e.partial[i] = 0
-		e.expMin[i] = 0
-		e.fxExp[i] = 0
+	for i := range rep.PrunedAtChunk {
 		rep.PrunedAtChunk[i] = -1
+	}
+	e.partial = tensor.Grow(e.partial, n)
+	clear(e.partial)
+	r := run{
+		q:       in.Q.Data,
+		k:       in.K,
+		bias:    in.Bias,
+		c:       in.Scale * in.Q.Scale * in.KScale,
+		masks:   e.masks,
+		pairs:   e.margins.Pairs,
+		partial: e.partial,
+		pruned:  rep.PrunedAtChunk,
+		scores:  rep.Scores,
+		prune:   e.cfg.Threshold > 0,
+		keep:    e.cfg.KeepPrunedInDenominator,
+		d:       denom{fx: e.cfg.FixedPointExp, lnThr: math.Log(e.cfg.Threshold)},
+	}
+	if r.d.fx {
+		e.fxExp = tensor.Grow(e.fxExp, n)
+		clear(e.fxExp)
+		r.d.qExp = e.fxExp
+		r.d.qLnThr = fixed.FloatToQ16(r.d.lnThr)
+		r.d.qLn = fixed.LnFix(0)
+	} else {
+		e.expMin = tensor.Grow(e.expMin, n)
+		clear(e.expMin)
+		r.d.exp = e.expMin
+		r.d.ln = math.Inf(-1)
 	}
 	e.buildOrder(n, in.TrueScores)
 
 	if e.cfg.Schedule == ScheduleDepthFirst {
-		e.runDepthFirst(in, e.margins, c, rep)
+		// Stream each token's chunks to completion before the next token.
+		for _, i := range e.order {
+			for b := 0; b < numChunks; b++ {
+				rep.ChunkFetches[b]++
+				if !r.step(i, b) {
+					break
+				}
+			}
+		}
 	} else {
-		e.runWave(in, e.margins, c, rep)
+		// Wave: chunk b of every surviving token before any chunk b+1. The
+		// survivors are compacted in place, in visiting order.
+		live := e.order
+		for b := 0; b < numChunks; b++ {
+			rep.ChunkFetches[b] = int64(len(live))
+			next := live[:0]
+			for _, i := range live {
+				if r.step(i, b) {
+					next = append(next, i)
+				}
+			}
+			live = next
+		}
 	}
 
 	// Collect kept tokens in ascending index order and the denominator.
-	if e.cfg.FixedPointExp {
+	if r.d.fx {
 		var d uint64
 		for i := 0; i < n; i++ {
 			if rep.PrunedAtChunk[i] < 0 {
@@ -194,23 +229,9 @@ func (e *Estimator) RunInto(rep *Report, in Inputs) {
 	}
 }
 
-func (e *Estimator) ensureScratch(n int) {
-	if cap(e.partial) < n {
-		e.partial = make([]int64, n)
-		e.expMin = make([]float64, n)
-		e.fxExp = make([]uint64, n)
-		e.order = make([]int, 0, n)
-		e.active = make([]int, 0, n)
-		e.next = make([]int, 0, n)
-	}
-	e.partial = e.partial[:n]
-	e.expMin = e.expMin[:n]
-	e.fxExp = e.fxExp[:n]
-}
-
 // buildOrder fills e.order according to the policy.
 func (e *Estimator) buildOrder(n int, trueScores []float64) {
-	e.order = e.order[:0]
+	e.order = tensor.Grow(e.order, n)[:0]
 	switch e.cfg.Order {
 	case OrderForward:
 		for i := 0; i < n; i++ {
@@ -247,138 +268,129 @@ func (e *Estimator) buildOrder(n int, trueScores []float64) {
 	}
 }
 
-// denom abstracts the running denominator in float64 or fixed point.
+// denom is the running denominator D = Σ exp(s_min) over the current subset,
+// in float64 or (FixedPointExp) in the PE lane's Q32.32, together with each
+// token's current contribution and a cached ln D. The prune test reads only
+// the cache; ln is re-evaluated only when D actually changes.
 type denom struct {
 	fx    bool
-	f     float64
-	q     uint64
-	lnThr float64 // ln(threshold), float
+	lnThr float64 // ln(threshold)
+
+	sum, ln float64 // float64 domain: D and ln D
+	exp     []float64
+
+	qSum        uint64 // Q32.32 domain: D, then ln D and ln(threshold) in Q16.16
+	qLn, qLnThr int64
+	qExp        []uint64
 }
 
-func (d *denom) add(delta float64, fxDelta uint64) {
+// prunes evaluates s_max - ln D <= ln thr. An empty subset (D = 0) has
+// ln D = -inf and prunes nothing.
+func (d *denom) prunes(smax float64) bool {
 	if d.fx {
-		d.q = fixed.AddSat(d.q, fxDelta)
-	} else {
-		d.f += delta
+		return fixed.FloatToQ16(smax)-d.qLn <= d.qLnThr
 	}
+	return smax-d.ln <= d.lnThr
 }
 
-func (d *denom) sub(v float64, fxV uint64) {
+// tighten replaces token i's contribution with exp(smin).
+func (d *denom) tighten(i int, smin float64) {
 	if d.fx {
-		d.q = fixed.SubFloor(d.q, fxV)
-	} else {
-		d.f -= v
-		if d.f < 0 {
-			d.f = 0
+		v := fixed.ExpFix(fixed.FloatToQ16(smin))
+		d.qSum = fixed.AddSat(fixed.SubFloor(d.qSum, d.qExp[i]), v)
+		d.qExp[i] = v
+		d.qLn = fixed.LnFix(d.qSum)
+		return
+	}
+	v := math.Exp(smin)
+	s := d.sum - d.exp[i]
+	if s < 0 {
+		s = 0
+	}
+	d.sum = s + v
+	d.exp[i] = v
+	d.ln = math.Log(d.sum)
+}
+
+// drop removes token i's contribution from D. A token pruned before it ever
+// contributed (the common case: first chunk, first test) costs nothing here.
+func (d *denom) drop(i int) {
+	if d.fx {
+		if v := d.qExp[i]; v != 0 {
+			d.qSum = fixed.SubFloor(d.qSum, v)
+			d.qExp[i] = 0
+			d.qLn = fixed.LnFix(d.qSum)
 		}
+		return
+	}
+	if v := d.exp[i]; v != 0 {
+		s := d.sum - v
+		if s < 0 {
+			s = 0
+		}
+		d.sum = s
+		d.exp[i] = 0
+		d.ln = math.Log(s)
 	}
 }
 
-// shouldPrune evaluates s_max - ln(D) <= ln(thr).
-func (d *denom) shouldPrune(smax float64) bool {
-	if d.fx {
-		return fixed.FloatToQ16(smax)-fixed.LnFix(d.q) <= fixed.FloatToQ16(d.lnThr)
+// run is one instance's loop-invariant state, gathered once so the per-token
+// step takes two ints and copies nothing.
+type run struct {
+	q       fixed.Vector
+	k       []fixed.Vector
+	bias    []float32 // nil = zero
+	c       float64   // integer score -> real score
+	masks   []int16
+	pairs   []fixed.MarginPair
+	partial []int64
+	pruned  []int8
+	scores  []float64
+	prune   bool // threshold > 0
+	keep    bool // KeepPrunedInDenominator
+	d       denom
+}
+
+// step advances token i by chunk b — the one inner step of both schedules
+// and both denominator domains — and reports whether the token survives.
+//
+// The prune test comes before the exponential: s_max is compared against the
+// cached ln D first, and only a token that passes has exp(s_min) evaluated,
+// folded into D, and is tested again with its own contribution included.
+// Intervals nest, so exp(s_min) never shrinks from one chunk to the next and
+// folding it in can only raise D: a token the first test prunes would also
+// be pruned after the fold, and the decision is the one a fold-then-test
+// step makes. What the early exit saves is the Exp and the Log for tokens
+// that are discarded anyway. Pruning at the final chunk no longer saves K
+// bytes but still skips the V fetch ("only the tokens that have not been
+// removed by the last chunk participate in subsequent softmax and xV
+// operations", §3.2).
+func (r *run) step(i, b int) bool {
+	p := r.partial[i] + fixed.MaskedDot(r.q, r.k[i], r.masks[b])
+	r.partial[i] = p
+	m := r.pairs[b]
+	var bias float64
+	if r.bias != nil {
+		bias = float64(r.bias[i])
 	}
-	if d.f <= 0 {
+	smax := r.c*float64(p+m.Max) + bias
+	// KeepPrunedInDenominator cannot exit early: a pruned token's tightened
+	// exp(s_min) has to stay in D.
+	if r.prune && !r.keep && r.d.prunes(smax) {
+		r.d.drop(i)
+		r.pruned[i] = int8(b)
 		return false
 	}
-	return smax-math.Log(d.f) <= d.lnThr
-}
-
-// biasAt reads the optional additive score bias (nil means zero) without the
-// closure allocation a captured accessor would cost on the hot path.
-func biasAt(bias []float32, i int) float64 {
-	if bias == nil {
-		return 0
+	r.d.tighten(i, r.c*float64(p+m.Min)+bias)
+	if b == len(r.masks)-1 {
+		r.scores[i] = smax // == s_min: exact
 	}
-	return float64(bias[i])
-}
-
-// processChunk advances token i by chunk b: updates the partial score and
-// denominator, then decides prune/keep. Returns true if the token was
-// pruned at this chunk.
-// chunkDotPlane is ChunkSpec.ChunkDot over a precomputed contribution plane:
-// identical accumulation order and values, no per-element bit extraction.
-func chunkDotPlane(q fixed.Vector, plane []int32, i int) int64 {
-	dim := len(q)
-	row := plane[i*dim : (i+1)*dim]
-	var acc int64
-	for j, qv := range q {
-		acc += int64(qv) * int64(row[j])
-	}
-	return acc
-}
-
-func (e *Estimator) processChunk(in Inputs, m fixed.Margins, c float64,
-	rep *Report, d *denom, i, b int) bool {
-	cs := e.cfg.Chunks
-	if in.KPlanes != nil {
-		e.partial[i] += chunkDotPlane(in.Q.Data, in.KPlanes[b], i)
-	} else {
-		e.partial[i] += cs.ChunkDot(in.Q.Data, in.K[i], b)
-	}
-	smin, smax := m.Interval(e.partial[i], b)
-	sminF := c*float64(smin) + biasAt(in.Bias, i)
-	smaxF := c*float64(smax) + biasAt(in.Bias, i)
-
-	// Update this token's denominator contribution to the tightened bound.
-	if e.cfg.FixedPointExp {
-		newFx := fixed.ExpFix(fixed.FloatToQ16(sminF))
-		d.sub(0, e.fxExp[i])
-		d.add(0, newFx)
-		e.fxExp[i] = newFx
-	} else {
-		newExp := math.Exp(sminF)
-		d.sub(e.expMin[i], 0)
-		d.add(newExp, 0)
-		e.expMin[i] = newExp
-	}
-
-	last := b == cs.NumChunks()-1
-	if last {
-		rep.Scores[i] = smaxF // == sminF: exact
-	}
-	// Pruning at the final chunk no longer saves K bytes but still skips
-	// the V fetch ("only the tokens that have not been removed by the last
-	// chunk participate in subsequent softmax and xV operations", §3.2).
-	if e.cfg.Threshold > 0 && d.shouldPrune(smaxF) {
-		rep.PrunedAtChunk[i] = int8(b)
-		if !e.cfg.KeepPrunedInDenominator {
-			d.sub(e.expMin[i], e.fxExp[i])
-			e.expMin[i] = 0
-			e.fxExp[i] = 0
+	if r.prune && r.d.prunes(smax) {
+		if !r.keep {
+			r.d.drop(i)
 		}
-		return true
+		r.pruned[i] = int8(b)
+		return false
 	}
-	return false
-}
-
-// runWave processes chunk b of every surviving token before chunk b+1.
-func (e *Estimator) runWave(in Inputs, m fixed.Margins, c float64, rep *Report) {
-	d := denom{fx: e.cfg.FixedPointExp, lnThr: math.Log(e.cfg.Threshold)}
-	e.active = append(e.active[:0], e.order...)
-	for b := 0; b < e.cfg.Chunks.NumChunks(); b++ {
-		rep.ChunkFetches[b] += int64(len(e.active))
-		e.next = e.next[:0]
-		for _, i := range e.active {
-			if !e.processChunk(in, m, c, rep, &d, i, b) {
-				e.next = append(e.next, i)
-			}
-		}
-		e.active, e.next = e.next, e.active
-	}
-}
-
-// runDepthFirst streams each token's chunks to completion before moving on.
-func (e *Estimator) runDepthFirst(in Inputs, m fixed.Margins, c float64, rep *Report) {
-	d := denom{fx: e.cfg.FixedPointExp, lnThr: math.Log(e.cfg.Threshold)}
-	numChunks := e.cfg.Chunks.NumChunks()
-	for _, i := range e.order {
-		for b := 0; b < numChunks; b++ {
-			rep.ChunkFetches[b]++
-			if e.processChunk(in, m, c, rep, &d, i, b) {
-				break
-			}
-		}
-	}
+	return true
 }

@@ -106,13 +106,24 @@ func (cs ChunkSpec) signExtend(u uint16) int16 {
 // Known returns the signed value implied by chunks 0..b with every unknown
 // low bit set to zero. Because chunk 0 carries the sign bit, the result is a
 // valid lower-bits-zeroed representative for any b >= 0: the exact value
-// equals Known(v,b) + r with 0 <= r <= UnknownAfter(b).
+// equals Known(v,b) + r with 0 <= r <= UnknownAfter(b). On a sign-extended
+// int16 that is one mask: clear the unknown low bits, keep everything above.
 func (cs ChunkSpec) Known(v int16, b int) int16 {
-	u := uint16(v) & (uint16(1)<<cs.TotalBits - 1)
-	knownBits := cs.KnownBits(b)
-	shift := cs.TotalBits - knownBits
-	u = (u >> shift) << shift
-	return cs.signExtend(u)
+	return v & (-1 << (cs.TotalBits - cs.KnownBits(b)))
+}
+
+// ChunkMask returns the int16 mask that reads chunk b straight out of a
+// sign-extended stored value: v & ChunkMask(b) equals
+// ChunkContribution(Extract(v, b), b). Chunk 0's mask keeps every bit from
+// its low edge upward, so the sign extension makes it the signed top chunk;
+// later masks are the bare digit field, a non-negative magnitude. The masks
+// of one spec partition the 16-bit word.
+func (cs ChunkSpec) ChunkMask(b int) int16 {
+	shift := cs.TotalBits - cs.KnownBits(b)
+	if b == 0 {
+		return -1 << shift
+	}
+	return int16((uint16(1)<<cs.ChunkWidth(b) - 1) << shift)
 }
 
 // ChunkContribution returns the additive contribution of chunk b's bit
@@ -152,12 +163,27 @@ func (cs ChunkSpec) ChunkDot(q, k Vector, b int) int64 {
 	if len(q) != len(k) {
 		panic(fmt.Sprintf("fixed: chunk dot length mismatch %d vs %d", len(q), len(k)))
 	}
-	var acc int64
-	for i := range q {
-		c := cs.Extract(k[i], b)
-		acc += int64(q[i]) * cs.ChunkContribution(c, b)
+	return MaskedDot(q, k, cs.ChunkMask(b))
+}
+
+// MaskedDot returns Σ q[j]·(k[j] & mask) over len(q) elements; k must be at
+// least as long. With mask = ChunkMask(b) it is the chunk-b partial dot read
+// directly from stored int16 rows (mask -1 gives the full dot), which is the
+// estimator's inner loop: unrolled four ways, one bounds check per call.
+func MaskedDot(q, k Vector, mask int16) int64 {
+	k = k[:len(q)]
+	var a0, a1, a2, a3 int64
+	for len(q) >= 4 && len(k) >= 4 {
+		a0 += int64(q[0]) * int64(k[0]&mask)
+		a1 += int64(q[1]) * int64(k[1]&mask)
+		a2 += int64(q[2]) * int64(k[2]&mask)
+		a3 += int64(q[3]) * int64(k[3]&mask)
+		q, k = q[4:], k[4:]
 	}
-	return acc
+	for j, x := range q {
+		a0 += int64(x) * int64(k[j]&mask)
+	}
+	return a0 + a1 + a2 + a3
 }
 
 // ExtractAll splits every element of k into chunks; result[b][i] is chunk b

@@ -186,3 +186,73 @@ func TestChunkRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestChunkMaskIdentityExhaustive checks the identity the estimator's inner
+// loop rests on, for every valid spec, every representable value and every
+// chunk: reading chunk b of a stored value with one AND gives exactly the
+// contribution the bit-by-bit Extract/ChunkContribution path computes. The
+// masks of a spec partition the 16-bit word, and Known is their prefix sum.
+func TestChunkMaskIdentityExhaustive(t *testing.T) {
+	for total := uint(2); total <= 15; total++ {
+		for width := uint(1); width <= total; width++ {
+			cs := ChunkSpec{TotalBits: total, ChunkBits: width}
+			if err := cs.Validate(); err != nil {
+				t.Fatal(err)
+			}
+			var union, overlap uint16
+			for b := 0; b < cs.NumChunks(); b++ {
+				m := uint16(cs.ChunkMask(b))
+				overlap |= union & m
+				union |= m
+			}
+			if union != 0xffff || overlap != 0 {
+				t.Fatalf("%+v: masks do not partition the word (union %#x, overlap %#x)", cs, union, overlap)
+			}
+			lim := int32(1) << (total - 1)
+			for x := -lim; x < lim; x++ {
+				v := int16(x)
+				var known int64
+				for b := 0; b < cs.NumChunks(); b++ {
+					want := cs.ChunkContribution(cs.Extract(v, b), b)
+					if got := int64(v & cs.ChunkMask(b)); got != want {
+						t.Fatalf("%+v v=%d chunk %d: v&mask = %d, contribution %d", cs, v, b, got, want)
+					}
+					known += want
+					if got := int64(cs.Known(v, b)); got != known {
+						t.Fatalf("%+v v=%d: Known(%d) = %d, want %d", cs, v, b, got, known)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestMaskedDotMatchesExtraction compares the unrolled masked dot with the
+// per-element extraction it replaced, at lengths that exercise the tail.
+func TestMaskedDotMatchesExtraction(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, cs := range allSpecs() {
+		for _, dim := range []int{1, 3, 4, 7, 32, 33} {
+			q, k := make(Vector, dim), make(Vector, dim)
+			for j := range q {
+				q[j], k[j] = randVal(rng, cs.TotalBits), randVal(rng, cs.TotalBits)
+			}
+			for b := 0; b < cs.NumChunks(); b++ {
+				var want int64
+				for j := range q {
+					want += int64(q[j]) * cs.ChunkContribution(cs.Extract(k[j], b), b)
+				}
+				if got := cs.ChunkDot(q, k, b); got != want {
+					t.Fatalf("%+v dim %d chunk %d: ChunkDot %d, want %d", cs, dim, b, got, want)
+				}
+			}
+			var full int64
+			for j := range q {
+				full += int64(q[j]) * int64(k[j])
+			}
+			if got := Dot(q, k); got != full {
+				t.Fatalf("%+v dim %d: Dot %d, want %d", cs, dim, got, full)
+			}
+		}
+	}
+}

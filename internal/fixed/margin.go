@@ -1,7 +1,5 @@
 package fixed
 
-import "fmt"
-
 // MarginPair bounds the change a partially-known key can still cause to a
 // dot-product score. After chunks 0..b of a key are known (unknown low bits
 // zeroed), the exact score s satisfies
@@ -43,11 +41,9 @@ func NewMargins(cs ChunkSpec, q Vector) Margins {
 
 // Compute fills m with the margin table for query q under spec cs, reusing
 // the Pairs storage when its capacity suffices. Estimator hot paths call this
-// once per attention instance, so it must not allocate in steady state.
+// once per attention instance, so it must not allocate in steady state; cs
+// must be valid (the estimator validates it once, at construction).
 func (m *Margins) Compute(cs ChunkSpec, q Vector) {
-	if err := cs.Validate(); err != nil {
-		panic(err)
-	}
 	var sumPos, sumNeg int64
 	for _, x := range q {
 		if x > 0 {
@@ -70,12 +66,7 @@ func (m *Margins) Compute(cs ChunkSpec, q Vector) {
 }
 
 // Pair returns the margin pair for chunk index b.
-func (m Margins) Pair(b int) MarginPair {
-	if b < 0 || b >= len(m.Pairs) {
-		panic(fmt.Sprintf("fixed: margin chunk index %d out of range", b))
-	}
-	return m.Pairs[b]
-}
+func (m Margins) Pair(b int) MarginPair { return m.Pairs[b] }
 
 // Interval converts a partial score at chunk index b into the score interval
 // [smin, smax] that must contain the exact dot product.

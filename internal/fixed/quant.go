@@ -115,11 +115,7 @@ func Dot(a, b Vector) int64 {
 	if len(a) != len(b) {
 		panic(fmt.Sprintf("fixed: dot length mismatch %d vs %d", len(a), len(b)))
 	}
-	var acc int64
-	for i := range a {
-		acc += int64(a[i]) * int64(b[i])
-	}
-	return acc
+	return MaskedDot(a, b, -1)
 }
 
 // MaxMag returns the largest absolute element value.

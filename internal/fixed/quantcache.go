@@ -48,20 +48,6 @@ type QuantCache struct {
 	base   *SharedQuant
 	shared int
 
-	// Chunk-contribution planes (SyncChunked): planes[b][i*dim+j] is the
-	// additive contribution of chunk b of element j of row i, so the
-	// estimator's per-chunk partial dot is a flat int32 multiply-add
-	// instead of per-element bit extraction. Derived from rows, maintained
-	// with the same incremental discipline. planeEpoch records which scale
-	// epoch the planes were built under: quantized rows only ever change by
-	// appending or by an epoch bump, so an epoch mismatch (possibly caused
-	// by a plain Sync from another kernel sharing this side-car) is exactly
-	// the condition for a full plane rebuild.
-	cspec      ChunkSpec
-	planes     [][]int32
-	planeN     int   // rows with planes built
-	planeEpoch int64 // qc.epochs the planes correspond to
-
 	// Per-row magnitude bookkeeping for Truncate: rowMax[i] is the max
 	// |element| of privately-quantized row i, recorded as Sync scans it.
 	// Rows seeded from a shared snapshot have no individual record — only
@@ -78,7 +64,6 @@ func (qc *QuantCache) reset() {
 	qc.n = 0
 	qc.maxMag = 0
 	qc.scale = 0
-	qc.planeN = 0
 	qc.shared = 0
 	qc.rows = qc.rows[:0]
 	qc.rowMax = qc.rowMax[:0]
@@ -110,7 +95,6 @@ func (qc *QuantCache) Release() {
 	qc.Invalidate()
 	qc.back = nil
 	qc.rows = nil
-	qc.planes = nil
 }
 
 // Len returns the number of memoized rows.
@@ -160,20 +144,11 @@ func (qc *QuantCache) Sync(src tensor.RowSource, n, dim int, bits uint) ([]Vecto
 	// simply unused while the shared segment serves them — so an epoch bump
 	// can land every row in its natural slot without re-packing.
 	if cap(qc.back) < n*dim {
-		c := cap(qc.back)
-		if c < 64*dim {
-			c = 64 * dim
-		}
-		for c < n*dim {
-			c *= 2
-		}
-		grown := make([]int16, c)
-		copy(grown, qc.back)
-		qc.back = grown
+		qc.back = tensor.Grow(qc.back, n*dim)
 		// Private row headers point into the old backing; re-point them.
 		// Shared headers keep pointing into the snapshot.
 		for i := qc.shared; i < len(qc.rows); i++ {
-			qc.rows[i] = grown[i*dim : (i+1)*dim]
+			qc.rows[i] = qc.back[i*dim : (i+1)*dim]
 		}
 	}
 	qc.back = qc.back[:cap(qc.back)]
@@ -182,19 +157,7 @@ func (qc *QuantCache) Sync(src tensor.RowSource, n, dim int, bits uint) ([]Vecto
 		qc.rows = append(qc.rows, qc.back[i*dim:(i+1)*dim])
 	}
 
-	if cap(qc.rowMax) < n {
-		c := cap(qc.rowMax)
-		if c < 64 {
-			c = 64
-		}
-		for c < n {
-			c *= 2
-		}
-		grown := make([]float32, c)
-		copy(grown, qc.rowMax)
-		qc.rowMax = grown
-	}
-	qc.rowMax = qc.rowMax[:n]
+	qc.rowMax = tensor.Grow(qc.rowMax, n)
 
 	start := qc.n
 	newMax := qc.maxMag
@@ -260,72 +223,17 @@ func (qc *QuantCache) Truncate(n int) {
 	qc.n = n
 	qc.rows = qc.rows[:n]
 	qc.rowMax = qc.rowMax[:n]
-	if qc.planeN > n {
-		qc.planeN = n
-	}
 }
 
-// SyncChunked is Sync at cs.TotalBits that additionally maintains the
-// chunk-contribution planes for spec cs. planes[b] holds n*dim int32s;
-// summing planes[0..NumChunks)[i*dim+j] reconstructs row i element j, and
-// dot(q, planes[b] row i) equals ChunkSpec.ChunkDot(q, row i, b) exactly.
+// SyncChunked is Sync at cs.TotalBits. The chunk-contribution planes it used
+// to maintain are gone — the estimator reads chunk b of a stored row as
+// k & cs.ChunkMask(b) — so the planes result is always nil.
+//
+// Deprecated: call Sync. Kept only because the frozen benchmark harness
+// still calls it; the next benchmark PR removes it (see ROADMAP item 3).
 func (qc *QuantCache) SyncChunked(src tensor.RowSource, n, dim int, cs ChunkSpec) ([]Vector, [][]int32, float64) {
 	rows, scale := qc.Sync(src, n, dim, cs.TotalBits)
-	if cs != qc.cspec {
-		qc.cspec = cs
-		qc.planeN = 0
-	}
-	if qc.epochs != qc.planeEpoch {
-		qc.planeN = 0
-		qc.planeEpoch = qc.epochs
-	}
-	nc := cs.NumChunks()
-	if len(qc.planes) != nc {
-		qc.planes = make([][]int32, nc)
-		qc.planeN = 0
-	}
-	if n == 0 {
-		return rows, qc.planes, scale
-	}
-	if cap(qc.planes[0]) < n*dim {
-		c := cap(qc.planes[0])
-		if c < 64*dim {
-			c = 64 * dim
-		}
-		for c < n*dim {
-			c *= 2
-		}
-		for b := range qc.planes {
-			grown := make([]int32, c)
-			copy(grown, qc.planes[b])
-			qc.planes[b] = grown
-		}
-	}
-	for b := range qc.planes {
-		qc.planes[b] = qc.planes[b][:cap(qc.planes[b])]
-	}
-	if qc.planeN == 0 && qc.shared > 0 && qc.base != nil {
-		// Seed the shared prefix's planes from the snapshot: the int32
-		// contribution values are exactly what the extraction loop below
-		// would produce, at a copy's cost instead of per-element bit work.
-		if bp := qc.base.acquirePlanes(cs); bp != nil {
-			for b := range qc.planes {
-				copy(qc.planes[b][:qc.shared*dim], bp[b])
-			}
-			qc.planeN = qc.shared
-		}
-	}
-	for i := qc.planeN; i < n; i++ {
-		row := qc.rows[i]
-		for b := 0; b < nc; b++ {
-			pb := qc.planes[b][i*dim : (i+1)*dim]
-			for j, v := range row {
-				pb[j] = int32(cs.ChunkContribution(cs.Extract(v, b), b))
-			}
-		}
-	}
-	qc.planeN = n
-	return rows, qc.planes, scale
+	return rows, nil, scale
 }
 
 // SyncFor returns quantized rows for src: through src's own side-car when it
@@ -345,7 +253,7 @@ func (qc *QuantCache) SyncFor(src tensor.RowSource, n, dim int, bits uint) ([]Ve
 // prompt prefix in the serving engine's KV pool. The first adopter to need
 // quantized rows builds the snapshot (from its own view of the shared float
 // rows, which every adopter sees bit-identically); later adopters reuse the
-// rows and chunk planes zero-copy. The snapshot's scale covers exactly its
+// rows zero-copy. The snapshot's scale covers exactly its
 // own rows, so seeding a QuantCache from it and extending incrementally is
 // bit-identical to quantizing the whole context from scratch.
 //
@@ -360,10 +268,6 @@ type SharedQuant struct {
 	maxMag float32
 	scale  float64
 	rows   []Vector
-
-	cspec       ChunkSpec
-	planes      [][]int32
-	planesBuilt bool
 }
 
 // NewSharedQuant declares a snapshot over rows [0, rows) of some immutable
@@ -404,39 +308,4 @@ func (s *SharedQuant) acquire(src tensor.RowSource, dim int, bits uint) (n int, 
 		return 0, 0, 0, nil
 	}
 	return s.n, s.maxMag, s.scale, s.rows
-}
-
-// acquirePlanes builds (once) and returns the chunk-contribution planes for
-// cs over the snapshot rows; nil when the snapshot is unbuilt or was built
-// for a different geometry or chunk spec.
-//
-//topick:alloc-ok planes are built once per snapshot (s.planesBuilt latch)
-func (s *SharedQuant) acquirePlanes(cs ChunkSpec) [][]int32 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if !s.built || cs.TotalBits != s.bits {
-		return nil
-	}
-	if !s.planesBuilt {
-		s.cspec = cs
-		nc := cs.NumChunks()
-		s.planes = make([][]int32, nc)
-		for b := range s.planes {
-			s.planes[b] = make([]int32, s.n*s.dim)
-		}
-		for i := 0; i < s.n; i++ {
-			row := s.rows[i]
-			for b := 0; b < nc; b++ {
-				pb := s.planes[b][i*s.dim : (i+1)*s.dim]
-				for j, v := range row {
-					pb[j] = int32(cs.ChunkContribution(cs.Extract(v, b), b))
-				}
-			}
-		}
-		s.planesBuilt = true
-	}
-	if cs != s.cspec {
-		return nil
-	}
-	return s.planes
 }

@@ -179,42 +179,6 @@ func TestQuantCacheSteadyStateIsFree(t *testing.T) {
 	}
 }
 
-// TestSyncChunkedInterleavedWithPlainSync shares one side-car between a
-// plain-Sync caller and a SyncChunked caller (two kernels attending the same
-// cache). A scale-epoch bump observed only by the plain Sync must still
-// invalidate the planes, or old-epoch contributions would survive for the
-// prefix rows.
-func TestSyncChunkedInterleavedWithPlainSync(t *testing.T) {
-	const dim = 8
-	cs := DefaultChunkSpec
-	rng := rand.New(rand.NewSource(29))
-	m := tensor.NewMat(20, dim)
-	m.RandInit(rng, 1)
-	m.Set(12, 3, 40) // row 12 bumps the scale epoch
-
-	var qc QuantCache
-	qc.SyncChunked(m, 10, dim, cs)    // planes for rows 0-9, epoch 1
-	qc.Sync(m, 14, dim, cs.TotalBits) // plain caller crosses the bump
-	rows, planes, _ := qc.SyncChunked(m, 20, dim, cs)
-
-	q := make(Vector, dim)
-	for j := range q {
-		q[j] = int16(rng.Intn(401) - 200)
-	}
-	for i := 0; i < 20; i++ {
-		for b := 0; b < cs.NumChunks(); b++ {
-			want := cs.ChunkDot(q, rows[i], b)
-			var got int64
-			for j := 0; j < dim; j++ {
-				got += int64(q[j]) * int64(planes[b][i*dim+j])
-			}
-			if got != want {
-				t.Fatalf("row %d chunk %d: plane dot %d != ChunkDot %d (stale plane epoch)", i, b, got, want)
-			}
-		}
-	}
-}
-
 func TestQuantizeRowIntoMatchesQuantize(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	for trial := 0; trial < 20; trial++ {

@@ -22,8 +22,8 @@ func sqSource(rows, dim, seed int) *sqRows {
 }
 
 // TestSharedQuantAdoptionBitIdentical seeds one QuantCache from a shared
-// snapshot and runs another from scratch over the same source: rows, scale,
-// and chunk planes must agree bit for bit, before and after extending past
+// snapshot and runs another from scratch over the same source: rows and
+// scale must agree bit for bit, before and after extending past
 // the snapshot, and the adopter must not re-quantize the shared rows
 // (epochs stays at zero until a scale bump).
 func TestSharedQuantAdoptionBitIdentical(t *testing.T) {
@@ -34,15 +34,13 @@ func TestSharedQuantAdoptionBitIdentical(t *testing.T) {
 		bits = 12
 	)
 	src := sqSource(rows, dim, 3)
-	cs := ChunkSpec{TotalBits: bits, ChunkBits: 4}
-
 	sq := NewSharedQuant(base)
 	var adopted, scratch QuantCache
 	adopted.AdoptShared(sq)
 
 	for _, n := range []int{base + 1, base + 4, rows} {
-		ra, pa, sa := adopted.SyncChunked(src, n, dim, cs)
-		rs, ps, ss := scratch.SyncChunked(src, n, dim, cs)
+		ra, sa := adopted.Sync(src, n, dim, bits)
+		rs, ss := scratch.Sync(src, n, dim, bits)
 		if sa != ss {
 			t.Fatalf("n=%d: adopted scale %g != scratch %g", n, sa, ss)
 		}
@@ -50,13 +48,6 @@ func TestSharedQuantAdoptionBitIdentical(t *testing.T) {
 			for j := 0; j < dim; j++ {
 				if ra[i][j] != rs[i][j] {
 					t.Fatalf("n=%d row %d col %d: adopted %d != scratch %d", n, i, j, ra[i][j], rs[i][j])
-				}
-			}
-		}
-		for b := range pa {
-			for k := 0; k < n*dim; k++ {
-				if pa[b][k] != ps[b][k] {
-					t.Fatalf("n=%d plane %d idx %d: adopted %d != scratch %d", n, b, k, pa[b][k], ps[b][k])
 				}
 			}
 		}

@@ -238,31 +238,11 @@ func (k *ExactKernel) AttendLayer(batch AttendBatch) {
 	batch.Run(&k.runner)
 }
 
-// growScratch returns scratch with at least n elements, padding capacity to
-// the next power of two (min 64) so a context growing one row per decode
-// step reallocates O(log n) times instead of every step — the batched
-// steady-state alloc guard counts on this.
-//
-//topick:alloc-ok amortized power-of-two growth; steady-state calls reuse capacity
-func growScratch(buf []float32, n int) []float32 {
-	if cap(buf) >= n {
-		return buf[:n]
-	}
-	c := cap(buf)
-	if c < 64 {
-		c = 64
-	}
-	for c < n {
-		c *= 2
-	}
-	return make([]float32, c)[:n]
-}
-
 func (k *ExactKernel) attendTask(b *AttendBatch, t, slot int) {
 	s := &k.slots[slot]
 	n := b.TaskN(t)
-	s.scores = growScratch(s.scores, n)
-	s.probs = growScratch(s.probs, n)
+	s.scores = tensor.Grow(s.scores, n)
+	s.probs = tensor.Grow(s.probs, n)
 	scores := s.scores[:n]
 	probs := s.probs[:n]
 	q, out := b.TaskQ(t), b.TaskOut(t)

@@ -90,9 +90,13 @@ func TestIterationBatchingBitExact(t *testing.T) {
 					t.Fatal("second-wave session adopted no prefix rows under batching")
 				}
 
+				// Close first: the batch loop publishes an iteration's row and
+				// token counters after it has finished the iteration's sessions,
+				// so reading them while the loop may still be mid-iteration
+				// can see one counter updated and not the other.
+				srv.Close()
 				met := srv.Metrics()
 				rep := srv.Report()
-				srv.Close()
 
 				for i, p := range prompts {
 					var k model.Kernel
@@ -275,9 +279,9 @@ func TestIterationBatchingSchedulerFairness(t *testing.T) {
 		}(j)
 	}
 	wg.Wait()
+	srv.Close() // before reading: see TestIterationBatchingBitExact
 	met := srv.Metrics()
 	rep := srv.Report()
-	srv.Close()
 
 	// No session starves: everything finishes with its full budget, and the
 	// queue-wait digest stays bounded (a starved session would park its

@@ -19,6 +19,26 @@ type RowSource interface {
 	Row(r int) []float32
 }
 
+// Grow returns buf resized to n elements. When capacity is short it
+// reallocates to the next power of two (min 64) and copies the old contents,
+// so a buffer sized to a context that grows one row per decode step
+// reallocates O(log n) times instead of every step. Elements past the old
+// length are unspecified (zero only when freshly allocated).
+//
+//topick:alloc-ok amortized power-of-two growth; steady-state calls reuse capacity
+func Grow[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		c := 64
+		for c < n {
+			c *= 2
+		}
+		grown := make([]T, c)
+		copy(grown, buf)
+		buf = grown
+	}
+	return buf[:n]
+}
+
 // Mat is a dense row-major matrix.
 type Mat struct {
 	Rows, Cols int
