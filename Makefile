@@ -41,41 +41,24 @@ test-full:
 bench-smoke:
 	cd benchmark && $(GO) test ./...
 
-# Focused gate for the incremental quantized-KV cache, the head-parallel
-# executor, the prefix-sharing CoW pool, the generation API, and the
-# observability surface: formatting, vet, build, the
-# cache/kernel/executor/sampling/serving/HTTP/metrics tests under the race
-# detector, the pool-vs-serial, shared-vs-dense, and
-# sampler-vs-legacy-greedy equivalence tests pinned to one core and to
-# every core (schedule diversity must never change a logit bit), the
-# parallel decode race test, the preempt-requeue test, and the
-# metrics/trace reconciliation test under churn, the iteration-batching
-# equivalence matrix (BatchEngine vs sequential decode for every kernel,
-# and serving with batching ON vs the serial reference, including prefix
-# sharing and preemption churn) pinned to one core and to every core, the
-# speculation equivalence matrix (greedy and seeded draft-and-verify vs
-# the non-speculative reference, every kernel × dispatch mode × executor
-# width, dense and paged) on the same two core counts, the fleet
-# bit-exactness matrix (2- and 4-replica fleets with affinity routing vs a
-# single engine, every serving kernel) on the same two core counts, then the
-# steady-state allocation guards (attention + instrumentation + sampler
-# chain + batched decode + speculative pass, and the growing-context decode
-# guard: O(log n) allocations over 256 steps) without -race (race
-# instrumentation skews alloc counts, so the guards skip themselves
-# there). The gate opens with the static analysis suite: formatting, vet,
-# topick-lint (noalloc/metrics/trace/err discipline + manifest drift), and
-# the frozen benchmark harness's own test.
+# The gate: static analysis (formatting, vet, topick-lint with its
+# noalloc/metrics/trace/err discipline and manifest drift, build), the frozen
+# benchmark harness's own test, the serving-stack packages under the race
+# detector, and then three groups selected by test NAME over ./internal/...,
+# so a new feature joins the gate by naming its test, not by editing this file:
+#   - bit-exactness (BitExact|BitIdentical|MatchesSequential|Equivalence|
+#     Deterministic): pinned to one core and to every core — schedule
+#     diversity must never change a logit bit;
+#   - concurrency (Race|Churn|Fairness|Requeue): under -race, uncached;
+#   - allocation guards (ZeroAlloc|Allocs): without -race (race
+#     instrumentation skews alloc counts, so the guards skip themselves there).
+EXACT_TESTS = BitExact|BitIdentical|MatchesSequential|Equivalence|Deterministic
 check: fmt-check vet lint build bench-smoke
 	TOPICK_QUICK=1 $(GO) test -race ./internal/fixed/ ./internal/core/ ./internal/attention/ ./internal/spatten/ ./internal/exec/ ./internal/obs/ ./internal/sample/ ./internal/serve/ ./internal/fleet/ ./internal/httpapi/ ./internal/bench/
-	GOMAXPROCS=1 TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestPoolExecutorBitIdenticalToSerial|TestIncremental|TestPagedQuantSideCar|TestPrefixSharingLogitsBitExact|TestSharedQuant|TestSamplerGreedyEquivalence|TestSamplingDeterministicAcrossEngines' ./internal/bench/ ./internal/attention/ ./internal/serve/ ./internal/fixed/
-	GOMAXPROCS=$(NCPU) TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestPoolExecutorBitIdenticalToSerial|TestIncremental|TestPagedQuantSideCar|TestPrefixSharingLogitsBitExact|TestSharedQuant|TestSamplerGreedyEquivalence|TestSamplingDeterministicAcrossEngines' ./internal/bench/ ./internal/attention/ ./internal/serve/ ./internal/fixed/
-	TOPICK_QUICK=1 $(GO) test -race -count=1 -run 'TestParallelDecodeRace|TestHeadParallel|TestPreemptRequeueFinishes|TestSubmitCloseRace|TestMetricsReconcileUnderChurn|TestIterationBatchingSchedulerFairness' ./internal/bench/ ./internal/serve/
-	GOMAXPROCS=1 TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestBatchEngineMatchesSequential|TestIterationBatchingBitExact|TestIterationBatchingPreemptionChurnBitExact|TestSpeculativeDecodeMatchesSequential|TestSpeculativeDecodeSeededBitExact|TestSpeculativeServingBitExact|TestSpeculativeServingSeededBitExact|TestFleetServingBitExact' ./internal/model/ ./internal/serve/ ./internal/fleet/
-	GOMAXPROCS=$(NCPU) TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestBatchEngineMatchesSequential|TestIterationBatchingBitExact|TestIterationBatchingPreemptionChurnBitExact|TestSpeculativeDecodeMatchesSequential|TestSpeculativeDecodeSeededBitExact|TestSpeculativeServingBitExact|TestSpeculativeServingSeededBitExact|TestFleetServingBitExact' ./internal/model/ ./internal/serve/ ./internal/fleet/
-	TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestAttendSteadyStateZeroAllocs|TestDecodeGrowingContextAllocs|TestSpeculativeDecodeSteadyStateZeroAllocs' ./internal/bench/
-	TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestBatchEngineSteadyStateZeroAllocs' ./internal/model/
-	TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestRecordPathsZeroAlloc' ./internal/obs/
-	TOPICK_QUICK=1 $(GO) test -count=1 -run 'TestSampleSteadyStateZeroAllocs' ./internal/sample/
+	GOMAXPROCS=1 TOPICK_QUICK=1 $(GO) test -count=1 -run '$(EXACT_TESTS)' ./internal/...
+	GOMAXPROCS=$(NCPU) TOPICK_QUICK=1 $(GO) test -count=1 -run '$(EXACT_TESTS)' ./internal/...
+	TOPICK_QUICK=1 $(GO) test -race -count=1 -run 'Race|Churn|Fairness|Requeue' ./internal/...
+	TOPICK_QUICK=1 $(GO) test -count=1 -run 'ZeroAlloc|Allocs' ./internal/...
 
 # Measured decode-step trajectory: writes BENCH_decode.json (ns/token,
 # tokens/s, allocs/op per kernel/context/mode, plus the shared-prefix

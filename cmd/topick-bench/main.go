@@ -53,8 +53,9 @@ type report struct {
 	// Serving is the shared-prefix serving arm: prefix-cache hit rate,
 	// TTFT with sharing on/off, and the prefill compute saved.
 	Serving *servingRecord `json:"serving,omitempty"`
-	// Batching is the high-concurrency iteration-batching arm: per-session
-	// worker dispatch vs cross-session token batching over the same fleet.
+	// Batching is the high-concurrency iteration-batching arm: one session
+	// per iteration (row budget 0) vs cross-session token batching over the
+	// same fleet.
 	Batching *batchingRecord `json:"iteration_batching,omitempty"`
 	// Speculative is the draft-and-verify arm: the same greedy fleet with
 	// speculation off and once per draft source; every arm must emit the
@@ -290,7 +291,7 @@ func main() {
 	}
 
 	// Arm 4: iteration-level batching — the same high-concurrency
-	// mixed-length fleet through per-session workers and through
+	// mixed-length fleet at row budget 0 (one session per iteration) and with
 	// cross-session token batching; the two must emit identical tokens.
 	if *serving {
 		fmt.Println("iteration-batching arm: running fleet twice...")

@@ -61,8 +61,7 @@ func main() {
 		threshold = flag.Float64("threshold", 1e-3, "Token-Picker pruning threshold")
 		blockRows = flag.Int("block-rows", 32, "KV pool block granularity (rows)")
 		parallel  = flag.Int("parallel", 1, "per-worker head parallelism (executor slots; 0 = NumCPU)")
-		quantum   = flag.Int("quantum", 1, "generation steps per scheduling quantum")
-		maxBatch  = flag.Int("max-batch-tokens", 0, "iteration-level batching: token rows co-scheduled per iteration across sessions (0 = per-session workers)")
+		maxBatch  = flag.Int("max-batch-tokens", 0, "row budget of one scheduling iteration: token rows a worker co-schedules across sessions (0 = one session per iteration)")
 		temp      = flag.Float64("temperature", 0, "sampling temperature (0 = greedy)")
 		deadline  = flag.Duration("deadline", 0, "per-request deadline (0 = none)")
 		compare   = flag.Bool("compare", false, "also run the serialized baseline")
@@ -125,7 +124,6 @@ func main() {
 
 	engineCfg := tokenpicker.ServeConfig{
 		Workers:        *workers,
-		Quantum:        *quantum,
 		MaxBatchTokens: *maxBatch,
 		BlockRows:      *blockRows,
 		MaxBlocks:      *maxBlocks,
@@ -168,9 +166,8 @@ func main() {
 	offlineDemo(res, srv, offlineOptions{
 		sessions: *sessions, workers: *workers, maxNew: *maxNew,
 		promptLen: *promptLen, stride: *stride, threshold: *threshold,
-		blockRows: *blockRows, parallel: *parallel, quantum: *quantum,
-		specK: *specK,
-		temp:  *temp, deadline: *deadline, compare: *compare, share: *share,
+		blockRows: *blockRows, parallel: *parallel, specK: *specK,
+		temp: *temp, deadline: *deadline, compare: *compare, share: *share,
 	})
 	flushTrace()
 }
@@ -264,7 +261,7 @@ func runHTTP(handler *tokenpicker.HTTPHandler, addr string, pprofOn bool, drainG
 
 type offlineOptions struct {
 	sessions, workers, maxNew, promptLen, stride int
-	blockRows, parallel, quantum, specK          int
+	blockRows, parallel, specK                   int
 	threshold, temp                              float64
 	deadline                                     time.Duration
 	compare, share                               bool
@@ -337,8 +334,7 @@ func offlineDemo(res *tokenpicker.TrainResult, srv *tokenpicker.Server, o offlin
 	for _, o := range outcomes {
 		gen += int64(o.res.Usage.GeneratedTokens)
 	}
-	fmt.Printf("\nfleet report (%d sessions, %d workers, quantum %d):\n",
-		rep.Admitted, o.workers, o.quantum)
+	fmt.Printf("\nfleet report (%d sessions, %d workers):\n", rep.Admitted, o.workers)
 	fmt.Printf("  wall time            : %v (%.1f generated tokens/s)\n",
 		wall.Round(time.Millisecond), float64(gen)/wall.Seconds())
 	fmt.Printf("  peak concurrency     : %d sessions in flight\n", rep.PeakConcurrent)

@@ -69,11 +69,11 @@ func TestIncrementalQuantCacheBitIdenticalLogits(t *testing.T) {
 	}
 }
 
-// TestIncrementalSurvivesDecoderReset checks that Reset invalidates the
+// TestIncrementalDecoderResetBitIdentical checks that Reset invalidates the
 // side-car: a second, different sequence on the same decoder must match a
 // fresh decoder bit for bit (a stale memo would leak the first sequence's
 // quantized rows).
-func TestIncrementalSurvivesDecoderReset(t *testing.T) {
+func TestIncrementalDecoderResetBitIdentical(t *testing.T) {
 	cfg := model.TestConfig()
 	params := model.NewParams(cfg, 10)
 	reused := model.NewDecoder(params, NewQuantizedExact())

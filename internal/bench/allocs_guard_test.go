@@ -62,7 +62,8 @@ func TestAttendSteadyStateZeroAllocs(t *testing.T) {
 	for _, et := range executors {
 		batch := model.AttendBatch{
 			Layer:   0,
-			N:       n,
+			Rows:    1,
+			Ns:      []int{n},
 			Heads:   cfg.Heads,
 			HeadDim: cfg.HeadDim,
 			Scale:   float32(1 / math.Sqrt(float64(cfg.HeadDim))),
@@ -98,7 +99,7 @@ func TestAttendSteadyStateZeroAllocs(t *testing.T) {
 	tracer.SetSink(obs.NewJSONLWriter(io.Discard))
 	k := newDecodeKernel(DecodeKernels()[0], cfg)
 	batch := model.AttendBatch{
-		Layer: 0, N: n, Heads: cfg.Heads, HeadDim: cfg.HeadDim,
+		Layer: 0, Rows: 1, Ns: []int{n}, Heads: cfg.Heads, HeadDim: cfg.HeadDim,
 		Scale:  float32(1 / math.Sqrt(float64(cfg.HeadDim))),
 		Slopes: slopes, Q: q, Out: out, Keys: keys, Vals: vals,
 		Exec: exec.Serial{},

@@ -159,7 +159,7 @@ func (rk *recordKernel) AttendLayer(b model.AttendBatch) {
 	rk.inner.AttendLayer(b)
 	if b.Layer == rk.layer {
 		h := rk.head
-		rk.captured = model.Scores(b.HeadQ(h), b.Keys[h], b.N, b.Scale, b.Slopes[h])
+		rk.captured = model.Scores(b.TaskQ(h), b.Keys[h], b.TaskN(h), b.Scale, b.Slopes[h])
 	}
 }
 
@@ -282,12 +282,12 @@ type heatmapKernel struct {
 // AttendLayer implements model.Kernel.
 func (hk *heatmapKernel) AttendLayer(b model.AttendBatch) {
 	hk.inner.AttendLayer(b)
-	n := b.N
+	n := b.TaskN(0)
 	if n < hk.recent+2 {
 		return
 	}
 	for head := 0; head < b.Heads; head++ {
-		scores := model.Scores(b.HeadQ(head), b.Keys[head], n, b.Scale, b.Slopes[head])
+		scores := model.Scores(b.TaskQ(head), b.Keys[head], n, b.Scale, b.Slopes[head])
 		if cap(hk.probs) < n {
 			hk.probs = make([]float32, n)
 		}

@@ -190,15 +190,16 @@ func ServingTable(res ServingResult) *Table {
 
 // BatchingOptions sizes the high-concurrency iteration-batching comparison:
 // the same mixed-length fleet decoded twice through the serving engine, once
-// with per-session worker dispatch and once with iteration-level batching.
+// at iteration row budget 0 (one session per iteration; the "worker" arm) and
+// once at MaxBatchTokens (cross-session rows; the "batched" arm).
 type BatchingOptions struct {
 	Sessions       int // concurrent requests; >= 16 exercises real batch shapes
 	PromptLen      int // shortest prompt; session i adds i*Stride tokens
 	Stride         int
 	MaxNew         int     // tokens generated per session
-	Workers        int     // worker count; batch mode uses one Workers-wide executor
+	Workers        int     // runner goroutines, both arms
 	BlockRows      int     // KV pool granularity
-	PromptChunk    int     // prefill chunk, both modes
+	PromptChunk    int     // prefill chunk, both arms
 	MaxBatchTokens int     // iteration token-row budget of the batched arm
 	Threshold      float64 // Token-Picker pruning threshold
 }
@@ -220,14 +221,14 @@ func DefaultBatchingOptions() BatchingOptions {
 
 // BatchingResult is the outcome of one iteration-batching comparison. The
 // structural quantity is Occupancy — mean token rows co-scheduled per
-// iteration, the weight-streaming amortization factor — while tokens/s only
-// separates the modes when cores are available (on one core both move the
-// same FLOPs and the batched arm pays a small assembly tax).
+// iteration — while tokens/s only separates the arms when cores are available
+// (on one core both move the same FLOPs and the batched arm pays a small
+// assembly tax).
 type BatchingResult struct {
 	Sessions      int
 	TotalTokens   int64   // generated tokens per arm
-	WorkerSec     float64 // wall clock, per-session worker dispatch
-	BatchedSec    float64 // wall clock, iteration batching
+	WorkerSec     float64 // wall clock, row budget 0
+	BatchedSec    float64 // wall clock, row budget MaxBatchTokens
 	WorkerTokSec  float64
 	BatchedTokSec float64
 	WorkerTTFT50  float64 // TTFT quantiles (seconds) from the metrics digests
@@ -236,7 +237,7 @@ type BatchingResult struct {
 	BatchedTTFT95 float64
 	Occupancy     float64 // mean token rows per batched iteration
 	Iterations    int64   // batched iterations executed
-	TokensMatch   bool    // batched tokens bit-identical to worker-mode tokens
+	TokensMatch   bool    // batched tokens bit-identical to budget-0 tokens
 	BatchedReport serve.Report
 }
 
@@ -276,10 +277,10 @@ func runServingArm(r *train.Result, cfg serve.Config, prompts [][]int, maxNew in
 }
 
 // CompareIterationBatching decodes the same high-concurrency mixed-length
-// fleet twice — per-session worker dispatch, then iteration-level batching
-// (Config.MaxBatchTokens > 0) — and reports throughput, TTFT p50/p95, the
-// batched arm's occupancy, and whether the two modes emitted identical
-// tokens (they must: batching changes scheduling, never results).
+// fleet twice — one session per iteration (row budget 0), then cross-session
+// iterations (Config.MaxBatchTokens > 0) — and reports throughput, TTFT
+// p50/p95, the batched arm's occupancy, and whether the two arms emitted
+// identical tokens (they must: the budget changes scheduling, never results).
 func CompareIterationBatching(r *train.Result, o BatchingOptions) BatchingResult {
 	prompts := servingPrompts(r, ServingOptions{
 		Sessions: o.Sessions, PromptLen: o.PromptLen, Stride: o.Stride,
@@ -495,13 +496,13 @@ func SpeculativeTable(res SpeculativeResult) *Table {
 // BatchingTable renders the iteration-batching comparison.
 func BatchingTable(res BatchingResult) *Table {
 	t := &Table{
-		Title:  "Serving: per-session workers vs iteration-level batching",
-		Header: []string{"mode", "wall (s)", "tokens/s", "TTFT p50 (s)", "TTFT p95 (s)"},
+		Title:  "Serving: one session per iteration vs cross-session iterations",
+		Header: []string{"row budget", "wall (s)", "tokens/s", "TTFT p50 (s)", "TTFT p95 (s)"},
 	}
-	t.AddRow("per-session", fmt.Sprintf("%.3f", res.WorkerSec),
+	t.AddRow("0", fmt.Sprintf("%.3f", res.WorkerSec),
 		fmt.Sprintf("%.1f", res.WorkerTokSec),
 		fmt.Sprintf("%.4f", res.WorkerTTFT50), fmt.Sprintf("%.4f", res.WorkerTTFT95))
-	t.AddRow("iteration-batched", fmt.Sprintf("%.3f", res.BatchedSec),
+	t.AddRow("MaxBatchTokens", fmt.Sprintf("%.3f", res.BatchedSec),
 		fmt.Sprintf("%.1f", res.BatchedTokSec),
 		fmt.Sprintf("%.4f", res.BatchedTTFT50), fmt.Sprintf("%.4f", res.BatchedTTFT95))
 	t.AddNote("%d sessions, %d tokens; %d iterations at %.1f rows mean occupancy; tokens match: %v",

@@ -181,13 +181,13 @@ type traceKernel struct {
 // then per-head sampling at the cadence the per-head harness used.
 func (tk *traceKernel) AttendLayer(b model.AttendBatch) {
 	tk.inner.AttendLayer(b)
-	n, dim := b.N, b.HeadDim
+	n, dim := b.TaskN(0), b.HeadDim
 	for h := 0; h < b.Heads; h++ {
 		tk.calls++
 		if len(tk.Instances) >= tk.max || tk.calls%tk.sample != 0 || n < 8 {
 			continue
 		}
-		q, keys := b.HeadQ(h), b.Keys[h]
+		q, keys := b.TaskQ(h), b.Keys[h]
 		var maxMag float32
 		for i := 0; i < n; i++ {
 			if v := tensor.MaxAbs(keys.Row(i)[:dim]); v > maxMag {

@@ -60,10 +60,10 @@ func TestSharedQuantAdoptionBitIdentical(t *testing.T) {
 	}
 }
 
-// TestSharedQuantEpochBumpDropsSharedSegment appends a row whose magnitude
+// TestSharedQuantEpochBumpBitIdentical appends a row whose magnitude
 // exceeds the snapshot's running max: the adopter must re-quantize
 // everything privately at the new scale and still match scratch exactly.
-func TestSharedQuantEpochBumpDropsSharedSegment(t *testing.T) {
+func TestSharedQuantEpochBumpBitIdentical(t *testing.T) {
 	const (
 		base = 12
 		dim  = 4
@@ -105,10 +105,10 @@ func TestSharedQuantEpochBumpDropsSharedSegment(t *testing.T) {
 	}
 }
 
-// TestSharedQuantGeometryMismatchFallsBack adopts a snapshot built at a
+// TestSharedQuantGeometryMismatchBitIdentical adopts a snapshot built at a
 // different bit width: the cache must quietly fall back to private
 // quantization and still match scratch.
-func TestSharedQuantGeometryMismatchFallsBack(t *testing.T) {
+func TestSharedQuantGeometryMismatchBitIdentical(t *testing.T) {
 	const (
 		base = 8
 		dim  = 4

@@ -47,31 +47,35 @@ func fleetTestRequests(r *train.Result, sessions, prefixLen int) []Request {
 
 // TestFleetServingBitExact is the fleet half of the repo's core invariant,
 // gated in make check on one core and on every core: for every serving
-// kernel, a fleet of 2 and of 4 replicas with affinity routing must produce
-// token streams bit-identical to a single engine given the same seeded
-// requests. Routing places sessions, it must never touch generation.
+// kernel, a fleet of 2 and of 4 replicas with affinity routing — its engines
+// at iteration row budget 0 and 16 — must produce token streams bit-identical
+// to a single budget-0 engine given the same seeded requests. Routing places
+// sessions and the budget groups their rows; neither may touch generation.
 func TestFleetServingBitExact(t *testing.T) {
 	r := train.TestModel()
 	const sessions = 8
 
 	for _, kc := range fleetTestKernels {
-		for _, replicas := range []int{2, 4} {
-			t.Run(fmt.Sprintf("%s/replicas=%d", kc.name, replicas), func(t *testing.T) {
-				engineCfg := serve.Config{
-					Workers:     2,
-					BlockRows:   16,
-					SharePrefix: true,
-					NewKernel:   kc.mk,
-				}
-				reqs := fleetTestRequests(r, sessions, 48)
+		engineCfg := serve.Config{
+			Workers:     2,
+			BlockRows:   16,
+			SharePrefix: true,
+			NewKernel:   kc.mk,
+		}
+		reqs := fleetTestRequests(r, sessions, 48)
 
-				// Single-engine reference streams.
-				single := serve.NewServer(r.Params, engineCfg)
-				want := collectAll(t, func(req Request) (*serve.Stream, error) {
-					return single.Submit(context.Background(), req.GenerateRequest)
-				}, reqs)
-				single.Close()
+		// Single-engine reference streams.
+		single := serve.NewServer(r.Params, engineCfg)
+		want := collectAll(t, func(req Request) (*serve.Stream, error) {
+			return single.Submit(context.Background(), req.GenerateRequest)
+		}, reqs)
+		single.Close()
 
+		for _, shape := range [][2]int{{2, 0}, {2, 16}, {4, 0}, {4, 16}} {
+			replicas, budget := shape[0], shape[1]
+			t.Run(fmt.Sprintf("%s/replicas=%d/budget=%d", kc.name, replicas, budget), func(t *testing.T) {
+				engineCfg := engineCfg
+				engineCfg.MaxBatchTokens = budget
 				fl := NewFleet(r.Params, Config{
 					Replicas: replicas,
 					Affinity: true,

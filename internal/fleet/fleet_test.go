@@ -160,7 +160,7 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatalf("zero config invalid: %v", err)
 	}
 	// Bad embedded engine template surfaces the serve error.
-	err := Config{Serve: serve.Config{Quantum: -1}}.Validate()
+	err := Config{Serve: serve.Config{PromptChunk: -1}}.Validate()
 	if !errors.Is(err, serve.ErrBadConfig) {
 		t.Fatalf("err %v, want serve.ErrBadConfig", err)
 	}

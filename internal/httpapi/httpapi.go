@@ -41,7 +41,7 @@
 // admission backpressure (serve.ErrBusy — including fleet tenant rate
 // limits and fleet-wide admission) to 429 with Retry-After when known, and
 // a closed engine to 503. A client disconnect cancels the session at its
-// next scheduling quantum via the request context.
+// next scheduling iteration via the request context.
 package httpapi
 
 import (
@@ -302,7 +302,7 @@ func (h *Handler) completions(w http.ResponseWriter, r *http.Request) {
 	req.RequestID = rid
 	w.Header().Set("X-Request-ID", rid)
 	// The request context carries the client connection: a disconnect
-	// cancels the session engine-side at its next scheduling quantum.
+	// cancels the session engine-side at its next scheduling iteration.
 	st, err := h.submit(r.Context(), req, cr.User)
 	if err != nil {
 		h.submitError(w, err)

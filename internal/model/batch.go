@@ -57,20 +57,18 @@ type BatchEntry struct {
 	Err error
 }
 
-// BatchEngine runs one iteration-batched decoder step over many sessions:
-// every entry's rows advance through the transformer together, layer by
-// layer, with the projection and FFN stages executed as row-batched matmuls
-// (tensor.MatVecRows — each weight matrix streams through memory once per
-// iteration instead of once per session) and attention submitted as one
-// multi-row AttendBatch per layer per phase kernel. Every row's arithmetic
-// keeps the exact operation order of a sequential Decoder.Step/Prompt walk,
-// so batched and unbatched execution produce bit-identical logits and KV
-// rows.
+// BatchEngine is the transformer forward pass: one Step advances every
+// entry's rows through the layers together. The projection and FFN stages run
+// one tensor.MatVec per row; attention is submitted as one multi-row
+// AttendBatch per layer per phase kernel, so the executor sees rows×heads
+// tasks. A row's arithmetic does not depend on which other rows share its
+// step, so logits and KV rows are bit-identical however a token sequence is
+// split into steps and entries — one row at a time (Decoder.Step), a prompt
+// chunk, or many sessions' rows at once.
 //
-// The engine owns the batched scratch; it is not goroutine-safe and, like a
-// Decoder, must not be shared between concurrent Steps. Steady-state Step
-// calls allocate nothing once the scratch has grown to the workload's row
-// count.
+// The engine owns the forward-pass scratch; it is not goroutine-safe and must
+// not be shared between concurrent Steps. Steady-state Step calls allocate
+// nothing once the scratch has grown to the workload's row count.
 type BatchEngine struct {
 	p      *Params
 	exact  ExactKernel
@@ -101,8 +99,8 @@ type batchRow struct {
 	token int
 }
 
-// NewBatchEngine builds an iteration-batching engine over params. Entries
-// passed to Step must use decoders built from the same params.
+// NewBatchEngine builds an engine over params. Entries passed to Step must
+// use decoders built from the same params.
 func NewBatchEngine(p *Params) *BatchEngine {
 	e := &BatchEngine{p: p, slopes: make([]float32, p.Cfg.Heads)}
 	for h := range e.slopes {
@@ -231,56 +229,41 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 	}
 
 	for l, b := range e.p.Blocks {
-		// Attention sublayer: row-batched QKV projections, KV rows appended
-		// to each row's own caches, then one multi-row AttendBatch per phase.
+		// Attention sublayer: per-row QKV projections, KV rows appended to
+		// each row's own caches, then one multi-row AttendBatch per phase.
 		for r := 0; r < R; r++ {
 			tensor.LayerNorm(e.h[r*d:(r+1)*d], e.x[r*d:(r+1)*d], b.Ln1G, b.Ln1B, cfg.Eps)
 		}
-		tensor.MatVecRows(e.q, b.Wq, e.h, R)
-		for r := 0; r < R; r++ {
-			tensor.Add(e.q[r*d:(r+1)*d], e.q[r*d:(r+1)*d], b.Bq)
-		}
-		tensor.MatVecRows(e.tmp, b.Wk, e.h, R)
+		project(e.q, b.Wq, b.Bq, e.h, R)
+		project(e.tmp, b.Wk, b.Bk, e.h, R)
 		for r, row := range e.rows {
 			dec := entries[row.entry].Dec
-			tensor.Add(e.tmp[r*d:(r+1)*d], e.tmp[r*d:(r+1)*d], b.Bk)
 			for hIdx := 0; hIdx < H; hIdx++ {
 				copy(dec.caches[l][hIdx].K.Row(row.pos), e.tmp[r*d+hIdx*hd:r*d+(hIdx+1)*hd])
 			}
 		}
-		tensor.MatVecRows(e.tmp, b.Wv, e.h, R)
+		project(e.tmp, b.Wv, b.Bv, e.h, R)
 		for r, row := range e.rows {
 			dec := entries[row.entry].Dec
-			tensor.Add(e.tmp[r*d:(r+1)*d], e.tmp[r*d:(r+1)*d], b.Bv)
 			for hIdx := 0; hIdx < H; hIdx++ {
 				copy(dec.caches[l][hIdx].V.Row(row.pos), e.tmp[r*d+hIdx*hd:r*d+(hIdx+1)*hd])
 			}
-			copy(e.keys[r*H:(r+1)*H], entries[row.entry].Dec.keySrc[l])
-			copy(e.vals[r*H:(r+1)*H], entries[row.entry].Dec.valSrc[l])
+			copy(e.keys[r*H:(r+1)*H], dec.keySrc[l])
+			copy(e.vals[r*H:(r+1)*H], dec.valSrc[l])
 		}
 		e.attend(l, 0, decodeRows, scale, genKernel, ex, groups)
 		e.attend(l, decodeRows, R, scale, &e.exact, ex, nil)
-		tensor.MatVecRows(e.tmp, b.Wo, e.attnOut, R)
-		for r := 0; r < R; r++ {
-			tensor.Add(e.tmp[r*d:(r+1)*d], e.tmp[r*d:(r+1)*d], b.Bo)
-			tensor.Add(e.x[r*d:(r+1)*d], e.x[r*d:(r+1)*d], e.tmp[r*d:(r+1)*d])
-		}
+		project(e.tmp, b.Wo, b.Bo, e.attnOut, R)
+		tensor.Add(e.x, e.x, e.tmp)
 
-		// FFN sublayer, row-batched.
-		F := cfg.FFNDim()
+		// FFN sublayer.
 		for r := 0; r < R; r++ {
 			tensor.LayerNorm(e.h[r*d:(r+1)*d], e.x[r*d:(r+1)*d], b.Ln2G, b.Ln2B, cfg.Eps)
 		}
-		tensor.MatVecRows(e.ffnH, b.W1, e.h, R)
-		for r := 0; r < R; r++ {
-			tensor.Add(e.ffnH[r*F:(r+1)*F], e.ffnH[r*F:(r+1)*F], b.B1)
-			tensor.GELU(e.ffnH[r*F : (r+1)*F])
-		}
-		tensor.MatVecRows(e.tmp, b.W2, e.ffnH, R)
-		for r := 0; r < R; r++ {
-			tensor.Add(e.tmp[r*d:(r+1)*d], e.tmp[r*d:(r+1)*d], b.B2)
-			tensor.Add(e.x[r*d:(r+1)*d], e.x[r*d:(r+1)*d], e.tmp[r*d:(r+1)*d])
-		}
+		project(e.ffnH, b.W1, b.B1, e.h, R)
+		tensor.GELU(e.ffnH)
+		project(e.tmp, b.W2, b.B2, e.ffnH, R)
+		tensor.Add(e.x, e.x, e.tmp)
 	}
 
 	// Vocabulary projection for the rows that sample from it. Each
@@ -325,6 +308,16 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 		if entries[i].Err == nil {
 			entries[i].Dec.n += len(entries[i].Tokens)
 		}
+	}
+}
+
+// project computes dst[r] = m*src[r] + bias for each of the rows vectors
+// packed back to back in src.
+func project(dst []float32, m *tensor.Mat, bias, src []float32, rows int) {
+	for r := 0; r < rows; r++ {
+		out := dst[r*m.Rows : (r+1)*m.Rows]
+		tensor.MatVec(out, m, src[r*m.Cols:(r+1)*m.Cols])
+		tensor.Add(out, out, bias)
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 	"tokenpicker/internal/spatten"
 )
 
-// batchKernels are the generation kernels the iteration-batched engine must
-// reproduce bit-exactly. Spatten keeps per-sequence pruning state, so it is
+// batchKernels are the generation kernels whose outputs must not depend on
+// how rows are grouped into engine steps. Spatten keeps per-sequence pruning state, so it is
 // only valid when every decode row belongs to the same session; its entry
 // caps the batch at one session (the serving engine refuses it outright).
 var batchKernels = []struct {
@@ -51,12 +51,17 @@ func argmax32(x []float32) int {
 	return best
 }
 
-// decodeSeq runs the sequential reference: full prompt, then greedy decode,
-// returning every logits vector the session sampled from.
+// decodeSeq runs the one-row-per-step reference: the prompt one token at a
+// time, then greedy decode, returning every logits vector the session sampled
+// from.
 func decodeSeq(t *testing.T, p *model.Params, k model.Kernel, prompt []int, maxNew int) ([][]float32, []int) {
 	t.Helper()
 	dec := model.NewDecoder(p, k)
-	logits := [][]float32{append([]float32(nil), dec.MustPrompt(prompt)...)}
+	var last []float32
+	for i := range prompt {
+		last = dec.MustPrompt(prompt[i : i+1])
+	}
+	logits := [][]float32{append([]float32(nil), last...)}
 	toks := []int{argmax32(logits[0])}
 	for len(toks) < maxNew {
 		l := append([]float32(nil), dec.MustStep(toks[len(toks)-1])...)
@@ -66,10 +71,10 @@ func decodeSeq(t *testing.T, p *model.Params, k model.Kernel, prompt []int, maxN
 	return logits, toks
 }
 
-// TestBatchEngineMatchesSequential is the model-level half of the
-// batching-on == batching-off gate: chunked prefill interleaved with decode
-// rows across sessions must reproduce the sequential Prompt+Step walk
-// bit-exactly, for every kernel and executor width.
+// TestBatchEngineMatchesSequential is the model-level row-count invariance
+// gate: chunked prefill interleaved with decode rows across sessions must
+// reproduce the one-row-per-step walk of each session alone bit-exactly, for
+// every kernel and executor width.
 func TestBatchEngineMatchesSequential(t *testing.T) {
 	cfg := model.TestConfig()
 	p := model.NewParams(cfg, 11)

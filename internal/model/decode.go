@@ -3,7 +3,6 @@ package model
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"tokenpicker/internal/exec"
 	"tokenpicker/internal/fixed"
@@ -18,11 +17,9 @@ var ErrContextFull = errors.New("model: context full")
 // AttendBatch is one batched slab of attention work for a single layer: one
 // or more query rows, each carrying every head's query/output slice plus its
 // own KV row sources and context length. A row is one (sequence, position)
-// attention instance — the single-row case is a classic decode step; the
-// multi-row case is the iteration-batched serving path, where the rows span
-// all runnable sessions (decode rows) and the in-flight prefill chunks of
-// pending prompts, so one kernel call amortizes attention work across the
-// whole fleet.
+// attention instance — a library decode step is one row; a serving iteration
+// may span the decode rows of several sessions or the rows of a prefill
+// chunk.
 //
 // Tasks are (row, head) pairs, indexed row-major: task t = row*Heads + head.
 // Tasks are independent — task t reads TaskQ(t)/Keys[t]/Vals[t] and writes
@@ -30,20 +27,17 @@ var ErrContextFull = errors.New("model: context full")
 // Exec without changing a single output bit.
 type AttendBatch struct {
 	Layer   int   // layer index (kernels with per-layer state key on it)
-	N       int   // single-row batches: valid context rows; the query is position N-1
-	Rows    int   // query rows; 0 or 1 means single-row (N applies to every task)
-	Ns      []int // multi-row batches: per-row context length (len == Rows)
+	Rows    int   // query rows (>= 1)
+	Ns      []int // per-row context length (len == Rows); row r's query is position Ns[r]-1
 	Heads   int
 	HeadDim int
 	Scale   float32   // score scale, 1/sqrt(HeadDim)
 	Slopes  []float32 // per-head ALiBi slope: raw score_i -= Slopes[h]*(n-1-i)
 	// Q and Out are packed (row, head)-major: task t owns
-	// [t*HeadDim, (t+1)*HeadDim) — for a single-row batch that degenerates
-	// to the head-major layout of one decode step.
+	// [t*HeadDim, (t+1)*HeadDim).
 	Q, Out []float32
 	// Keys and Vals hold each task's KV cache view, indexed row*Heads+head;
-	// rows beyond the task's context length are stale. Single-row batches
-	// index them by head, which is the same thing.
+	// rows beyond the task's context length are stale.
 	Keys, Vals []tensor.RowSource
 	// Exec schedules the tasks; nil means serial. Kernels must route every
 	// task through Run so the executor choice is honoured.
@@ -66,26 +60,12 @@ type AttendBatch struct {
 	groupRun *groupedTasks
 }
 
-// NumRows returns the number of query rows (>= 1; the zero value of Rows
-// means the legacy single-row layout).
-func (b *AttendBatch) NumRows() int {
-	if b.Rows <= 0 {
-		return 1
-	}
-	return b.Rows
-}
-
 // NumTasks returns the number of independent (row, head) attention tasks.
-func (b *AttendBatch) NumTasks() int { return b.NumRows() * b.Heads }
+func (b *AttendBatch) NumTasks() int { return b.Rows * b.Heads }
 
 // TaskN returns the context length of task t's row: attention spans rows
 // [0, TaskN(t)) of Keys[t]/Vals[t] and the query sits at position TaskN(t)-1.
-func (b *AttendBatch) TaskN(t int) int {
-	if b.Ns == nil {
-		return b.N
-	}
-	return b.Ns[t/b.Heads]
-}
+func (b *AttendBatch) TaskN(t int) int { return b.Ns[t/b.Heads] }
 
 // TaskSlope returns task t's ALiBi slope (slopes are per head, shared by
 // every row).
@@ -100,12 +80,6 @@ func (b *AttendBatch) TaskQ(t int) []float32 {
 func (b *AttendBatch) TaskOut(t int) []float32 {
 	return b.Out[t*b.HeadDim : (t+1)*b.HeadDim]
 }
-
-// HeadQ returns head h's query slice of a single-row batch.
-func (b *AttendBatch) HeadQ(h int) []float32 { return b.TaskQ(h) }
-
-// HeadOut returns head h's output slice of a single-row batch.
-func (b *AttendBatch) HeadOut(h int) []float32 { return b.TaskOut(h) }
 
 // Width returns the number of scratch slots the batch's executor may use.
 func (b *AttendBatch) Width() int {
@@ -194,7 +168,8 @@ type Kernel interface {
 func AttendOne(k Kernel, out, q []float32, keys, vals tensor.RowSource, n int, scale, slope float32, layer int) {
 	k.AttendLayer(AttendBatch{
 		Layer:   layer,
-		N:       n,
+		Rows:    1,
+		Ns:      []int{n},
 		Heads:   1,
 		HeadDim: len(q),
 		Scale:   scale,
@@ -277,14 +252,16 @@ func Scores(q []float32, keys tensor.RowSource, n int, scale, slope float32) []f
 type KVCache interface {
 	tensor.RowSource
 	// EnsureLen makes rows [0, n) addressable, acquiring storage as
-	// needed, and guarantees row n-1 is privately writable: callers write
-	// rows strictly append-only (row n-1 right after EnsureLen(n)), so
-	// implementations backed by shared storage — e.g. prefix blocks adopted
-	// from a serving pool — copy-on-write the affected storage here, before
-	// the write lands. It returns ErrContextFull when n exceeds the
-	// session's context budget, or a pool-specific error when storage is
-	// exhausted. Rows made addressable by a failed call may remain
-	// allocated.
+	// needed, and guarantees the rows it newly covers — from the cache's
+	// length (the largest n ensured since the last Truncate, which caps it)
+	// up to n-1, and row n-1 in any case — are privately writable: callers
+	// write rows strictly append-only (one row or a whole chunk right after
+	// EnsureLen), so implementations backed by shared storage — e.g. prefix
+	// blocks adopted from a serving pool — copy-on-write the affected
+	// storage here, before the writes land. It returns ErrContextFull when
+	// n exceeds the session's context budget, or a pool-specific error when
+	// storage is exhausted. Rows made addressable by a failed call may
+	// remain allocated.
 	EnsureLen(n int) error
 	// Truncate drops rows [n, ...) but keeps the cache usable: Truncate(0)
 	// clears the cache for a new sequence (pooled implementations return all
@@ -382,37 +359,42 @@ type headCache struct {
 	K, V KVCache
 }
 
-// Decoder runs token-by-token generation with a KV cache, delegating the
-// attention weighted-sum to a Kernel. The prompt phase always uses exact
-// attention (the paper preloads all K/V on-chip during prompt and applies
-// pruning only to the memory-bound generation phase).
+// Decoder is one sequence's decoding state: the KV caches, the consumed-token
+// count, and the generation-phase attention Kernel. The prompt phase always
+// uses exact attention (the paper preloads all K/V on-chip during prompt and
+// applies pruning only to the memory-bound generation phase).
 //
-// A Decoder is not goroutine-safe: it carries mutable scratch and so do the
-// kernels plugged into it. Concurrent sessions each need their own Decoder
-// (sharing one read-only *Params is fine). The Exec field chooses the
-// intra-step executor the decoder hands to its kernels: nil or exec.Serial
-// walks heads in order, an exec.Pool runs the heads of each layer across
-// cores (prompt and generation phases alike) with bit-identical results.
+// The forward pass itself lives in BatchEngine. Step and Prompt run it on a
+// private engine the decoder builds on first use; a serving session's decoder
+// is only ever an entry of its runner's engine and never builds one.
+//
+// A Decoder is not goroutine-safe, and neither are the kernels plugged into
+// it. Concurrent sessions each need their own Decoder (sharing one read-only
+// *Params is fine). The Exec field chooses the intra-step executor Step and
+// Prompt hand to the kernels: nil or exec.Serial walks heads in order, an
+// exec.Pool runs the heads of each layer across cores (prompt and generation
+// phases alike) with bit-identical results.
 type Decoder struct {
 	P      *Params
 	Kernel Kernel
 	Exec   exec.Executor // intra-step head executor; nil = serial
 	n      int           // tokens consumed so far
 	caches [][]headCache
-	exact  ExactKernel
 
-	// Per-layer KV views and per-head slopes, prebuilt so the per-step
-	// batch assembly allocates nothing.
+	// Per-layer KV views, prebuilt so the per-step batch assembly allocates
+	// nothing.
 	keySrc [][]tensor.RowSource
 	valSrc [][]tensor.RowSource
-	slopes []float32
 
-	// scratch buffers
-	x, h, attnOut, tmp []float32
-	ffnH               []float32
-	q                  []float32
-	logits             []float32
+	// The private engine behind Step and Prompt, with its one-entry batch.
+	eng   *BatchEngine
+	entry [1]BatchEntry
+	tok   [1]int
 }
+
+// promptChunkRows is how many prompt tokens Decoder.Prompt advances per
+// engine step.
+const promptChunkRows = 32
 
 // NewDecoder creates a decoder with the given attention kernel for the
 // generation phase. kernel may be nil, which means exact attention
@@ -429,18 +411,7 @@ func NewDecoderWith(p *Params, kernel Kernel, prov CacheProvider) *Decoder {
 	if prov == nil {
 		prov = denseProvider{}
 	}
-	d := p.Cfg.DModel()
-	dec := &Decoder{
-		P:       p,
-		Kernel:  kernel,
-		x:       make([]float32, d),
-		h:       make([]float32, d),
-		attnOut: make([]float32, d),
-		tmp:     make([]float32, d),
-		ffnH:    make([]float32, p.Cfg.FFNDim()),
-		q:       make([]float32, d),
-		logits:  make([]float32, p.Cfg.VocabSize),
-	}
+	dec := &Decoder{P: p, Kernel: kernel}
 	dec.caches = make([][]headCache, p.Cfg.Layers)
 	dec.keySrc = make([][]tensor.RowSource, p.Cfg.Layers)
 	dec.valSrc = make([][]tensor.RowSource, p.Cfg.Layers)
@@ -456,10 +427,6 @@ func NewDecoderWith(p *Params, kernel Kernel, prov CacheProvider) *Decoder {
 			dec.keySrc[l][h] = dec.caches[l][h].K
 			dec.valSrc[l][h] = dec.caches[l][h].V
 		}
-	}
-	dec.slopes = make([]float32, p.Cfg.Heads)
-	for h := range dec.slopes {
-		dec.slopes[h] = p.Cfg.AlibiSlope(h)
 	}
 	return dec
 }
@@ -534,19 +501,25 @@ func (dec *Decoder) Cache(layer, head int) (keys, vals tensor.RowSource) {
 }
 
 // Prompt consumes the prompt tokens with exact attention, filling the KV
-// cache. It returns the logits after the final prompt token. On error
-// (ErrContextFull, or a pool allocation failure) the tokens before the
-// failing one remain consumed.
+// cache promptChunkRows tokens per engine step. It returns the logits after
+// the final prompt token. On ErrContextFull the tokens that fit the window
+// remain consumed; on a pool allocation failure the chunks before the failing
+// one do.
 //
 //topick:noalloc
 func (dec *Decoder) Prompt(tokens []int) ([]float32, error) {
 	var logits []float32
-	for _, t := range tokens {
+	for len(tokens) > 0 {
+		n := min(len(tokens), promptChunkRows)
+		if room := dec.P.Cfg.MaxSeq - dec.n; room > 0 {
+			n = min(n, room)
+		}
 		var err error
-		logits, err = dec.step(t, &dec.exact)
+		logits, err = dec.run(tokens[:n], true, n == len(tokens))
 		if err != nil {
 			return nil, err
 		}
+		tokens = tokens[n:]
 	}
 	return logits, nil
 }
@@ -557,11 +530,18 @@ func (dec *Decoder) Prompt(tokens []int) ([]float32, error) {
 //
 //topick:noalloc
 func (dec *Decoder) Step(token int) ([]float32, error) {
-	k := dec.Kernel
-	if k == nil {
-		k = &dec.exact
+	dec.tok[0] = token
+	return dec.run(dec.tok[:], false, true)
+}
+
+// run advances the decoder by one entry of its private engine.
+func (dec *Decoder) run(tokens []int, prefill, needLogits bool) ([]float32, error) {
+	if dec.eng == nil {
+		dec.eng = NewBatchEngine(dec.P) //topick:alloc-ok one-time engine construction on the first library Step/Prompt
 	}
-	return dec.step(token, k)
+	dec.entry[0] = BatchEntry{Dec: dec, Tokens: tokens, Prefill: prefill, NeedLogits: needLogits}
+	dec.eng.Step(dec.entry[:], dec.Kernel, dec.Exec)
+	return dec.entry[0].Logits, dec.entry[0].Err
 }
 
 // MustStep is Step for callers that have already bounded the sequence
@@ -600,68 +580,4 @@ func (dec *Decoder) ensureRows(n int) error {
 		}
 	}
 	return nil
-}
-
-func (dec *Decoder) step(token int, kernel Kernel) ([]float32, error) {
-	cfg := dec.P.Cfg
-	if token < 0 || token >= cfg.VocabSize {
-		panic(fmt.Sprintf("model: token %d out of vocab range", token))
-	}
-	if dec.n >= cfg.MaxSeq {
-		//topick:alloc-ok error construction on the context-full rejection path
-		return nil, fmt.Errorf("%w: %d tokens (max %d)", ErrContextFull, dec.n, cfg.MaxSeq)
-	}
-	pos := dec.n
-	if err := dec.ensureRows(pos + 1); err != nil {
-		return nil, err
-	}
-	hd := cfg.HeadDim
-	scale := float32(1 / math.Sqrt(float64(hd)))
-
-	copy(dec.x, dec.P.TokEmb.Row(token))
-	for l, b := range dec.P.Blocks {
-		// Attention sublayer.
-		tensor.LayerNorm(dec.h, dec.x, b.Ln1G, b.Ln1B, cfg.Eps)
-		tensor.MatVec(dec.q, b.Wq, dec.h)
-		tensor.Add(dec.q, dec.q, b.Bq)
-		tensor.MatVec(dec.tmp, b.Wk, dec.h)
-		tensor.Add(dec.tmp, dec.tmp, b.Bk)
-		for hIdx := 0; hIdx < cfg.Heads; hIdx++ {
-			copy(dec.caches[l][hIdx].K.Row(pos), dec.tmp[hIdx*hd:(hIdx+1)*hd])
-		}
-		tensor.MatVec(dec.tmp, b.Wv, dec.h)
-		tensor.Add(dec.tmp, dec.tmp, b.Bv)
-		for hIdx := 0; hIdx < cfg.Heads; hIdx++ {
-			copy(dec.caches[l][hIdx].V.Row(pos), dec.tmp[hIdx*hd:(hIdx+1)*hd])
-		}
-		kernel.AttendLayer(AttendBatch{
-			Layer:   l,
-			N:       pos + 1,
-			Heads:   cfg.Heads,
-			HeadDim: hd,
-			Scale:   scale,
-			Slopes:  dec.slopes,
-			Q:       dec.q,
-			Out:     dec.attnOut,
-			Keys:    dec.keySrc[l],
-			Vals:    dec.valSrc[l],
-			Exec:    dec.Exec,
-		})
-		tensor.MatVec(dec.tmp, b.Wo, dec.attnOut)
-		tensor.Add(dec.tmp, dec.tmp, b.Bo)
-		tensor.Add(dec.x, dec.x, dec.tmp)
-
-		// FFN sublayer.
-		tensor.LayerNorm(dec.h, dec.x, b.Ln2G, b.Ln2B, cfg.Eps)
-		tensor.MatVec(dec.ffnH, b.W1, dec.h)
-		tensor.Add(dec.ffnH, dec.ffnH, b.B1)
-		tensor.GELU(dec.ffnH)
-		tensor.MatVec(dec.tmp, b.W2, dec.ffnH)
-		tensor.Add(dec.tmp, dec.tmp, b.B2)
-		tensor.Add(dec.x, dec.x, dec.tmp)
-	}
-	tensor.LayerNorm(dec.h, dec.x, dec.P.LnFG, dec.P.LnFB, cfg.Eps)
-	tensor.MatVec(dec.logits, dec.P.TokEmb, dec.h)
-	dec.n++
-	return dec.logits, nil
 }

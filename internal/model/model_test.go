@@ -3,6 +3,7 @@ package model
 import (
 	"errors"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -135,6 +136,43 @@ func TestStepReturnsErrContextFull(t *testing.T) {
 	}
 }
 
+// TestPromptLongerThanWindowConsumesWhatFits pins Prompt's partial-consumption
+// contract across its chunking: a prompt that overruns the window fails with
+// ErrContextFull only after every token that fits has entered the KV cache,
+// whether the overrun falls inside the first chunk or a later one.
+func TestPromptLongerThanWindowConsumesWhatFits(t *testing.T) {
+	for _, maxSeq := range []int{8, promptChunkRows, promptChunkRows + 8} {
+		cfg := TestConfig()
+		cfg.MaxSeq = maxSeq
+		p := NewParams(cfg, 3)
+		dec := NewDecoder(p, nil)
+		long := make([]int, maxSeq+10)
+		for i := range long {
+			long[i] = i % cfg.VocabSize
+		}
+		if _, err := dec.Prompt(long); !errors.Is(err, ErrContextFull) {
+			t.Fatalf("MaxSeq %d: over-window prompt returned %v, want ErrContextFull", maxSeq, err)
+		}
+		if dec.Len() != maxSeq {
+			t.Fatalf("MaxSeq %d: over-window prompt left %d tokens consumed, want %d", maxSeq, dec.Len(), maxSeq)
+		}
+		// The consumed rows are exactly those of a prompt that fits.
+		ref := NewDecoder(p, nil)
+		ref.MustPrompt(long[:maxSeq])
+		for l := 0; l < cfg.Layers; l++ {
+			for h := 0; h < cfg.Heads; h++ {
+				gk, gv := dec.Cache(l, h)
+				wk, wv := ref.Cache(l, h)
+				for r := 0; r < maxSeq; r++ {
+					if !slices.Equal(gk.Row(r), wk.Row(r)) || !slices.Equal(gv.Row(r), wv.Row(r)) {
+						t.Fatalf("MaxSeq %d: layer %d head %d row %d differs from the fitting prompt's", maxSeq, l, h, r)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestKernelSeesGrowingContext(t *testing.T) {
 	p := NewParams(TestConfig(), 4)
 	probe := &probeKernel{}
@@ -144,8 +182,8 @@ func TestKernelSeesGrowingContext(t *testing.T) {
 		dec.MustStep(3)
 	}
 	// Prompt uses exact attention (kernel not called); generation submits
-	// one layer batch per layer per step with n = 3, 4, 5, 6 and every
-	// head's sources populated.
+	// one one-row layer batch per layer per step with n = 3, 4, 5, 6 and
+	// every head's sources populated.
 	cfg := p.Cfg
 	wantCalls := 4 * cfg.Layers
 	if len(probe.ns) != wantCalls {
@@ -157,6 +195,9 @@ func TestKernelSeesGrowingContext(t *testing.T) {
 			t.Fatalf("call %d saw context %d, want %d", i, n, 3+step)
 		}
 	}
+	if probe.multiRow {
+		t.Fatal("a library decode step submitted a batch that is not one row")
+	}
 	if probe.minHeads != cfg.Heads {
 		t.Fatalf("batches carried %d heads, want %d", probe.minHeads, cfg.Heads)
 	}
@@ -165,12 +206,16 @@ func TestKernelSeesGrowingContext(t *testing.T) {
 type probeKernel struct {
 	inner    ExactKernel
 	ns       []int
+	multiRow bool
 	minHeads int
 }
 
 func (pk *probeKernel) AttendLayer(b AttendBatch) {
 	pk.inner.AttendLayer(b)
-	pk.ns = append(pk.ns, b.N)
+	if b.Rows != 1 || len(b.Ns) != 1 {
+		pk.multiRow = true
+	}
+	pk.ns = append(pk.ns, b.TaskN(0))
 	heads := len(b.Keys)
 	if len(b.Vals) < heads {
 		heads = len(b.Vals)

@@ -178,7 +178,7 @@ func (s SpecStats) AcceptanceRate() float64 {
 
 // SpecDecoder drives draft-and-verify generation for one decoder. Each pass:
 // BeginEntry drafts up to k tokens behind the pending token, the caller runs
-// the resulting Verify entry through a BatchEngine (alone, or batched with
+// them as a Verify entry through a BatchEngine (alone via Step, or next to
 // other sessions' entries by the serving engine), and FinishEntry applies the
 // longest-accepted-prefix rule, rolls the decoder back to the accepted
 // length, and adapts k to the observed acceptance. k shrinks by one on any
@@ -256,13 +256,6 @@ func (sd *SpecDecoder) BeginEntry(history []int, maxDraft int) []int {
 	return sd.buf[:1+m]
 }
 
-// Entries wraps tokens (from BeginEntry) as a single-entry batch for a
-// BatchEngine step, reusing the SpecDecoder's storage.
-func (sd *SpecDecoder) Entries(tokens []int) []BatchEntry {
-	sd.entries[0] = BatchEntry{Dec: sd.Dec, Tokens: tokens, NeedLogits: true, Verify: true}
-	return sd.entries[:]
-}
-
 // FinishEntry applies the acceptance rule to a completed verify entry and
 // rolls the decoder back to the accepted length. For each position in
 // emission order the emitter samples from that position's TRUE logits: the
@@ -326,10 +319,10 @@ func (sd *SpecDecoder) FinishEntry(ent *BatchEntry, emit Emitter) SpecResult {
 //
 //topick:noalloc
 func (sd *SpecDecoder) Step(eng *BatchEngine, gen Kernel, ex exec.Executor, history []int, maxDraft int, emit Emitter) (SpecResult, error) {
-	entries := sd.Entries(sd.BeginEntry(history, maxDraft))
-	eng.Step(entries, gen, ex)
-	if err := entries[0].Err; err != nil {
+	sd.entries[0] = BatchEntry{Dec: sd.Dec, Tokens: sd.BeginEntry(history, maxDraft), NeedLogits: true, Verify: true}
+	eng.Step(sd.entries[:], gen, ex)
+	if err := sd.entries[0].Err; err != nil {
 		return SpecResult{}, err
 	}
-	return sd.FinishEntry(&entries[0], emit), nil
+	return sd.FinishEntry(&sd.entries[0], emit), nil
 }

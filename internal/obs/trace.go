@@ -17,7 +17,7 @@ const (
 	KindSubmit
 	// KindQueued: the session entered the run queue for the first time.
 	KindQueued
-	// KindAdmitted: a worker began the session's first dispatch quantum.
+	// KindAdmitted: a worker began the session's first scheduling iteration.
 	KindAdmitted
 	// KindPrefillChunk: one prompt chunk was prefilled (Tokens = chunk size
 	// actually consumed, Rows = context rows after the chunk).

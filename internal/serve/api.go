@@ -227,7 +227,7 @@ func (s *Stream) Next(ctx context.Context) (Event, error) {
 }
 
 // Cancel detaches the consumer: the session is canceled at its next
-// scheduling quantum and finishes ReasonCanceled, releasing its KV blocks
+// scheduling iteration and finishes ReasonCanceled, releasing its KV blocks
 // — nothing leaks even if the consumer never reads another event (the
 // stream buffer holds the whole response). Idempotent, and a no-op once
 // the session finished.

@@ -9,24 +9,18 @@ import (
 	"tokenpicker/internal/obs"
 )
 
-// batchLoop is the iteration-level scheduler (Config.MaxBatchTokens > 0):
-// the single goroutine that, every iteration, drains up to MaxBatchTokens
-// token rows from the run queue, runs them as one BatchEngine step, and
-// routes each session's outcome through exactly the same bookkeeping the
-// per-session dispatch path uses — advance/finish, the preemption ladder,
-// prefix adoption and publication, tracing and metrics — so the two modes
-// differ only in how compute is scheduled, never in what tokens come out.
-func (s *Server) batchLoop() {
+// run is one runner's scheduling loop: pop up to MaxBatchTokens rows of
+// runnable sessions, advance them in one engine step, fold the kernel's
+// transfer statistics into the fleet report, repeat until the scheduler
+// closes. The kernel, head executor and engine are this goroutine's alone;
+// sessions borrow them for the duration of an iteration (per-session state —
+// the KV caches and their quantized side-cars — travels with the session's
+// decoder, so the hand-off is safe).
+func (s *Server) run(wid int) {
 	defer s.wg.Done()
-	var kernel model.Kernel
+	r := &runner{s: s, wid: wid, eng: model.NewBatchEngine(s.params), ex: s.execs[wid]}
 	if s.cfg.NewKernel != nil {
-		kernel = s.cfg.NewKernel()
-	}
-	r := &batchRunner{
-		s:      s,
-		eng:    model.NewBatchEngine(s.params),
-		kernel: kernel,
-		ex:     s.execs[0],
+		r.kernel = s.cfg.NewKernel()
 	}
 	var batch []*session
 	for {
@@ -34,24 +28,24 @@ func (s *Server) batchLoop() {
 		if batch == nil {
 			return
 		}
-		n := len(batch)
 		r.iterate(batch)
-		if sk, ok := kernel.(statKernel); ok {
+		if sk, ok := r.kernel.(statKernel); ok {
 			delta := sk.Stats()
 			sk.ResetStats()
 			s.mu.Lock()
 			s.agg.Add(delta)
 			s.mu.Unlock()
 		}
-		s.sched.endRunN(n)
+		s.sched.endBatch(len(batch))
 	}
 }
 
-// batchRunner owns the iteration scratch: entry and owner slices are reused
-// across iterations so the steady-state batched decode path allocates
-// nothing.
-type batchRunner struct {
+// runner owns one scheduling loop's compute resources and iteration scratch:
+// entry and owner slices are reused across iterations so the steady-state
+// decode path allocates nothing.
+type runner struct {
 	s       *Server
+	wid     int // shard of the worker-sharded counters
 	eng     *model.BatchEngine
 	kernel  model.Kernel
 	ex      exec.Executor
@@ -60,17 +54,20 @@ type batchRunner struct {
 }
 
 // iterate advances every session in batch by one iteration: decode and
-// replay sessions by one token row, prefilling sessions by one prompt chunk.
+// replay sessions by one token row, speculating sessions by one verify pass,
+// prefilling sessions by one prompt chunk.
 // Sessions that neither finished nor parked are pushed back onto the run
 // queue, behind whatever arrived while the iteration ran.
-func (r *batchRunner) iterate(batch []*session) {
+func (r *runner) iterate(batch []*session) {
 	s := r.s
 	r.entries = r.entries[:0]
 	r.owners = r.owners[:0]
 
-	// Pre-step bookkeeping, identical to the top of dispatch: resume trace,
-	// first-dispatch accounting, cancellation. Survivors are compacted in
-	// place; canceled sessions finish here and take no part in the step.
+	// Pre-step bookkeeping: resume trace (recorded before anything else can
+	// happen to the session, cancellation included, so every park in the
+	// trace is matched), first-iteration accounting, cancellation. Survivors
+	// are compacted in place; canceled sessions finish here and take no part
+	// in the step.
 	live := batch[:0]
 	for _, sess := range batch {
 		if sess.parked {
@@ -115,7 +112,7 @@ func (r *batchRunner) iterate(batch []*session) {
 			if m := len(toks) - 1; m > 0 {
 				s.trace(sess, obs.KindDraftStep, int32(sess.generated), int32(m), int32(n0), 0)
 			}
-			sess.specEmit = specEmitter{s: s, sess: sess, rows: n0}
+			sess.specEmit = specEmitter{s: s, sess: sess, wid: r.wid, rows: n0}
 			r.entries = append(r.entries, model.BatchEntry{
 				Dec:        sess.dec,
 				Tokens:     toks,
@@ -137,16 +134,20 @@ func (r *batchRunner) iterate(batch []*session) {
 			continue
 		}
 		if sess.promptPos == 0 && sess.adopted == 0 && s.prefixes != nil {
-			// Same late re-probe as the per-session prefill path: the index
-			// may have filled while this session sat queued. Reset first — a
-			// failed acquisition on an earlier attempt may have left stray
-			// leases, and adoption needs the caches empty.
+			// The admission-time probe missed, but the index may have filled
+			// while this session sat queued (a same-prefix session published):
+			// re-probe at the last moment before prefill work begins. Reset
+			// first — a failed acquisition on an earlier attempt may have left
+			// stray leases, and adoption needs the caches empty.
 			sess.dec.Reset()
 			s.adoptPrefix(sess, false)
 		}
-		end := sess.promptPos + s.cfg.PromptChunk
-		if end > len(sess.req.Prompt) {
-			end = len(sess.req.Prompt)
+		// The chunk is clamped to the context window as well as the prompt, so
+		// an over-long prompt's rows that fit are consumed and accounted
+		// before the session finishes context_full.
+		end := min(sess.promptPos+s.cfg.PromptChunk, len(sess.req.Prompt))
+		if window := s.params.Cfg.MaxSeq; sess.promptPos < window {
+			end = min(end, window)
 		}
 		r.entries = append(r.entries, model.BatchEntry{
 			Dec:     sess.dec,
@@ -164,12 +165,20 @@ func (r *batchRunner) iterate(batch []*session) {
 
 	start := time.Now()
 	r.eng.Step(r.entries, r.kernel, r.ex)
-	s.met.BatchIteration.Observe(time.Since(start).Seconds())
+	elapsed := time.Since(start).Seconds()
+	s.met.BatchIteration.Observe(elapsed)
 	s.met.BatchIterations.Inc()
+	// Each entry that advanced books its row share of the iteration into the
+	// per-step histograms: the whole step when it ran alone.
+	rows := 0
+	for i := range r.entries {
+		if r.entries[i].Err == nil {
+			rows += len(r.entries[i].Tokens)
+		}
+	}
 
 	// Post-process in entry order; token counters are published once per
-	// iteration so the hot path takes the global mutex once, like the
-	// per-quantum publication of the worker path.
+	// iteration so the hot path takes the global mutex once.
 	var stepped, replayed, prompted int64
 	laddered := false
 	for i := range r.entries {
@@ -194,18 +203,20 @@ func (r *batchRunner) iterate(batch []*session) {
 			}
 			continue
 		}
+		share := elapsed * float64(len(ent.Tokens)) / float64(rows)
 		if ent.Prefill {
 			consumed := len(ent.Tokens)
 			sess.promptPos = sess.dec.Len()
 			prompted += int64(consumed)
-			s.met.PromptTokens.AddSlot(0, int64(consumed))
+			s.met.PrefillChunk.Observe(share)
+			s.met.PromptTokens.AddSlot(r.wid, int64(consumed))
 			s.trace(sess, obs.KindPrefillChunk, int32(sess.generated), int32(consumed), int32(sess.promptPos), 0)
 			if sess.promptPos == len(sess.req.Prompt) {
 				if s.prefixes != nil {
 					s.prefixes.publish(sess.dec, sess.req.Prompt)
 				}
 				if sess.generated == 0 {
-					if s.advance(sess, ent.Logits, 0) {
+					if s.advance(sess, ent.Logits, r.wid) {
 						continue
 					}
 				}
@@ -213,11 +224,12 @@ func (r *batchRunner) iterate(batch []*session) {
 			s.sched.push(sess)
 			continue
 		}
+		s.met.DecodeStep.Observe(share)
 		if !ent.NeedLogits { // replay row
 			sess.replayPos++
 			sess.recomputed++
 			replayed++
-			s.met.Recomputed.AddSlot(0, 1)
+			s.met.Recomputed.AddSlot(r.wid, 1)
 			s.trace(sess, obs.KindReplayStep, int32(sess.generated), 0, int32(sess.dec.Len()), 0)
 			s.sched.push(sess)
 			continue
@@ -225,7 +237,8 @@ func (r *batchRunner) iterate(batch []*session) {
 		if ent.Verify {
 			// Speculative pass: apply the acceptance rule, roll back, and
 			// route the deferred terminal condition through finish — after
-			// rollback, exactly like the worker path.
+			// rollback, never inside the emitter: finish releases the KV caches
+			// the rollback still touches.
 			res := sess.spec.FinishEntry(ent, &sess.specEmit)
 			s.finishSpecPass(sess, res)
 			stepped += int64(res.Emitted)
@@ -240,7 +253,7 @@ func (r *batchRunner) iterate(batch []*session) {
 		// Traced before advance: advance may finish the session, and finish
 		// must stay its last trace event.
 		s.trace(sess, obs.KindDecodeStep, int32(sess.generated+1), 1, int32(sess.dec.Len()), 0)
-		if s.advance(sess, ent.Logits, 0) {
+		if s.advance(sess, ent.Logits, r.wid) {
 			continue
 		}
 		s.sched.push(sess)
@@ -250,12 +263,10 @@ func (r *batchRunner) iterate(batch []*session) {
 	// tokens, and the row counters must keep reconciling with the usage
 	// counters (decode+replay rows == generated-1+recomputed per clean
 	// session, prefill rows == prompt tokens prefilled).
-	if rows := stepped + replayed + prompted; rows > 0 {
-		s.met.BatchRows.Observe(float64(rows))
+	if advanced := stepped + replayed + prompted; advanced > 0 {
+		s.met.BatchRows.Observe(float64(advanced))
 		s.met.BatchDecodeRows.Add(stepped + replayed)
 		s.met.BatchPrefillRows.Add(prompted)
-	}
-	if stepped > 0 || replayed > 0 || prompted > 0 {
 		s.mu.Lock()
 		s.genToks += stepped
 		s.recompute += replayed

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -25,11 +26,11 @@ var batchTestKernels = []struct {
 	{"oracle", func() model.Kernel { return attention.NewOracle(1e-3) }},
 }
 
-// TestIterationBatchingBitExact is the serving half of the batching-on ==
-// batching-off gate: for every serving kernel and executor width, tokens
-// produced under iteration-level batching (cross-session rows, chunked
-// prefill, prefix sharing on) must equal the single-tenant serial reference
-// — which the per-session worker mode is already pinned to — bit for bit.
+// TestIterationBatchingBitExact is the serving row-budget invariance gate:
+// for every serving kernel, executor width and iteration budget — 0 (one
+// session per iteration) and 24 (cross-session rows) — with two runners,
+// chunked prefill and prefix sharing on, tokens must equal the single-tenant
+// serial reference bit for bit.
 func TestIterationBatchingBitExact(t *testing.T) {
 	r := train.TestModel()
 	const (
@@ -38,18 +39,26 @@ func TestIterationBatchingBitExact(t *testing.T) {
 	)
 	prompts := testPrompts(r, sessions)
 
+	type shape struct{ width, budget int }
+	var shapes []shape
+	for _, width := range []int{1, 2, 8} {
+		for _, budget := range []int{0, 24} {
+			shapes = append(shapes, shape{width, budget})
+		}
+	}
 	for _, kc := range batchTestKernels {
-		for _, width := range []int{1, 2, 8} {
-			t.Run(kc.name+"/width="+string(rune('0'+width)), func(t *testing.T) {
+		for _, sh := range shapes {
+			t.Run(fmt.Sprintf("%s/width=%d/budget=%d", kc.name, sh.width, sh.budget), func(t *testing.T) {
 				var newKernel func() model.Kernel
 				if kc.mk != nil {
 					newKernel = kc.mk
 				}
 				srv := NewServer(r.Params, Config{
-					Workers:        width, // batch mode: executor width = Workers*HeadParallel
+					Workers:        2,
+					HeadParallel:   sh.width,
 					BlockRows:      16,
 					PromptChunk:    8,
-					MaxBatchTokens: 24,
+					MaxBatchTokens: sh.budget,
 					SharePrefix:    true,
 					NewKernel:      newKernel,
 				})
@@ -90,10 +99,10 @@ func TestIterationBatchingBitExact(t *testing.T) {
 					t.Fatal("second-wave session adopted no prefix rows under batching")
 				}
 
-				// Close first: the batch loop publishes an iteration's row and
-				// token counters after it has finished the iteration's sessions,
-				// so reading them while the loop may still be mid-iteration
-				// can see one counter updated and not the other.
+				// Close first: a runner publishes an iteration's row and token
+				// counters after it has finished the iteration's sessions, so
+				// reading them while a runner may still be mid-iteration can
+				// see one counter updated and not the other.
 				srv.Close()
 				met := srv.Metrics()
 				rep := srv.Report()
@@ -122,9 +131,9 @@ func TestIterationBatchingBitExact(t *testing.T) {
 				}
 
 				// Batch-shape accounting: every decode step and every
-				// prefilled prompt token went through a batched iteration.
+				// prefilled prompt token went through an iteration.
 				if met.BatchIterations.Value() == 0 {
-					t.Fatal("no batched iterations recorded")
+					t.Fatal("no iterations recorded")
 				}
 				if got, want := met.BatchDecodeRows.Value(), rep.GenTokens+rep.RecomputeTokens; got != want {
 					t.Fatalf("batch decode rows %d, want steps+replays %d", got, want)
@@ -216,7 +225,7 @@ func TestIterationBatchingPreemptionChurnBitExact(t *testing.T) {
 // must keep short sessions flowing (bounded queue wait), preempt/park/resume
 // during batched iterations must replay bit-exactly, and the lifecycle trace
 // must stay consistent. Submissions race from several goroutines so the
-// scheduler's locking is exercised alongside the single batch loop.
+// scheduler's locking is exercised alongside the two runners.
 func TestIterationBatchingSchedulerFairness(t *testing.T) {
 	r := train.TestModel()
 	cfg := r.Params.Cfg
@@ -338,7 +347,7 @@ func TestConfigValidateRejectsNegatives(t *testing.T) {
 		field string
 		cfg   Config
 	}{
-		{"Quantum", Config{Quantum: -1}},
+		{"Speculate.K", Config{Speculate: SpeculateConfig{K: -1}}},
 		{"PromptChunk", Config{PromptChunk: -4}},
 		{"MaxBatchTokens", Config{MaxBatchTokens: -8}},
 	}
@@ -358,7 +367,7 @@ func TestConfigValidateRejectsNegatives(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config must validate (defaults apply): %v", err)
 	}
-	if err := (Config{Quantum: 2, PromptChunk: 16, MaxBatchTokens: 32}).Validate(); err != nil {
+	if err := (Config{PromptChunk: 16, MaxBatchTokens: 32, Speculate: SpeculateConfig{K: 2}}).Validate(); err != nil {
 		t.Fatalf("positive config must validate: %v", err)
 	}
 

@@ -26,21 +26,18 @@ func (e *ConfigError) Error() string {
 func (e *ConfigError) Is(target error) bool { return target == ErrBadConfig }
 
 // Validate checks the knobs whose zero value means "use the default" but
-// whose negative values used to be silently coerced (Quantum, PromptChunk)
-// or would corrupt scheduling arithmetic (MaxBatchTokens). It returns the
+// whose negative values used to be silently coerced (PromptChunk) or would
+// corrupt scheduling arithmetic (MaxBatchTokens). It returns the
 // first violation as a *ConfigError; NewServer panics with it, so programs
 // building configs from external input should call Validate first.
 // MaxPreempts is exempt: negative there is the documented way to disable
 // preemption.
 func (c Config) Validate() error {
-	if c.Quantum < 0 {
-		return &ConfigError{Field: "Quantum", Reason: "must not be negative (0 means the default)"}
-	}
 	if c.PromptChunk < 0 {
 		return &ConfigError{Field: "PromptChunk", Reason: "must not be negative (0 means the default)"}
 	}
 	if c.MaxBatchTokens < 0 {
-		return &ConfigError{Field: "MaxBatchTokens", Reason: "must not be negative (0 disables iteration batching)"}
+		return &ConfigError{Field: "MaxBatchTokens", Reason: "must not be negative (0 means one session per iteration)"}
 	}
 	if c.Speculate.K < 0 {
 		return &ConfigError{Field: "Speculate.K", Reason: "must not be negative (0 disables speculative decoding)"}

@@ -98,14 +98,14 @@ func (p *Pool) Stats() PoolStats {
 	return p.stats
 }
 
-// hasCapacity reports whether a fresh lease could plausibly succeed: the
-// pool is unbounded, holds free blocks, or sits below its budget. The
+// hasCapacity reports whether n fresh leases could plausibly succeed: the
+// pool is unbounded or sits at least n blocks below its budget. The
 // scheduler's resume gate uses it to keep preempted sessions parked while
 // the pool is still saturated.
-func (p *Pool) hasCapacity() bool {
+func (p *Pool) hasCapacity(n int) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.maxBlocks == 0 || len(p.free) > 0 || p.stats.InUse < int64(p.maxBlocks)
+	return p.maxBlocks == 0 || p.stats.InUse+int64(n) <= int64(p.maxBlocks)
 }
 
 // Trim drops free blocks beyond keepFree, handing their memory back to the
@@ -273,6 +273,7 @@ func (pp poolProvider) NewKVCache(maxSeq, headDim int) model.KVCache {
 type pagedCache struct {
 	pool       *Pool
 	blocks     []*block
+	rows       int // length: rows adopted or ensured since the last Truncate
 	sharedUpTo int // leading blocks that may be shared (refs > 1)
 	maxSeq     int
 	qc         fixed.QuantCache
@@ -298,33 +299,38 @@ func (c *pagedCache) EnsureLen(n int) error {
 		}
 		c.blocks = append(c.blocks, b)
 	}
-	// Row n-1 is about to be written (the KVCache contract): if its block is
-	// possibly shared, swap in a private copy before the write can land.
+	// Rows [c.rows, n) — and row n-1 in any case — are about to be written
+	// (the KVCache contract): swap a private copy in for every possibly
+	// shared block they touch before a write can land.
 	if n > 0 {
-		if idx := (n - 1) / c.pool.blockRows; idx < c.sharedUpTo {
+		first, last := min(c.rows, n-1)/c.pool.blockRows, (n-1)/c.pool.blockRows
+		for idx := first; idx <= last && idx < c.sharedUpTo; idx++ {
 			nb, err := c.pool.exclusive(c.blocks[idx])
 			if err != nil {
 				return err
 			}
 			c.blocks[idx] = nb
-			if idx == c.sharedUpTo-1 {
-				// The tail of the shared range went private; appends walk
-				// forward, so nothing shared is ever written again.
-				c.sharedUpTo = idx
-			}
+		}
+		if first < c.sharedUpTo && last >= c.sharedUpTo-1 {
+			// The tail of the shared range went private; appends walk
+			// forward, so nothing shared is ever written again.
+			c.sharedUpTo = first
 		}
 	}
+	c.rows = max(c.rows, n)
 	return nil
 }
 
-// adopt seeds an empty cache with shared, read-only prefix blocks whose
-// references the caller has already retained, and arms the quantized
-// side-car with the prefix's shared snapshot (nil = quantize privately).
-func (c *pagedCache) adopt(blocks []*block, sq *fixed.SharedQuant) {
+// adopt seeds an empty cache with shared, read-only prefix blocks holding
+// rows context rows, whose references the caller has already retained, and
+// arms the quantized side-car with the prefix's shared snapshot (nil =
+// quantize privately).
+func (c *pagedCache) adopt(blocks []*block, rows int, sq *fixed.SharedQuant) {
 	if len(c.blocks) != 0 {
 		panic("serve: adopt into a non-empty cache")
 	}
 	c.blocks = append(c.blocks, blocks...)
+	c.rows = rows
 	c.sharedUpTo = len(blocks)
 	if sq != nil {
 		c.qc.AdoptShared(sq)
@@ -349,6 +355,7 @@ func (c *pagedCache) Truncate(n int) {
 	if n <= 0 {
 		c.pool.releaseAll(c.blocks)
 		c.blocks = c.blocks[:0]
+		c.rows = 0
 		c.sharedUpTo = 0
 		c.qc.Invalidate()
 		return
@@ -366,6 +373,7 @@ func (c *pagedCache) Truncate(n int) {
 		}
 		c.blocks = c.blocks[:keep]
 	}
+	c.rows = min(c.rows, n)
 	if c.sharedUpTo > len(c.blocks) {
 		c.sharedUpTo = len(c.blocks)
 	}
@@ -375,6 +383,7 @@ func (c *pagedCache) Truncate(n int) {
 func (c *pagedCache) Release() {
 	c.pool.releaseAll(c.blocks)
 	c.blocks = nil
+	c.rows = 0
 	c.sharedUpTo = 0
 	c.qc.Release()
 }

@@ -78,6 +78,16 @@ func TestSubmitCloseRace(t *testing.T) {
 // session's pointer must not stay reachable from the scheduler's backing
 // array, or finished sessions' decoders and KV side-cars survive GC under
 // sustained load.
+// popOne pops the way a budget-0 runner does: exactly one session.
+func popOne(t *testing.T, sc *scheduler) *session {
+	t.Helper()
+	batch := sc.popBatch(nil, 0, 32)
+	if len(batch) != 1 {
+		t.Fatalf("budget-0 popBatch returned %d sessions, want 1", len(batch))
+	}
+	return batch[0]
+}
+
 func TestSchedulerReleasesPoppedSlots(t *testing.T) {
 	sc := &scheduler{}
 	sc.cond = sync.NewCond(&sc.mu)
@@ -85,8 +95,8 @@ func TestSchedulerReleasesPoppedSlots(t *testing.T) {
 	sc.push(a)
 	sc.push(b)
 	sc.push(c)
-	if got, ok := sc.pop(); !ok || got != a {
-		t.Fatalf("pop = %v %v, want first session", got, ok)
+	if got := popOne(t, sc); got != a {
+		t.Fatalf("pop = %v, want first session", got)
 	}
 	live := 0
 	for _, s := range sc.buf {
@@ -103,9 +113,8 @@ func TestSchedulerReleasesPoppedSlots(t *testing.T) {
 	sc.stall(d)
 	want := []*session{b, c, d}
 	for i, w := range want {
-		got, ok := sc.pop()
-		if !ok || got != w {
-			t.Fatalf("pop %d = %v %v, want %v", i, got, ok, w)
+		if got := popOne(t, sc); got != w {
+			t.Fatalf("pop %d = %v, want %v", i, got, w)
 		}
 	}
 	for i, s := range sc.buf {
@@ -148,10 +157,10 @@ func TestSchedulerStealPicksLeastProgressed(t *testing.T) {
 	if v := sc.steal(20, 3); v != c {
 		t.Fatalf("steal returned %v, want c (b2 over budget)", v)
 	}
-	if got, _ := sc.pop(); got != a {
+	if got := popOne(t, sc); got != a {
 		t.Fatalf("pop after steals = %v, want FIFO head", got)
 	}
-	if got, _ := sc.pop(); got != b2 {
+	if got := popOne(t, sc); got != b2 {
 		t.Fatalf("pop after steals = %v, want b2", got)
 	}
 }

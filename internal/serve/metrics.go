@@ -39,29 +39,31 @@ type Metrics struct {
 	LadderSelf   *obs.Counter
 	LadderReject *obs.Counter
 
-	// Latency histograms (seconds). PrefillChunk and DecodeStep time
-	// individual per-session dispatches and so are fed only by the worker
-	// path; under iteration batching the per-step cost is shared by the
-	// whole batch and BatchIteration is the meaningful latency.
+	// Latency histograms (seconds). PrefillChunk and DecodeStep get one
+	// observation per entry an iteration advanced: the iteration's engine-step
+	// wall time split among its entries by the rows each contributed. At row
+	// budget 0 an iteration is one entry, so an observation is exactly that
+	// decode, replay or verify step, or that prompt chunk; at larger budgets
+	// the counts still equal steps and chunks and the sums still add up to
+	// the runners' busy time, while BatchIteration holds the unsplit latency.
 	TTFT         *obs.Histogram // Submit → first emitted token
 	InterToken   *obs.Histogram // gap between consecutive emissions
-	QueueWait    *obs.Histogram // Submit → first dispatch quantum
+	QueueWait    *obs.Histogram // Submit → first iteration
 	PrefillChunk *obs.Histogram // one prompt-chunk prefill
-	DecodeStep   *obs.Histogram // one generation (or replay) step
+	DecodeStep   *obs.Histogram // one generation, replay or verify step
 
-	// Batch-shape families, fed only under iteration batching
-	// (Config.MaxBatchTokens > 0). BatchRows observes the token rows each
+	// Iteration-shape families. BatchRows observes the token rows each
 	// iteration actually advanced (entries that failed their block lease are
 	// excluded, so these reconcile exactly with the usage counters) — its
-	// Mean() is the average batch occupancy, also exported as the
+	// Mean() is the average occupancy, also exported as the
 	// topick_batch_occupancy_rows gauge — while the row counters split the
 	// same totals by phase, so
 	// batch_decode_rows + batch_prefill_rows == sum(batch_rows).
-	BatchIterations  *obs.Counter   // batched iterations executed
+	BatchIterations  *obs.Counter   // iterations executed
 	BatchDecodeRows  *obs.Counter   // decode+replay rows across iterations
 	BatchPrefillRows *obs.Counter   // prefill rows across iterations
 	BatchRows        *obs.Histogram // rows per iteration (occupancy)
-	BatchIteration   *obs.Histogram // wall seconds per batched iteration
+	BatchIteration   *obs.Histogram // wall seconds per iteration
 
 	// Speculative-decoding counters, fed only when Config.Speculate.K > 0.
 	// Drafted == Accepted + RolledBack always, and the per-session split
@@ -116,16 +118,16 @@ func newMetrics(s *Server) *Metrics {
 
 		TTFT:         reg.Histogram("topick_ttft_seconds", "Time from Submit to first emitted token.", "", nil),
 		InterToken:   reg.Histogram("topick_inter_token_seconds", "Gap between consecutive token emissions of one session.", "", nil),
-		QueueWait:    reg.Histogram("topick_queue_wait_seconds", "Time from Submit to the first dispatch quantum.", "", nil),
-		PrefillChunk: reg.Histogram("topick_prefill_chunk_seconds", "Wall time of one prompt-chunk prefill.", "", nil),
-		DecodeStep:   reg.Histogram("topick_decode_step_seconds", "Wall time of one generation or replay step.", "", nil),
+		QueueWait:    reg.Histogram("topick_queue_wait_seconds", "Time from Submit to the session's first scheduling iteration.", "", nil),
+		PrefillChunk: reg.Histogram("topick_prefill_chunk_seconds", "Wall time of one prompt-chunk prefill; an iteration that advanced several entries splits its wall time among them by rows.", "", nil),
+		DecodeStep:   reg.Histogram("topick_decode_step_seconds", "Wall time of one generation, replay or verify step; an iteration that advanced several entries splits its wall time among them by rows.", "", nil),
 
-		BatchIterations:  reg.Counter("topick_batch_iterations_total", "Batched iterations executed (iteration-level scheduling only).", ""),
-		BatchDecodeRows:  reg.Counter("topick_batch_rows_total", "Token rows advanced by batched iterations, by phase.", `phase="decode"`),
-		BatchPrefillRows: reg.Counter("topick_batch_rows_total", "Token rows advanced by batched iterations, by phase.", `phase="prefill"`),
-		BatchRows: reg.Histogram("topick_batch_rows", "Token rows per batched iteration (batch occupancy).",
+		BatchIterations:  reg.Counter("topick_batch_iterations_total", "Scheduling iterations executed.", ""),
+		BatchDecodeRows:  reg.Counter("topick_batch_rows_total", "Token rows advanced by scheduling iterations, by phase.", `phase="decode"`),
+		BatchPrefillRows: reg.Counter("topick_batch_rows_total", "Token rows advanced by scheduling iterations, by phase.", `phase="prefill"`),
+		BatchRows: reg.Histogram("topick_batch_rows", "Token rows per scheduling iteration (occupancy).",
 			"", []float64{1, 2, 4, 8, 16, 24, 32, 48, 64, 96, 128, 192, 256}),
-		BatchIteration: reg.Histogram("topick_batch_iteration_seconds", "Wall time of one batched iteration.", "", nil),
+		BatchIteration: reg.Histogram("topick_batch_iteration_seconds", "Wall time of one scheduling iteration's engine step.", "", nil),
 
 		SpecDrafted:    reg.Counter("topick_spec_drafted_tokens_total", "Draft tokens submitted for speculative verification.", ""),
 		SpecAccepted:   reg.Counter("topick_spec_accepted_tokens_total", "Draft tokens the session sampler reproduced and kept.", ""),
@@ -139,9 +141,8 @@ func newMetrics(s *Server) *Metrics {
 			"Finished sessions by terminal reason.", `reason="`+string(r)+`"`)
 	}
 
-	// Average rows per batched iteration at scrape time; 0 until the first
-	// iteration (or always, under per-session dispatch).
-	reg.GaugeFunc("topick_batch_occupancy_rows", "Mean token rows per batched iteration.", "", func() float64 {
+	// Average rows per iteration at scrape time; 0 until the first iteration.
+	reg.GaugeFunc("topick_batch_occupancy_rows", "Mean token rows per scheduling iteration.", "", func() float64 {
 		if m.BatchRows.Count() == 0 {
 			return 0
 		}
@@ -162,7 +163,7 @@ func newMetrics(s *Server) *Metrics {
 		_, st, _ := s.sched.depths()
 		return float64(st)
 	})
-	reg.GaugeFunc("topick_sessions_dispatching", "Sessions inside a dispatch quantum right now.", "", func() float64 {
+	reg.GaugeFunc("topick_sessions_dispatching", "Sessions inside a scheduling iteration right now.", "", func() float64 {
 		_, _, run := s.sched.depths()
 		return float64(run)
 	})

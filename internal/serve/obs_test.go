@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"sync"
 	"testing"
 
@@ -20,7 +21,14 @@ import (
 // must be accounted identically in all three, or the instrumentation is
 // double-counting (or dropping) work somewhere on the hot path. Run it
 // under -race: the counters are sharded per worker and the tracer is shared.
+// Both iteration row budgets run: one session per iteration, and several.
 func TestMetricsReconcileUnderChurn(t *testing.T) {
+	for _, budget := range []int{0, 16} {
+		t.Run(fmt.Sprintf("budget=%d", budget), func(t *testing.T) { metricsReconcileUnderChurn(t, budget) })
+	}
+}
+
+func metricsReconcileUnderChurn(t *testing.T, budget int) {
 	r := train.TestModel()
 	cfg := r.Params.Cfg
 
@@ -30,13 +38,14 @@ func TestMetricsReconcileUnderChurn(t *testing.T) {
 	tracer.SetSink(sink)
 
 	srv := NewServer(r.Params, Config{
-		Workers:     3,
-		BlockRows:   8,
-		MaxBlocks:   12 * cfg.Layers * cfg.Heads, // ~1.5 sessions' working set
-		MaxPreempts: 128,
-		SharePrefix: true,
-		Tracer:      tracer,
-		NewKernel:   func() model.Kernel { return attention.NewTokenPicker(1e-3) },
+		Workers:        3,
+		BlockRows:      8,
+		MaxBlocks:      12 * cfg.Layers * cfg.Heads, // ~1.5 sessions' working set
+		MaxPreempts:    128,
+		MaxBatchTokens: budget,
+		SharePrefix:    true,
+		Tracer:         tracer,
+		NewKernel:      func() model.Kernel { return attention.NewTokenPicker(1e-3) },
 	})
 
 	const (
@@ -145,10 +154,20 @@ func TestMetricsReconcileUnderChurn(t *testing.T) {
 	if got := met.TTFT.Count(); got != withTok {
 		t.Errorf("TTFT observations %d, sessions with tokens %d", got, withTok)
 	}
-	// Every successful decode Step — fresh or preemption replay — observes
-	// the decode-step histogram exactly once.
+	// Every successful decode step — fresh or preemption replay — observes
+	// the decode-step histogram exactly once, every prefill chunk that
+	// consumed tokens the prefill-chunk one, and between them they book no
+	// more than the iterations' wall time (an iteration whose every entry
+	// failed its block lease advanced nothing and books nothing).
 	if c := met.DecodeStep.Count(); c != rep.GenTokens+rep.RecomputeTokens {
 		t.Errorf("decode-step observations %d, want %d steps + %d replays", c, rep.GenTokens, rep.RecomputeTokens)
+	}
+	if c := met.PrefillChunk.Count(); (c == 0) != (rep.PromptTokens == 0) || c > rep.PromptTokens {
+		t.Errorf("prefill-chunk observations %d for %d prefilled tokens", c, rep.PromptTokens)
+	}
+	booked, wall := met.DecodeStep.Sum()+met.PrefillChunk.Sum(), met.BatchIteration.Sum()
+	if booked <= 0 || booked > wall*(1+1e-9) {
+		t.Errorf("step histograms book %gs, iterations took %gs", booked, wall)
 	}
 
 	// Ledger 3: the trace. The ring held everything, so validation is

@@ -10,12 +10,12 @@ import (
 	"tokenpicker/internal/train"
 )
 
-// TestHeadParallelServingMatchesSerialGreedy runs the continuous batcher
+// TestHeadParallelServingBitExact runs the continuous batcher
 // with intra-step head parallelism on every worker and demands the exact
 // token streams of single-tenant serial decoding: the executor must be
 // invisible to the numerics even while sessions hop between workers (and
-// therefore between executors) across quanta.
-func TestHeadParallelServingMatchesSerialGreedy(t *testing.T) {
+// therefore between executors) across iterations.
+func TestHeadParallelServingBitExact(t *testing.T) {
 	r := train.TestModel()
 	const sessions, maxNew = 6, 24
 	prompts := testPrompts(r, sessions)
@@ -57,11 +57,11 @@ func TestHeadParallelServingMatchesSerialGreedy(t *testing.T) {
 	}
 }
 
-// TestHeadParallelCancellationReleasesSession cancels a session that is
-// mid-generation on a head-parallel worker. The quantum in flight finishes
+// TestHeadParallelCancellationRace cancels a session that is
+// mid-generation on a head-parallel worker. The iteration in flight finishes
 // its layer batches on the pool executor, the session must still terminate
 // as canceled, and every KV block must come back to the pool.
-func TestHeadParallelCancellationReleasesSession(t *testing.T) {
+func TestHeadParallelCancellationRace(t *testing.T) {
 	r := train.TestModel()
 	srv := NewServer(r.Params, Config{
 		Workers:      2,

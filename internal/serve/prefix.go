@@ -195,6 +195,15 @@ func (px *prefixIndex) walk(prompt []int, maxChunks int) []*prefixEntry {
 	return chain
 }
 
+// cachedBlocks reports how many leading whole blocks of prompt adopt would
+// install from the index right now, without a new lease (the partial tail is
+// left out: its block is copied at the adopter's first append).
+func (px *prefixIndex) cachedBlocks(prompt []int) int {
+	px.mu.Lock()
+	defer px.mu.Unlock()
+	return len(px.walk(prompt, (len(prompt)-1)/px.blockRows))
+}
+
 // adopt finds the longest cached prefix of prompt, installs its blocks (and
 // quantized snapshots) read-only into the decoder's caches, and returns how
 // many context rows were adopted. At least one prompt token is always left
@@ -273,8 +282,8 @@ func (px *prefixIndex) adopt(dec *model.Decoder, prompt []int, firstProbe, count
 			kb = append(kb, deep.tailK[i])
 			vb = append(vb, deep.tailV[i])
 		}
-		kc[i].adopt(kb, deep.sqK[i])
-		vc[i].adopt(vb, deep.sqV[i])
+		kc[i].adopt(kb, rows+tail, deep.sqK[i])
+		vc[i].adopt(vb, rows+tail, deep.sqV[i])
 	}
 	rows += tail
 	if countHit {

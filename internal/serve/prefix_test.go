@@ -92,9 +92,11 @@ func TestPrefixSharingLogitsBitExact(t *testing.T) {
 }
 
 // TestCoWIsolationAfterDivergence adopts a prefix whose prompt diverges
-// inside the publisher's tail block, generates past the divergence point,
-// and verifies the publisher's rows survive untouched: the adopter must have
-// copied the tail block before its first divergent append.
+// inside the publisher's tail block, prefills past the divergence point in
+// one chunk that runs on into the next block, generates further, and
+// verifies the publisher's rows survive untouched: the adopter must have
+// copied the tail block before its first divergent append, wherever the
+// chunk carrying that append ends.
 func TestCoWIsolationAfterDivergence(t *testing.T) {
 	cfg := model.TestConfig()
 	params := model.NewParams(cfg, 32)
@@ -119,8 +121,9 @@ func TestCoWIsolationAfterDivergence(t *testing.T) {
 		}
 	}
 
-	// The adopter's prompt diverges at position 70, inside the tail block.
-	div := append([]int(nil), prompt...)
+	// The adopter's prompt diverges at position 70, inside the tail block,
+	// and continues 20 tokens past the publisher's, beyond that block's end.
+	div := append(append([]int(nil), prompt...), testTokens(20, 3, cfg.VocabSize)...)
 	for i := 70; i < len(div); i++ {
 		div[i] = (div[i] + 13) % cfg.VocabSize
 	}
@@ -333,17 +336,26 @@ func TestPreemptRequeueFinishes(t *testing.T) {
 // several workers and prefix sharing on: the resume gate must keep stalled
 // sessions parked while the pool is saturated (instead of burning their
 // preemption budget in a promote/stall loop), and everything must still
-// finish with serial-exact tokens.
+// finish with serial-exact tokens. Two shapes, each a budget of the cached
+// prompt plus ~1.5 sessions' private rows: one where a session's context is
+// mostly private generation, and one where it is mostly the shared prompt —
+// there the pool never has a whole context free (the index holds the prompt),
+// so the gate opens only because re-adoptable blocks are not counted against
+// a parked session (TestResumeGateCountsCachedPrefixBlocks pins the rule).
 func TestPreemptMultiWorkerUnderPressure(t *testing.T) {
+	t.Run("private-heavy", func(t *testing.T) { testPreemptMultiWorker(t, 12, 20, 12) })
+	t.Run("shared-heavy", func(t *testing.T) { testPreemptMultiWorker(t, 40, 8, 16) })
+}
+
+func testPreemptMultiWorker(t *testing.T, promptLen, maxNew, blocksPerHead int) {
 	r := train.TestModel()
 	cfg := r.Params.Cfg
 	const (
 		sessions  = 4
-		maxNew    = 20
 		blockRows = 8
 	)
-	maxBlocks := 12 * cfg.Layers * cfg.Heads // ~1.5 sessions' working set
-	prompt := r.Held[:12]                    // shared prompt: preempted re-prefill hits the index
+	maxBlocks := blocksPerHead * cfg.Layers * cfg.Heads
+	prompt := r.Held[:promptLen] // shared prompt: preempted re-prefill hits the index
 
 	srv := NewServer(r.Params, Config{
 		Workers:     3,
@@ -383,6 +395,58 @@ func TestPreemptMultiWorkerUnderPressure(t *testing.T) {
 	srv.Close()
 	if st := srv.Pool().Stats(); st.InUse != 0 {
 		t.Fatalf("%d blocks still referenced after drain", st.InUse)
+	}
+}
+
+// TestResumeGateCountsCachedPrefixBlocks pins the resume policy where prefix
+// sharing meets preemption: a parked session needs room for its whole context
+// minus the leading prompt blocks the index still caches (those are
+// re-adopted, not leased), so a shared-prompt session resumes on the room its
+// private rows need while a session with an uncached prompt of the same
+// length stays parked.
+func TestResumeGateCountsCachedPrefixBlocks(t *testing.T) {
+	r := train.TestModel()
+	cfg := r.Params.Cfg
+	const blockRows = 8
+	caches := 2 * cfg.Layers * cfg.Heads
+	prompt := r.Held[:4*blockRows]
+	other := r.Held[4*blockRows : 8*blockRows]
+
+	// A finished session leaves its prompt's 4 blocks per cache in the index;
+	// the budget leaves 2 more blocks per cache free.
+	srv := NewServer(r.Params, Config{
+		Workers:     1,
+		BlockRows:   blockRows,
+		MaxBlocks:   6 * caches,
+		SharePrefix: true,
+		NewKernel:   func() model.Kernel { return attention.NewQuantizedExact() },
+	})
+	defer srv.Close()
+	st, err := srv.Submit(context.Background(), GenerateRequest{Prompt: prompt, MaxTokens: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := st.Result(); res.Reason != ReasonLength {
+		t.Fatalf("seeding session finished %q err=%v", res.Reason, res.Err)
+	}
+	if got := srv.Pool().Stats().InUse; got != int64(4*caches) {
+		t.Fatalf("index holds %d blocks, want %d", got, 4*caches)
+	}
+
+	// 32 prompt + 4 generated rows = 5 blocks per cache. An adopter leaves the
+	// last prompt token for prefill, so 3 of them come from the index and 2
+	// are leased: exactly the free room. Uncached, all 5 are leased.
+	shared := &session{req: GenerateRequest{Prompt: prompt}, generated: 4}
+	if !srv.canResume(shared) {
+		t.Fatal("parked shared-prompt session not resumable with room for its private rows")
+	}
+	unique := &session{req: GenerateRequest{Prompt: other}, generated: 4}
+	if srv.canResume(unique) {
+		t.Fatal("parked session with an uncached prompt resumable without room for its context")
+	}
+	shared.generated = 4 + blockRows // one more private block than the pool has
+	if srv.canResume(shared) {
+		t.Fatal("parked shared-prompt session resumable without room for its private rows")
 	}
 }
 

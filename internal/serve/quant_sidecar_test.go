@@ -7,12 +7,12 @@ import (
 	"tokenpicker/internal/model"
 )
 
-// TestPagedQuantSideCarMatchesDense runs the same generation through a
+// TestPagedQuantSideCarBitIdenticalToDense runs the same generation through a
 // block-paged decoder and a dense one with quantizing kernels. Both caches
 // carry an incremental quantized side-car; the storage layout (contiguous vs
 // scattered blocks, including partial tail blocks) must not change a single
 // logit bit.
-func TestPagedQuantSideCarMatchesDense(t *testing.T) {
+func TestPagedQuantSideCarBitIdenticalToDense(t *testing.T) {
 	cfg := model.TestConfig()
 	params := model.NewParams(cfg, 21)
 	pool := NewPool(5, cfg.HeadDim, 0) // odd block size: rows straddle blocks

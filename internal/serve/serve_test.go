@@ -237,23 +237,25 @@ func TestPromptLongerThanWindowAccountsConsumedTokens(t *testing.T) {
 	cfg := model.TestConfig()
 	cfg.MaxSeq = 24
 	params := model.NewParams(cfg, 9)
-	srv := NewServer(params, Config{Workers: 1, BlockRows: 8, PromptChunk: 10})
-	defer srv.Close()
+	for _, budget := range []int{0, 16} {
+		srv := NewServer(params, Config{Workers: 1, BlockRows: 8, PromptChunk: 10, MaxBatchTokens: budget})
 
-	long := make([]int, 40) // 4 chunks; the window fills mid-third-chunk
-	st, err := srv.Submit(context.Background(), GenerateRequest{Prompt: long, MaxTokens: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := st.Result()
-	if res.Reason != ReasonContextFull || res.Usage.GeneratedTokens != 0 {
-		t.Fatalf("result %+v, want context_full with no generated tokens", res)
-	}
-	if res.Usage.PromptTokens != cfg.MaxSeq {
-		t.Fatalf("PromptLen %d, want the %d tokens the decoder consumed", res.Usage.PromptTokens, cfg.MaxSeq)
-	}
-	if rep := srv.Report(); rep.PromptTokens != int64(cfg.MaxSeq) {
-		t.Fatalf("fleet PromptTokens %d, want %d", rep.PromptTokens, cfg.MaxSeq)
+		long := make([]int, 40) // 4 chunks; the window fills mid-third-chunk
+		st, err := srv.Submit(context.Background(), GenerateRequest{Prompt: long, MaxTokens: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res := st.Result()
+		if res.Reason != ReasonContextFull || res.Usage.GeneratedTokens != 0 {
+			t.Fatalf("budget %d: result %+v, want context_full with no generated tokens", budget, res)
+		}
+		if res.Usage.PromptTokens != cfg.MaxSeq {
+			t.Fatalf("budget %d: PromptLen %d, want the %d tokens the decoder consumed", budget, res.Usage.PromptTokens, cfg.MaxSeq)
+		}
+		srv.Close()
+		if rep := srv.Report(); rep.PromptTokens != int64(cfg.MaxSeq) {
+			t.Fatalf("budget %d: fleet PromptTokens %d, want %d", budget, rep.PromptTokens, cfg.MaxSeq)
+		}
 	}
 }
 

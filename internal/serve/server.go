@@ -1,20 +1,18 @@
 // Package serve is a continuous-batching inference engine over the
 // Token-Picker decoder. Generation requests are admitted into a run queue
 // and advanced at token granularity, so a new request starts decoding
-// immediately instead of waiting for the batch in flight to drain. Two
-// dispatch modes share every other subsystem (KV pool, prefix sharing,
-// preemption ladder, metrics, tracing):
+// immediately instead of waiting for the batch in flight to drain.
 //
-//   - Per-session workers (the default): each dispatch advances one session
-//     by a prompt chunk or Quantum generation steps on one of a fixed pool
-//     of worker goroutines, each owning its attention kernel.
-//   - Iteration-level batching (Config.MaxBatchTokens > 0): one scheduler
-//     goroutine assembles, per iteration, a single model.BatchEngine step
-//     spanning all runnable sessions — every decode/replay session one row,
-//     every pending prompt up to PromptChunk prefill rows — so attention
-//     runs as one multi-row AttendBatch per layer and the FFN/projection
-//     stages as row-batched matmuls. Tokens are bit-identical between the
-//     two modes; the batched one amortizes weight traffic across the fleet.
+// One scheduling loop drives everything. Each of Config.Workers runner
+// goroutines owns an attention kernel, a head executor and a
+// model.BatchEngine, and repeats: pop runnable sessions from the FIFO run
+// queue up to the iteration's row budget (Config.MaxBatchTokens), advance
+// them together in one engine step — a decode, replay or speculative-verify
+// session contributes its token rows, a pending prompt its next PromptChunk
+// rows — then sample, emit, and requeue. At the default budget of zero an
+// iteration is exactly one session's step or prompt chunk; a larger budget
+// lets one iteration span several sessions. Generated tokens are bit-identical
+// for every budget and worker count.
 //
 // Every session owns a decoder whose KV caches are leased block-by-block
 // from a shared Pool and recycled on completion. Per-session transfer
@@ -68,35 +66,29 @@ const (
 // Config sizes a Server. The zero value is usable: NumCPU workers, exact
 // attention, and paper-ish defaults everywhere else.
 type Config struct {
-	// Workers is the number of decode workers (default NumCPU).
+	// Workers is the number of runner goroutines, each looping over the run
+	// queue with its own kernel, head executor and engine (default NumCPU).
+	// Runners share nothing but the queue and the pool, so non-attention
+	// work (projections, FFN, sampling) of different sessions overlaps
+	// across cores.
 	Workers int
 	// MaxSessions bounds concurrently admitted sessions (default 64).
 	MaxSessions int
-	// Quantum is how many generation steps a session advances per
-	// dispatch before being requeued (default 1: token-level
-	// interleaving, the finest-grained continuous batching).
-	Quantum int
-	// PromptChunk is how many prompt tokens are prefilled per dispatch,
-	// so long prompts cannot starve running generations (default 32;
-	// negative is rejected by Validate). Under iteration batching
-	// (MaxBatchTokens > 0) it also caps the prefill rows one pending prompt
-	// contributes to a single batched iteration, so the two knobs compose:
-	// MaxBatchTokens bounds the whole iteration's row budget, PromptChunk
-	// bounds any one prompt's share of it.
+	// PromptChunk caps the prompt tokens one session prefills per
+	// iteration, so long prompts cannot starve running generations
+	// (default 32; negative is rejected by Validate). It composes with
+	// MaxBatchTokens: that bounds the whole iteration's rows, this bounds
+	// any one prompt's share of them.
 	PromptChunk int
-	// MaxBatchTokens, when positive, switches the engine from per-session
-	// dispatch to iteration-level batching: one scheduler goroutine
-	// assembles, every iteration, a single batched step spanning all
-	// runnable sessions — each decode or replay session contributes one
-	// token row, each pending prompt up to PromptChunk prefill rows — and
-	// runs it through a model.BatchEngine, so attention becomes one
-	// multi-row AttendBatch per layer and the FFN/projection stages become
-	// row-batched matmuls. The value is the iteration's token-row budget:
-	// admission into an iteration stops once the next session would exceed
-	// it (the first session is always admitted, so a prompt chunk longer
-	// than the budget still makes progress). Generated tokens are
-	// bit-identical with batching on or off. Zero keeps the per-session
-	// worker loop; negative is rejected by Validate.
+	// MaxBatchTokens is the row budget of one scheduling iteration: a
+	// runner admits queued sessions in FIFO order — a decode or replay
+	// session costs one row, a speculating one its draft window, a pending
+	// prompt its next chunk — until the next session would exceed the
+	// budget, and advances them in one engine step. The first session is
+	// always admitted, so at the default of zero every iteration advances
+	// exactly one session, and a prompt chunk longer than the budget still
+	// makes progress. Generated tokens are bit-identical for every value;
+	// negative is rejected by Validate.
 	MaxBatchTokens int
 	// BlockRows is the KV pool block granularity in rows (default 32).
 	BlockRows int
@@ -105,9 +97,9 @@ type Config struct {
 	// DefaultMaxNew applies when a request leaves MaxTokens zero
 	// (default 64).
 	DefaultMaxNew int
-	// HeadParallel is the intra-step head parallelism of each decode
-	// worker: the heads of one attention layer run on this many executor
-	// slots (1 = serial, the default; 0 is treated as 1). Every worker owns
+	// HeadParallel is the intra-step parallelism of each runner: the
+	// rows×heads attention tasks of one layer run on this many executor
+	// slots (1 = serial, the default; 0 is treated as 1). Every runner owns
 	// its own executor, so the process runs up to Workers*HeadParallel
 	// attention goroutines — size the product to the machine. Results are
 	// bit-identical to serial execution regardless of the setting.
@@ -143,8 +135,8 @@ type Config struct {
 	// front-end) can stream text without a second lookup. Must be
 	// goroutine-safe and side-effect free.
 	Detokenize func(token int) string
-	// NewKernel builds one generation-phase attention kernel per worker;
-	// nil means exact attention. Because one worker's kernel serves many
+	// NewKernel builds one generation-phase attention kernel per runner;
+	// nil means exact attention. Because one runner's kernel serves many
 	// interleaved sessions, kernels must not carry state across Attend
 	// calls beyond reusable scratch: the Token-Picker, quantized-exact
 	// and oracle kernels qualify, the SpAtten cascade kernel does NOT
@@ -154,7 +146,7 @@ type Config struct {
 	NewKernel func() model.Kernel
 	// Speculate enables speculative decoding (Speculate.K > 0): each
 	// generation step becomes a draft-and-verify pass that can emit several
-	// tokens per model sweep. Composes with both dispatch modes, prefix
+	// tokens per model sweep. Composes with every row budget, prefix
 	// sharing, and the preemption ladder; emitted tokens are bit-identical
 	// to non-speculative decoding for greedy and seeded sampling alike.
 	Speculate SpeculateConfig
@@ -183,9 +175,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 64
-	}
-	if c.Quantum <= 0 {
-		c.Quantum = 1
 	}
 	if c.PromptChunk <= 0 {
 		c.PromptChunk = 32
@@ -241,7 +230,7 @@ type session struct {
 	submitted time.Time
 	firstTok  time.Time // zero until the first token is emitted
 	lastTok   time.Time // previous emission (inter-token latency)
-	started   bool      // first dispatch quantum has begun
+	started   bool      // first iteration has begun
 	parked    bool      // sitting on (or just promoted off) the stalled list
 	promptPos int       // prompt tokens consumed so far
 	next      int       // next token to feed to Step (already emitted)
@@ -295,10 +284,10 @@ type Server struct {
 	pool     *Pool
 	prefixes *prefixIndex // nil unless Config.SharePrefix
 	sched    scheduler
-	execs    []exec.Executor // one head executor per worker, indexed by worker id
+	execs    []exec.Executor // one head executor per runner, indexed by runner id
 	met      *Metrics
 	tracer   *obs.Tracer    // nil unless Config.Tracer
-	wg       sync.WaitGroup // workers
+	wg       sync.WaitGroup // runners
 	sessWG   sync.WaitGroup // in-flight sessions
 
 	closeOnce sync.Once
@@ -318,7 +307,7 @@ type Server struct {
 
 // Report is a fleet-wide snapshot: session counts, token counts, peak
 // concurrency, aggregated attention-transfer statistics, and pool state.
-// Counts lag the currently executing quanta slightly until Close.
+// Counts lag the currently executing iterations slightly until Close.
 type Report struct {
 	Admitted       int64
 	Finished       map[FinishReason]int64
@@ -347,8 +336,7 @@ func (r Report) Completed() int64 {
 	return n
 }
 
-// NewServer builds a server over trained params and starts its workers (or,
-// with Config.MaxBatchTokens set, its iteration-batching scheduler). The
+// NewServer builds a server over trained params and starts its runners. The
 // config must be valid: NewServer panics with the *ConfigError describing
 // the offending field otherwise — call Config.Validate first when the
 // values come from outside the program.
@@ -367,27 +355,18 @@ func NewServer(params *model.Params, cfg Config) *Server {
 		s.prefixes = newPrefixIndex(s.pool, cfg.BlockRows, params.Cfg.Layers, params.Cfg.Heads)
 	}
 	s.sched.cond = sync.NewCond(&s.sched.mu)
-	s.sched.resumeGate = s.pool.hasCapacity
+	s.sched.resumeGate = s.canResume
 	s.tracer = cfg.Tracer
 	s.met = newMetrics(s)
-	// Executors live on the server (not inside the worker goroutines) so the
+	// Executors live on the server (not inside the runner goroutines) so the
 	// metrics layer can read their slot accounting at scrape time.
-	if cfg.MaxBatchTokens > 0 {
-		// Iteration batching: one scheduler goroutine owns the whole fleet
-		// and one wide executor spreads each iteration's rows×heads tasks
-		// over the cores the worker pool would otherwise have used.
-		s.execs = []exec.Executor{exec.New(cfg.Workers * cfg.HeadParallel)}
-		s.wg.Add(1)
-		go s.batchLoop()
-		return s
-	}
 	s.execs = make([]exec.Executor, cfg.Workers)
 	for i := range s.execs {
 		s.execs[i] = exec.New(cfg.HeadParallel)
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
-		go s.worker(i)
+		go s.run(i)
 	}
 	return s
 }
@@ -440,7 +419,7 @@ func hashRequestID(id string) uint64 {
 	return h
 }
 
-// execStats sums the slot accounting of every worker's head executor.
+// execStats sums the slot accounting of every runner's head executor.
 func (s *Server) execStats() exec.SlotStats {
 	var total exec.SlotStats
 	for _, ex := range s.execs {
@@ -480,13 +459,13 @@ func (s *Server) trace(sess *session, kind obs.Kind, step, tokens, rows, detail 
 // returns ErrBusy when MaxSessions sessions are in flight and
 // ErrServerClosed after Close. The returned stream carries the generated
 // events; ctx cancellation, deadline, or Stream.Cancel stops the session
-// at its next scheduling quantum.
+// at its next iteration.
 func (s *Server) Submit(ctx context.Context, req GenerateRequest) (*Stream, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
 	// Vocabulary-dependent checks at admission: the decoder panics on
-	// out-of-range tokens, and a panic in a worker would take down every
+	// out-of-range tokens, and a panic in a runner would take down every
 	// session.
 	if err := req.validateVocab(s.params.Cfg.VocabSize); err != nil {
 		return nil, err
@@ -595,7 +574,7 @@ func (s *Server) adoptPrefix(sess *session, firstProbe bool) {
 }
 
 // Close stops admission, waits for in-flight sessions to drain, shuts the
-// workers down, and releases the prefix index's cached blocks so the pool
+// runners down, and releases the prefix index's cached blocks so the pool
 // refcounts balance to zero. It is idempotent: concurrent and repeated
 // calls all block until the first shutdown completes.
 func (s *Server) Close() {
@@ -640,169 +619,9 @@ func (s *Server) Report() Report {
 	return r
 }
 
-// worker runs dispatch quanta until the scheduler closes. The kernel and
-// the head executor built here are this goroutine's alone; sessions borrow
-// them for the duration of a quantum (per-session state — the KV caches and
-// their quantized side-cars — travels with the session's decoder, so the
-// hand-off is safe).
-func (s *Server) worker(wid int) {
-	defer s.wg.Done()
-	var kernel model.Kernel
-	if s.cfg.NewKernel != nil {
-		kernel = s.cfg.NewKernel()
-	}
-	ex := s.execs[wid]
-	// Speculative verify passes run k+1 rows of one session through a
-	// multi-row engine step; the engine is this worker's alone, like its
-	// kernel.
-	var eng *model.BatchEngine
-	if s.cfg.Speculate.K > 0 {
-		eng = model.NewBatchEngine(s.params)
-	}
-	for {
-		sess, ok := s.sched.pop()
-		if !ok {
-			return
-		}
-		done := s.dispatch(sess, kernel, ex, wid, eng)
-		if sk, ok := kernel.(statKernel); ok {
-			delta := sk.Stats()
-			sk.ResetStats()
-			s.mu.Lock()
-			s.agg.Add(delta)
-			s.mu.Unlock()
-		}
-		if !done {
-			s.sched.push(sess)
-		}
-		s.sched.endRun()
-	}
-}
-
-// dispatch advances one session by a single quantum: a prompt chunk while
-// the prompt is unconsumed, then Quantum generation steps (each step a
-// draft-and-verify pass when speculation is on — it may emit several
-// tokens). It reports whether the session finished.
-func (s *Server) dispatch(sess *session, kernel model.Kernel, ex exec.Executor, wid int, eng *model.BatchEngine) bool {
-	if sess.parked {
-		// Promoted off the stalled list: record the resume before anything
-		// else can happen to the session (cancellation included), so every
-		// park in the trace is matched.
-		sess.parked = false
-		s.trace(sess, obs.KindResume, int32(sess.generated), 0, 0, 0)
-	}
-	if !sess.started {
-		sess.started = true
-		s.met.QueueWait.Observe(time.Since(sess.submitted).Seconds())
-		s.trace(sess, obs.KindAdmitted, 0, 0, 0, 0)
-	}
-	if err := sess.ctx.Err(); err != nil {
-		s.finish(sess, Result{Reason: ReasonCanceled, Err: err})
-		return true
-	}
-	sess.dec.Kernel = kernel
-	sess.dec.Exec = ex
-
-	if sess.promptPos < len(sess.req.Prompt) {
-		return s.prefill(sess, wid)
-	}
-	// Count steps locally and publish once per quantum — the per-token
-	// path must not take the global mutex.
-	stepped, replayed := 0, 0
-	defer func() {
-		if stepped > 0 || replayed > 0 {
-			s.mu.Lock()
-			s.genToks += int64(stepped)
-			s.recompute += int64(replayed)
-			s.mu.Unlock()
-		}
-	}()
-	for i := 0; i < s.cfg.Quantum; i++ {
-		if err := sess.ctx.Err(); err != nil {
-			s.finish(sess, Result{Reason: ReasonCanceled, Err: err})
-			return true
-		}
-		if sess.replayPos < sess.replayEnd {
-			// Preemption replay: re-consume an already-emitted token through
-			// the generation kernel — the same compute path that produced
-			// it, so the KV rows rebuild bit-identically — without emitting
-			// anything. Replay shares the quantum budget: a deep session
-			// catching up must not starve its peers.
-			start := time.Now()
-			if _, err := sess.dec.Step(sess.gen()[sess.replayPos]); err != nil {
-				return s.storageErr(sess, err)
-			}
-			s.met.DecodeStep.Observe(time.Since(start).Seconds())
-			sess.replayPos++
-			sess.recomputed++
-			replayed++
-			s.met.Recomputed.AddSlot(wid, 1)
-			s.trace(sess, obs.KindReplayStep, int32(sess.generated), 0, int32(sess.dec.Len()), 0)
-			continue
-		}
-		if sess.spec != nil {
-			emitted, done, err := s.speculate(sess, kernel, ex, wid, eng)
-			if err != nil {
-				return s.storageErr(sess, err)
-			}
-			stepped += emitted
-			if done {
-				return true
-			}
-			continue
-		}
-		start := time.Now()
-		logits, err := sess.dec.Step(sess.next)
-		if err != nil {
-			return s.storageErr(sess, err)
-		}
-		s.met.DecodeStep.Observe(time.Since(start).Seconds())
-		stepped++
-		// Traced before advance: advance may finish the session, and finish
-		// must stay its last trace event.
-		s.trace(sess, obs.KindDecodeStep, int32(sess.generated+1), 1, int32(sess.dec.Len()), 0)
-		if s.advance(sess, logits, wid) {
-			return true
-		}
-	}
-	return false
-}
-
-// speculate runs one draft-and-verify pass for sess on a worker's private
-// engine: draft up to the session's adaptive window behind the pending
-// token, advance all positions in one multi-row engine step, then emit the
-// accepted prefix (plus the correction or bonus token) and roll the KV state
-// back to the accepted length. On a storage error nothing was consumed and
-// no RNG was drawn, so the ladder can retry the pass. It returns the tokens
-// emitted and whether the session finished (the deferred finish runs here,
-// after rollback — never inside the emitter, because finish releases the KV
-// caches the rollback still touches).
-func (s *Server) speculate(sess *session, kernel model.Kernel, ex exec.Executor, wid int, eng *model.BatchEngine) (emitted int, done bool, err error) {
-	n0 := sess.dec.Len()
-	toks := sess.spec.BeginEntry(sess.penCtx, sess.maxTokens-sess.generated-1)
-	if m := len(toks) - 1; m > 0 {
-		s.trace(sess, obs.KindDraftStep, int32(sess.generated), int32(m), int32(n0), 0)
-	}
-	entries := sess.spec.Entries(toks)
-	start := time.Now()
-	eng.Step(entries, kernel, ex)
-	if err := entries[0].Err; err != nil {
-		return 0, false, err
-	}
-	s.met.DecodeStep.Observe(time.Since(start).Seconds())
-	sess.specEmit = specEmitter{s: s, sess: sess, wid: wid, rows: n0}
-	res := sess.spec.FinishEntry(&entries[0], &sess.specEmit)
-	s.finishSpecPass(sess, res)
-	if sess.specEmit.done {
-		s.finish(sess, sess.specEmit.res)
-		return res.Emitted, true, nil
-	}
-	return res.Emitted, false, nil
-}
-
-// finishSpecPass records the accounting shared by both dispatch modes after
-// a verify pass: spec metrics, the session's Usage tallies, and the
-// verify_step trace (Tokens = accepted drafts, Rows = post-rollback length).
+// finishSpecPass records the accounting of a completed verify pass: spec
+// metrics, the session's Usage tallies, and the verify_step trace (Tokens =
+// accepted drafts, Rows = post-rollback length).
 func (s *Server) finishSpecPass(sess *session, res model.SpecResult) {
 	sess.drafted += res.Drafted
 	sess.acceptedDrafts += res.Accepted
@@ -844,62 +663,13 @@ func (e *specEmitter) Emit(logits []float32) (int, bool) {
 	return tok, done
 }
 
-// prefill consumes one prompt chunk with exact attention; on the last chunk
-// it publishes the prompt's full blocks to the prefix index and samples and
-// emits the first generated token (unless the session is catching up after
-// a preemption, in which case its first token was emitted long ago).
-func (s *Server) prefill(sess *session, wid int) bool {
-	if sess.promptPos == 0 && sess.adopted == 0 && s.prefixes != nil {
-		// The admission-time probe missed, but the index may have filled in
-		// the meantime (a same-prefix session published while this one sat
-		// queued): re-probe at the last moment before prefill work begins.
-		// Reset first — a failed block acquisition on an earlier attempt may
-		// have left stray leases in the caches, and adoption needs them
-		// empty.
-		sess.dec.Reset()
-		s.adoptPrefix(sess, false)
-	}
-	end := sess.promptPos + s.cfg.PromptChunk
-	if end > len(sess.req.Prompt) {
-		end = len(sess.req.Prompt)
-	}
-	start := time.Now()
-	logits, err := sess.dec.Prompt(sess.req.Prompt[sess.promptPos:end])
-	// The decoder may have consumed part of the chunk before failing;
-	// account for what actually entered the KV cache.
-	consumed := sess.dec.Len() - sess.promptPos
-	sess.promptPos = sess.dec.Len()
-	if consumed > 0 {
-		s.met.PrefillChunk.Observe(time.Since(start).Seconds())
-		s.met.PromptTokens.AddSlot(wid, int64(consumed))
-		s.trace(sess, obs.KindPrefillChunk, int32(sess.generated), int32(consumed), int32(sess.promptPos), 0)
-		s.mu.Lock()
-		s.prompted += int64(consumed)
-		s.mu.Unlock()
-	}
-	if err != nil {
-		return s.storageErr(sess, err)
-	}
-	if sess.promptPos == len(sess.req.Prompt) {
-		if s.prefixes != nil {
-			s.prefixes.publish(sess.dec, sess.req.Prompt)
-		}
-		if sess.generated > 0 {
-			// Preemption replay: move on to re-consuming emitted tokens.
-			return false
-		}
-		return s.advance(sess, logits, wid)
-	}
-	return false
-}
-
 // storageErr handles a decoder error mid-session. Pool exhaustion walks a
 // reclamation ladder — evict an idle cached prefix, preempt the least-
 // progressed waiting session, preempt this session behind the pool's other
 // holders — and finishes the session ReasonRejected only when every rung
-// fails. Any other error finishes the session directly. It returns true
-// when the worker must not requeue the session: it finished, or it was
-// preempted onto the stalled list.
+// fails and the pool is still full. Any other error finishes the session
+// directly. It returns true when the runner must not requeue the session: it
+// finished, or it was preempted onto the stalled list.
 func (s *Server) storageErr(sess *session, err error) bool {
 	if !errors.Is(err, ErrNoBlocks) {
 		s.finishErr(sess, err)
@@ -919,7 +689,7 @@ func (s *Server) storageErr(sess *session, err error) bool {
 	}
 	if v := s.sched.steal(sess.progress(), s.cfg.MaxPreempts); v != nil {
 		// The victim stalls until the run queue drains; this session retries
-		// on the victim's freed blocks at its next dispatch.
+		// on the victim's freed blocks at its next iteration.
 		s.met.LadderSteal.Inc()
 		s.preempt(v)
 		s.trace(v, obs.KindPreempt, int32(v.generated), 0, 0, obs.PreemptStolen)
@@ -937,9 +707,31 @@ func (s *Server) storageErr(sess *session, err error) bool {
 		s.sched.stall(sess)
 		return true
 	}
+	if s.pool.hasCapacity(1) {
+		// Another runner's session parked or finished since the lease failed:
+		// the shortage this verdict would rest on is gone. A retry that fails
+		// again has first leased what is free, so this cannot loop.
+		return false
+	}
 	s.met.LadderReject.Inc()
 	s.finishErr(sess, err)
 	return true
+}
+
+// canResume is the scheduler's resume gate. A parked session holds no blocks
+// and rebuilds its whole context (prompt plus generated rows) before it emits
+// again; waking it for less room than that sends it straight back into the
+// exhaustion that parked it — against sessions it cannot steal from, because
+// other runners are mid-iteration on them — and burns its preemption budget.
+// Leading prompt blocks the prefix index still caches are re-adopted, not
+// leased, so they do not count against the room it needs.
+func (s *Server) canResume(v *session) bool {
+	rows := len(v.req.Prompt) + v.generated
+	blocks := (rows + s.cfg.BlockRows - 1) / s.cfg.BlockRows
+	if s.prefixes != nil {
+		blocks -= s.prefixes.cachedBlocks(v.req.Prompt)
+	}
+	return s.pool.hasCapacity(2 * s.params.Cfg.Layers * s.params.Cfg.Heads * blocks)
 }
 
 // othersActive reports whether any other non-parked session is in flight —
@@ -962,8 +754,8 @@ func (s *Server) othersActive() bool {
 // without being re-emitted. Re-adoption is deliberately lazy (the
 // prefill-time re-probe): a parked session must hold zero block
 // references, shared ones included, so the eviction rung can reclaim idle
-// index entries while it waits. The caller owns sess: either it is the
-// session being dispatched, or it was just stolen from the run queue.
+// index entries while it waits. The caller owns sess: either it is in the
+// caller's iteration, or it was just stolen from the run queue.
 func (s *Server) preempt(sess *session) {
 	// Every emitted token except the last was consumed by Step; the last
 	// one is still pending in sess.next and is consumed on resume.
@@ -1077,7 +869,7 @@ func (s *Server) finish(sess *session, res Result) {
 	s.sched.kick()
 }
 
-// scheduler is the FIFO run queue workers pull dispatch quanta from. It is
+// scheduler is the FIFO run queue runners pull their iterations from. It is
 // a ring buffer: popped slots are nil'd immediately, so a finished
 // session's decoder and KV side-cars become collectable the moment it
 // leaves the queue instead of lingering in a sliced-off backing array
@@ -1088,7 +880,7 @@ func (s *Server) finish(sess *session, res Result) {
 // would just re-create the exhaustion that preempted them. A stalled
 // session is promoted only when the run queue empties AND the pool can
 // plausibly serve it again (the resume gate: capacity freed up) — or, as
-// the liveness fallback, when no session is mid-dispatch either, so the
+// the liveness fallback, when no session is mid-iteration either, so the
 // engine can never deadlock with everyone parked: the promoted session
 // either proceeds or walks the reclamation ladder to its rejection.
 type scheduler struct {
@@ -1097,11 +889,11 @@ type scheduler struct {
 	buf     []*session
 	head    int
 	count   int
-	running int // sessions currently inside a dispatch quantum
+	running int // sessions currently inside an iteration
 	stalled []*session
 	// resumeGate reports whether a stalled session is worth waking (pool
 	// capacity available); nil means always.
-	resumeGate func() bool
+	resumeGate func(*session) bool
 	closed     bool
 }
 
@@ -1134,7 +926,7 @@ func (sc *scheduler) stall(sess *session) {
 	sc.mu.Lock()
 	sc.stalled = append(sc.stalled, sess)
 	sc.mu.Unlock()
-	sc.cond.Signal() // a worker may be waiting on an empty run queue
+	sc.cond.Signal() // a runner may be waiting on an empty run queue
 }
 
 // promoteStalledLocked moves one parked session back to the run queue when
@@ -1155,7 +947,7 @@ func (sc *scheduler) promoteStalledLocked() {
 		}
 	}
 	if idx < 0 && (sc.closed || (sc.running == 0 && sc.count == 0) ||
-		sc.resumeGate == nil || sc.resumeGate()) {
+		sc.resumeGate == nil || sc.resumeGate(sc.stalled[0])) {
 		idx = 0
 	}
 	if idx >= 0 {
@@ -1166,8 +958,8 @@ func (sc *scheduler) promoteStalledLocked() {
 	}
 }
 
-// popLocked removes the queue's front session and opens its dispatch
-// quantum. Callers hold the lock and have checked count > 0.
+// popLocked removes the queue's front session and counts it as running.
+// Callers hold the lock and have checked count > 0.
 func (sc *scheduler) popLocked() *session {
 	sess := sc.buf[sc.head]
 	sc.buf[sc.head] = nil // release the slot: popped sessions must be collectable
@@ -1177,33 +969,14 @@ func (sc *scheduler) popLocked() *session {
 	return sess
 }
 
-// pop blocks for the next runnable session; ok is false once the scheduler
-// is closed and drained (stalled sessions included). Each successful pop
-// opens a dispatch quantum the worker must close with endRun.
-func (sc *scheduler) pop() (*session, bool) {
-	sc.mu.Lock()
-	defer sc.mu.Unlock()
-	for {
-		sc.promoteStalledLocked()
-		if sc.count > 0 {
-			break
-		}
-		if sc.closed && len(sc.stalled) == 0 {
-			return nil, false
-		}
-		sc.cond.Wait()
-	}
-	return sc.popLocked(), true
-}
-
 // popBatch blocks for at least one runnable session, then drains the run
 // queue in FIFO order into dst until the iteration's token budget is spent:
 // a decode or replay session costs one row, a pending prompt costs its next
 // prefill chunk (at most chunk rows). The first session is admitted
-// regardless of cost so an oversized prompt chunk still makes progress. It
-// returns nil once the scheduler is closed and drained; otherwise each
-// returned session has an open dispatch quantum the caller must close via
-// endRunN(len(batch)).
+// regardless of cost, so budget 0 yields exactly one session and an oversized
+// prompt chunk still makes progress. It returns nil once the scheduler is
+// closed and drained (stalled sessions included); otherwise every returned
+// session counts as running until the caller's endBatch(len(batch)).
 func (sc *scheduler) popBatch(dst []*session, budget, chunk int) []*session {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -1240,14 +1013,10 @@ func (sc *scheduler) popBatch(dst []*session, budget, chunk int) []*session {
 	return dst
 }
 
-// endRun closes the dispatch quantum opened by pop. When the last running
-// quantum ends, waiting workers re-check the stalled list: with nothing
-// running, a parked session is the only way forward.
-func (sc *scheduler) endRun() { sc.endRunN(1) }
-
-// endRunN closes n dispatch quanta at once — the whole iteration of the
-// batching scheduler.
-func (sc *scheduler) endRunN(n int) {
+// endBatch ends the iteration popBatch opened over n sessions. When nothing is
+// left running, waiting runners re-check the stalled list: a parked session is
+// then the only way forward.
+func (sc *scheduler) endBatch(n int) {
 	sc.mu.Lock()
 	sc.running -= n
 	wake := sc.running == 0 && len(sc.stalled) > 0
@@ -1271,7 +1040,7 @@ func (sc *scheduler) stalledLen() int {
 }
 
 // depths snapshots the scheduler's run-queue depth, parked-session count,
-// and in-flight dispatch count in one lock acquisition.
+// and running-session count in one lock acquisition.
 func (sc *scheduler) depths() (queued, stalled, running int) {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
@@ -1281,7 +1050,7 @@ func (sc *scheduler) depths() (queued, stalled, running int) {
 // steal removes and returns the least-progressed waiting session whose
 // progress does not exceed maxProgress and whose preemption budget is not
 // spent; nil when no such victim is queued. Equal progress still yields a
-// victim — identical prompts advance in lockstep, and the dispatching
+// victim — identical prompts advance in lockstep, and the running
 // session keeping its blocks while the victim restarts cheaply through the
 // prefix index beats both of them thrashing. Queued sessions are not
 // executing, so the caller owns the returned session until it parks it.
@@ -1296,7 +1065,7 @@ func (sc *scheduler) steal(maxProgress, maxPreempts int) *session {
 			continue
 		}
 		if v.parked {
-			// Promoted off the stalled list but not yet dispatched: its
+			// Promoted off the stalled list but not yet run: its
 			// blocks are already released, so preempting it again frees
 			// nothing and would emit a second park with no resume between.
 			continue

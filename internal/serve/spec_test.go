@@ -11,14 +11,15 @@ import (
 	"tokenpicker/internal/train"
 )
 
-// specServeModes are the two dispatch modes speculation composes with: the
-// per-session worker pool and the iteration-level batch scheduler.
-var specServeModes = []struct {
+// specServeBudgets are the iteration row budgets (Config.MaxBatchTokens)
+// speculation must be invariant to: one session per iteration, and verify
+// entries of several sessions sharing one engine step.
+var specServeBudgets = []struct {
 	name  string
-	batch int // Config.MaxBatchTokens (0 = worker mode)
+	batch int
 }{
-	{"worker", 0},
-	{"batch", 32},
+	{"budget=0", 0},
+	{"budget=32", 32},
 }
 
 // collectStreams submits every prompt and drains the streams in order.
@@ -51,7 +52,7 @@ func collectStreams(t *testing.T, srv *Server, prompts [][]int, maxNew int,
 }
 
 // TestSpeculativeServingBitExact is the serving half of the speculation
-// gate: with drafting on, every serving kernel, dispatch mode, and executor
+// gate: with drafting on, every serving kernel, row budget, and executor
 // width must emit exactly the non-speculative serial reference over the
 // paged KV pool — and the speculation accounting must reconcile: the
 // topick_spec_* counters against the per-request Usage totals, accepted plus
@@ -66,7 +67,7 @@ func TestSpeculativeServingBitExact(t *testing.T) {
 	prompts := testPrompts(r, sessions)
 
 	for _, kc := range batchTestKernels {
-		for _, mode := range specServeModes {
+		for _, mode := range specServeBudgets {
 			for _, width := range []int{1, 8} {
 				t.Run(kc.name+"/"+mode.name+"/width="+string(rune('0'+width)), func(t *testing.T) {
 					var newKernel func() model.Kernel
@@ -172,7 +173,7 @@ func TestSpeculativeServingBitExact(t *testing.T) {
 
 // TestSpeculativeServingSeededBitExact pins seeded sampling across the
 // speculation boundary: per-session seeded streams from a speculating server
-// must match a non-speculating server bit for bit in both dispatch modes
+// must match a non-speculating server bit for bit at both row budgets
 // (the acceptance rule consumes sampler RNG exactly once per emitted token).
 func TestSpeculativeServingSeededBitExact(t *testing.T) {
 	r := train.TestModel()
@@ -183,7 +184,7 @@ func TestSpeculativeServingSeededBitExact(t *testing.T) {
 	prompts := testPrompts(r, sessions)
 	sampling := sample.Config{Temperature: 0.85, TopK: 16}
 
-	for _, mode := range specServeModes {
+	for _, mode := range specServeBudgets {
 		t.Run(mode.name, func(t *testing.T) {
 			run := func(specK int) [][]int {
 				srv := NewServer(r.Params, Config{
@@ -223,7 +224,7 @@ func TestSpeculativeServingSeededBitExact(t *testing.T) {
 // (the same model decoded greedily) accepts everything, so the verify pass
 // that crosses the stop boundary has live drafts beyond it — emission must
 // truncate exactly at the match, finish with ReasonStop, and never emit a
-// token past the boundary in either dispatch mode.
+// token past the boundary at either row budget.
 func TestSpeculativeStopInsideDraftWindow(t *testing.T) {
 	r := train.TestModel()
 	prompt := testPrompts(r, 1)[0]
@@ -251,7 +252,7 @@ func TestSpeculativeStopInsideDraftWindow(t *testing.T) {
 	}
 	stop := [][]int{stopPair}
 
-	for _, mode := range specServeModes {
+	for _, mode := range specServeBudgets {
 		t.Run(mode.name, func(t *testing.T) {
 			srv := NewServer(r.Params, Config{
 				Workers:        1,

@@ -102,9 +102,17 @@ func TestPagedCacheTruncateReleasesBlocks(t *testing.T) {
 // a reader that adopted the owner's blocks can truncate into the shared range
 // (dropping only its own references) and then append a divergent
 // continuation — EnsureLen must copy-on-write the straddled shared block
-// before the write lands, so the owner's rows are never corrupted, and the
-// owner releasing its side never pulls storage out from under the reader.
+// before the write lands — whether the rows are ensured one at a time or as
+// one chunk that starts in the shared block and ends in the next — so the
+// owner's rows are never corrupted, and the owner releasing its side never
+// pulls storage out from under the reader.
 func TestPagedCacheTruncateSharedBlocksCoW(t *testing.T) {
+	for _, chunk := range []int{1, 4} {
+		testPagedCacheTruncateSharedBlocksCoW(t, chunk)
+	}
+}
+
+func testPagedCacheTruncateSharedBlocksCoW(t *testing.T, chunk int) {
 	const (
 		blockRows = 4
 		headDim   = 8
@@ -126,7 +134,7 @@ func TestPagedCacheTruncateSharedBlocksCoW(t *testing.T) {
 		pool.retain(b)
 	}
 	reader := prov.NewKVCache(64, headDim).(*pagedCache)
-	reader.adopt(shared, nil)
+	reader.adopt(shared, 12, nil)
 	owner.markShared(len(shared))
 
 	// Reader rolls back into the middle of the shared range: block 2 loses
@@ -141,11 +149,13 @@ func TestPagedCacheTruncateSharedBlocksCoW(t *testing.T) {
 
 	// Reader appends a divergent continuation through the shared block 1:
 	// copy-on-write must fire before the first write.
-	for n := 7; n <= 10; n++ {
+	for n := 6 + chunk; n <= 10; n += chunk {
 		if err := reader.EnsureLen(n); err != nil {
 			t.Fatalf("reader re-extend %d: %v", n, err)
 		}
-		fillRow(reader, n-1, 5)
+		for r := n - chunk; r < n; r++ {
+			fillRow(reader, r, 5)
+		}
 	}
 	if got := pool.Stats().Copies; got == 0 {
 		t.Fatal("divergent append into a shared block did not copy-on-write")

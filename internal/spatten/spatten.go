@@ -172,13 +172,12 @@ func (k *Kernel) ActiveTokens(layer int) []int {
 // this kernel. Row-by-row processing reproduces the exact float-addition
 // order of a serial step walk, so batched execution stays bit-identical.
 func (k *Kernel) AttendLayer(batch model.AttendBatch) {
-	if batch.Ns != nil {
+	if batch.Rows > 1 {
 		hd := batch.Heads * batch.HeadDim
-		for r := 0; r < batch.NumRows(); r++ {
+		for r := 0; r < batch.Rows; r++ {
 			sub := batch
 			sub.Rows = 1
-			sub.N = batch.Ns[r]
-			sub.Ns = nil
+			sub.Ns = batch.Ns[r : r+1]
 			sub.Q = batch.Q[r*hd : (r+1)*hd]
 			sub.Out = batch.Out[r*hd : (r+1)*hd]
 			sub.Keys = batch.Keys[r*batch.Heads : (r+1)*batch.Heads]
@@ -187,8 +186,9 @@ func (k *Kernel) AttendLayer(batch model.AttendBatch) {
 		}
 		return
 	}
-	k.syncContext(batch.N)
-	k.rebuildActive(batch.Layer, batch.N)
+	n := batch.TaskN(0)
+	k.syncContext(n)
+	k.rebuildActive(batch.Layer, n)
 	for len(k.heads) < batch.Heads {
 		k.heads = append(k.heads, headState{})
 	}
@@ -217,9 +217,9 @@ func (k *Kernel) AttendLayer(batch model.AttendBatch) {
 func (k *Kernel) attendHead(b *model.AttendBatch, h, slot int) {
 	s := &k.slots[slot]
 	hs := &k.heads[h]
-	q, out := b.HeadQ(h), b.HeadOut(h)
+	q, out := b.TaskQ(h), b.TaskOut(h)
 	keys, vals := b.Keys[h], b.Vals[h]
-	n, dim := b.N, b.HeadDim
+	n, dim := b.TaskN(h), b.HeadDim
 	slope := b.Slopes[h]
 	act := k.active[b.Layer]
 

@@ -136,33 +136,6 @@ func MatVec(out []float32, m *Mat, v []float32) {
 	}
 }
 
-// MatVecRows computes dst[r] = m * xs[r] for rows packed row-major vectors:
-// xs holds rows vectors of length m.Cols back to back, dst receives rows
-// vectors of length m.Rows back to back. It is the row-batched form of
-// MatVec the iteration-batched decode path runs its projection and FFN
-// stages through: the weight matrix streams through the cache ONCE per
-// batch instead of once per session, which is where cross-session batching
-// beats per-session GEMVs on memory-bound hosts. Each (row, output) dot
-// product accumulates in exactly MatVec's element order, so batched results
-// are bit-identical to per-row MatVec calls.
-func MatVecRows(dst []float32, m *Mat, xs []float32, rows int) {
-	if len(xs) != rows*m.Cols || len(dst) != rows*m.Rows {
-		panic(fmt.Sprintf("tensor: matvecrows shape mismatch (%dx%d)*%d rows: xs %d dst %d",
-			m.Rows, m.Cols, rows, len(xs), len(dst)))
-	}
-	for o := 0; o < m.Rows; o++ {
-		wrow := m.Row(o)
-		for r := 0; r < rows; r++ {
-			x := xs[r*m.Cols : (r+1)*m.Cols]
-			var acc float32
-			for j, w := range wrow {
-				acc += w * x[j]
-			}
-			dst[r*m.Rows+o] = acc
-		}
-	}
-}
-
 // VecMat computes out = v (rows) * m (rows x cols), i.e. m^T * v. out must
 // have length cols.
 func VecMat(out []float32, v []float32, m *Mat) {

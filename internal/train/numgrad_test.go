@@ -144,26 +144,32 @@ func TestRegistryCaches(t *testing.T) {
 
 func TestDecoderMatchesTrainingForward(t *testing.T) {
 	// The decode path (KV cache, incremental) and the training forward
-	// (full sequence) must produce identical logits.
+	// (full sequence) must produce identical logits. This is the forward
+	// pass's one independent reference: a prompt spanning several engine
+	// chunks, then single steps.
 	cfg := numGradConfig()
+	cfg.MaxSeq = 96
 	params := model.NewParams(cfg, 7)
-	tokens := []int{1, 5, 2, 8, 3, 9, 4}
+	const promptLen = 70 // three Decoder.Prompt chunks
+	tokens := make([]int, promptLen+8)
+	for i := range tokens {
+		tokens[i] = (i*7 + 1) % cfg.VocabSize
+	}
 	acts := newSeqActs(cfg, len(tokens))
 	forwardSeq(params, tokens, acts)
-
-	dec := model.NewDecoder(params, nil)
-	for t2, tok := range tokens {
-		logits := dec.MustStep(tok)
+	check := func(pos int, logits []float32) {
+		t.Helper()
 		for v := 0; v < cfg.VocabSize; v++ {
-			want := acts.logits.At(t2, v)
-			if t2 == len(tokens)-1 {
-				// forwardSeq does not compute logits for the last position
-				// (no target); compute them via the decode value only.
-				break
-			}
-			if math.Abs(float64(logits[v]-want)) > 1e-4 {
-				t.Fatalf("pos %d vocab %d: decode %g vs training %g", t2, v, logits[v], want)
+			if want := acts.logits.At(pos, v); math.Abs(float64(logits[v]-want)) > 1e-4 {
+				t.Fatalf("pos %d vocab %d: decode %g vs training %g", pos, v, logits[v], want)
 			}
 		}
+	}
+
+	dec := model.NewDecoder(params, nil)
+	check(promptLen-1, dec.MustPrompt(tokens[:promptLen]))
+	// forwardSeq does not compute logits for the last position (no target).
+	for pos := promptLen; pos < len(tokens)-1; pos++ {
+		check(pos, dec.MustStep(tokens[pos]))
 	}
 }

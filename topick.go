@@ -128,7 +128,7 @@ type (
 type (
 	// Server is the continuous-batching inference engine.
 	Server = serve.Server
-	// ServeConfig sizes a Server (workers, quantum, pool geometry).
+	// ServeConfig sizes a Server (workers, row budget, pool geometry).
 	ServeConfig = serve.Config
 	// GenerateRequest is one generation job: prompt, token budget, full
 	// sampling configuration, stop sequences. Validate reports typed
