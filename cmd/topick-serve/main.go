@@ -319,6 +319,7 @@ func offlineDemo(res *tokenpicker.TrainResult, srv *tokenpicker.Server, o offlin
 		outcomes[i].res = st.Result()
 	}
 	wall := time.Since(start)
+	live := srv.Report().Prefix // before Close empties the index
 	srv.Close()
 	rep := srv.Report()
 
@@ -345,8 +346,8 @@ func offlineDemo(res *tokenpicker.TrainResult, srv *tokenpicker.Server, o offlin
 		rep.Attn.KReduction(), rep.Attn.TotalReduction())
 	fmt.Printf("  KV pool              : %s\n", rep.Pool)
 	if o.share {
-		fmt.Printf("  prefix index         : %d chunks published, hit rate %.0f%%, %d KV rows reused (%d from tails)\n",
-			rep.Prefix.Published, 100*rep.Prefix.HitRate(), rep.Prefix.RowsReused, rep.Prefix.TailRows)
+		fmt.Printf("  prefix index         : %d chunks published, hit rate %.0f%%, %d KV rows reused (%d from tails), evicted %d (%d resident at drain)\n",
+			rep.Prefix.Published, 100*rep.Prefix.HitRate(), rep.Prefix.RowsReused, rep.Prefix.TailRows, live.Evicted, live.Entries)
 	}
 	if rep.Preempted > 0 {
 		fmt.Printf("  preemptions          : %d (re-computed %d generated tokens)\n",

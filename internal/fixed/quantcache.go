@@ -277,6 +277,14 @@ func NewSharedQuant(rows int) *SharedQuant { return &SharedQuant{n: rows} }
 // Len returns the number of rows the snapshot covers.
 func (s *SharedQuant) Len() int { return s.n }
 
+// Footprint returns the bytes the snapshot retains once built over dim-wide
+// rows: the int16 backing plus one row header per row. Whoever keeps
+// snapshots alive (the serving engine's prefix index) budgets them with it.
+func (s *SharedQuant) Footprint(dim int) int {
+	const rowHeader = 24 // a Vector slice header
+	return s.n * (2*dim + rowHeader)
+}
+
 // acquire builds the snapshot on first use — quantizing rows [0, s.n) of src
 // at the shared scale of exactly those rows — and returns it. The first
 // caller fixes the geometry; callers with a different dim or bit width get

@@ -109,15 +109,6 @@ func NewBatchEngine(p *Params) *BatchEngine {
 	return e
 }
 
-// grow returns buf resized to n elements, reallocating only when capacity is
-// exhausted so steady-state steps stay allocation-free.
-func grow(buf []float32, n int) []float32 {
-	if cap(buf) < n {
-		return make([]float32, n)
-	}
-	return buf[:n]
-}
-
 // Step advances every entry by its tokens in one batched iteration. gen is
 // the generation-phase attention kernel shared by all decode rows (nil means
 // exact); prefill rows always use exact attention. ex schedules the
@@ -184,12 +175,12 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 	hd := cfg.HeadDim
 	H := cfg.Heads
 	scale := float32(1 / math.Sqrt(float64(hd)))
-	e.x = grow(e.x, R*d)
-	e.h = grow(e.h, R*d)
-	e.q = grow(e.q, R*d)
-	e.attnOut = grow(e.attnOut, R*d)
-	e.tmp = grow(e.tmp, R*d)
-	e.ffnH = grow(e.ffnH, R*cfg.FFNDim())
+	e.x = tensor.Grow(e.x, R*d)
+	e.h = tensor.Grow(e.h, R*d)
+	e.q = tensor.Grow(e.q, R*d)
+	e.attnOut = tensor.Grow(e.attnOut, R*d)
+	e.tmp = tensor.Grow(e.tmp, R*d)
+	e.ffnH = tensor.Grow(e.ffnH, R*cfg.FFNDim())
 	if cap(e.ns) < R {
 		e.ns = make([]int, R)
 		e.keys = make([]tensor.RowSource, R*H)
@@ -279,7 +270,7 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 			}
 		}
 	}
-	e.logits = grow(e.logits, needed*V)
+	e.logits = tensor.Grow(e.logits, needed*V)
 	out := 0
 	for r, row := range e.rows {
 		ent := &entries[row.entry]

@@ -196,6 +196,8 @@ func newMetrics(s *Server) *Metrics {
 	}
 	reg.GaugeFunc("topick_prefix_entries", "Cached prefix chunk entries.", "",
 		prefix(func(ps PrefixStats) float64 { return float64(ps.Entries) }))
+	reg.CounterFunc("topick_prefix_evicted_total", "Prefix chunk entries dropped (index budget, pool pressure or Close).", "",
+		prefix(func(ps PrefixStats) float64 { return float64(ps.Evicted) }))
 	reg.CounterFunc("topick_prefix_lookups_total", "Admission-time prefix probes.", "",
 		prefix(func(ps PrefixStats) float64 { return float64(ps.Lookups) }))
 	reg.CounterFunc("topick_prefix_hits_total", "Prefix probes that adopted at least one row.", "",

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 
 	"tokenpicker/internal/fixed"
@@ -20,19 +22,32 @@ import (
 //
 // Entries retain their blocks in the pool; adoption retains them again for
 // the adopting session. Blocks therefore stay cached after the publishing
-// session finishes, and the index is the component to shrink — evict — when
-// the pool hits its MaxBlocks budget.
+// session finishes. Two limits shrink the index, whichever binds first: its
+// own budget of prefixBudgetBytes, enforced least-recently-used-first
+// whenever a publish or an adoption grows it (trim), and the pool's MaxBlocks
+// budget, under which the scheduler evicts one entry at a time (evictOne).
 type prefixIndex struct {
-	pool      *Pool
-	blockRows int
-	layers    int
-	heads     int
+	pool       *Pool
+	blockRows  int
+	layers     int
+	heads      int
+	blockBytes int
+	budget     int // bytes the entries may keep alive
 
 	mu      sync.Mutex
 	entries map[uint64]*prefixEntry
+	held    int            // bytes the entries keep alive right now
+	lru     []*prefixEntry // victims scratch
 	clock   int64
 	stats   PrefixStats
 }
+
+// prefixBudgetBytes bounds the memory the prefix index keeps alive: the KV
+// blocks its entries retain (whole blocks, float32) plus the quantized
+// snapshots attached to entries that sessions have adopted. Without it an
+// unbounded pool (MaxBlocks 0) retains every prompt ever served, so resident
+// memory grows with requests served, not with load.
+const prefixBudgetBytes = 64 << 20
 
 // PrefixStats is a snapshot of prefix-index accounting.
 type PrefixStats struct {
@@ -42,7 +57,7 @@ type PrefixStats struct {
 	RowsReused int64 // KV context rows adopted instead of prefilled
 	TailRows   int64 // rows of RowsReused served from partial tail blocks
 	Published  int64 // chunk entries ever inserted
-	Evicted    int64 // entries dropped (memory pressure or Close)
+	Evicted    int64 // entries dropped (index budget, pool pressure or Close)
 }
 
 // HitRate returns Hits / Lookups (0 when nothing was probed).
@@ -71,6 +86,12 @@ type prefixEntry struct {
 	// itself) diverges and copy-on-writes the block.
 	tailK, tailV []*block
 	tailTokens   []int
+
+	// snapBytes is what sqK/sqV cost once built, counted against the budget
+	// from the first adoption that ends at this entry (a snapshot spans the
+	// whole prefix, depth*blockRows rows, so it outweighs the entry's own
+	// blocks from depth 2 on); 0 until then.
+	snapBytes int
 
 	lastUse int64
 }
@@ -133,11 +154,13 @@ func equalTokens(a, b []int) bool {
 
 func newPrefixIndex(pool *Pool, blockRows, layers, heads int) *prefixIndex {
 	return &prefixIndex{
-		pool:      pool,
-		blockRows: blockRows,
-		layers:    layers,
-		heads:     heads,
-		entries:   make(map[uint64]*prefixEntry),
+		pool:       pool,
+		blockRows:  blockRows,
+		layers:     layers,
+		heads:      heads,
+		blockBytes: 4 * pool.blockRows * pool.headDim,
+		budget:     prefixBudgetBytes,
+		entries:    make(map[uint64]*prefixEntry),
 	}
 }
 
@@ -291,6 +314,12 @@ func (px *prefixIndex) adopt(dec *model.Decoder, prompt []int, firstProbe, count
 	}
 	px.stats.RowsReused += int64(rows)
 	px.stats.TailRows += int64(tail)
+	if deep.snapBytes == 0 {
+		// The adopter's kernel builds these snapshots at its first step.
+		deep.snapBytes = 2 * len(kc) * deep.sqK[0].Footprint(px.pool.headDim)
+		px.held += deep.snapBytes
+		px.trim()
+	}
 	return rows
 }
 
@@ -300,6 +329,7 @@ func (px *prefixIndex) adopt(dec *model.Decoder, prompt []int, firstProbe, count
 // as-is — concurrent sessions publishing the same prompt converge on the
 // first publisher's blocks. The publishing session's caches are marked
 // shared so its own later appends copy-on-write out of the published tail.
+// Publishing then trims the index back to its budget (see trim).
 func (px *prefixIndex) publish(dec *model.Decoder, prompt []int) {
 	kc, vc, ok := px.pagedCaches(dec)
 	if !ok {
@@ -352,6 +382,7 @@ func (px *prefixIndex) publish(dec *model.Decoder, prompt []int) {
 		}
 		px.pool.mu.Unlock()
 		px.entries[h] = e
+		px.held += 2 * caches * px.blockBytes
 		px.stats.Published++
 		deep, depth = e, c+1
 	}
@@ -367,82 +398,103 @@ func (px *prefixIndex) publish(dec *model.Decoder, prompt []int) {
 			px.pool.retainLocked(deep.tailV[i])
 		}
 		px.pool.mu.Unlock()
+		px.held += 2 * caches * px.blockBytes
 		depth++ // the tail block is published too: mark it shared below
 	}
 	for i := range kc {
 		kc[i].markShared(depth)
 		vc[i].markShared(depth)
 	}
+	px.trim()
 }
 
-// releaseEntry returns how many pool blocks actually became free.
-func (px *prefixIndex) releaseEntry(e *prefixEntry) int {
+// victims returns, least-recently-used first, the entries whose eviction
+// would free at least one pool block, preferring deeper entries on ties
+// (parents are touched whenever their children are, so a chain leaves the
+// index leaf first and what remains is still a chain). Entries touched at the
+// current clock tick — the chain a publish or adopt just walked — are left
+// out when skipCurrent is set. The caller holds px.mu and px.pool.mu; the
+// slice is scratch, valid until the next call.
+func (px *prefixIndex) victims(skipCurrent bool) []*prefixEntry {
+	px.lru = px.lru[:0]
+	for _, e := range px.entries {
+		if skipCurrent && e.lastUse == px.clock {
+			continue
+		}
+		if soleHolder(e.k) || soleHolder(e.tailK) {
+			px.lru = append(px.lru, e)
+		}
+	}
+	slices.SortFunc(px.lru, func(a, b *prefixEntry) int {
+		if c := cmp.Compare(a.lastUse, b.lastUse); c != 0 {
+			return c
+		}
+		return cmp.Compare(b.depth, a.depth)
+	})
+	return px.lru
+}
+
+// soleHolder reports whether the index holds the only reference to any of
+// blocks (K and V blocks of a cache pair are retained and released together,
+// so the K side answers for both).
+func soleHolder(blocks []*block) bool {
+	for _, b := range blocks {
+		if b.refs == 1 {
+			return true
+		}
+	}
+	return false
+}
+
+// drop removes e from the index and releases its block references, returning
+// how many pool blocks actually became free. The caller holds px.mu and
+// px.pool.mu.
+func (px *prefixIndex) drop(e *prefixEntry) int {
+	delete(px.entries, e.key)
+	px.stats.Evicted++
+	px.held -= e.snapBytes
 	freed := 0
-	px.pool.mu.Lock()
-	for _, b := range e.k {
-		if px.pool.releaseLocked(b) {
-			freed++
+	for _, blocks := range [...][]*block{e.k, e.v, e.tailK, e.tailV} {
+		px.held -= len(blocks) * px.blockBytes
+		for _, b := range blocks {
+			if px.pool.releaseLocked(b) {
+				freed++
+			}
 		}
 	}
-	for _, b := range e.v {
-		if px.pool.releaseLocked(b) {
-			freed++
-		}
-	}
-	for _, b := range e.tailK {
-		if px.pool.releaseLocked(b) {
-			freed++
-		}
-	}
-	for _, b := range e.tailV {
-		if px.pool.releaseLocked(b) {
-			freed++
-		}
-	}
-	px.pool.mu.Unlock()
 	return freed
 }
 
-// evictOne drops the least-recently-used entry whose eviction would free at
-// least one pool block, preferring deeper entries on ties (parents are
-// touched whenever their children are, so the LRU minimum is a leaf or an
-// unreachable stub). It reports whether any block was freed.
+// trim evicts least-recently-used freeable entries until the index holds no
+// more than its budget, never touching the chain the calling publish or
+// adopt just walked. All victims of one call come from a single scan under
+// one pool lock (a 512-token prompt publishes 16 entries). Entries still
+// referenced by a live session free nothing and are skipped, so the index
+// may sit above its budget while their sessions run. The caller holds px.mu.
+func (px *prefixIndex) trim() {
+	if px.held <= px.budget {
+		return
+	}
+	px.pool.mu.Lock()
+	defer px.pool.mu.Unlock()
+	for _, e := range px.victims(true) {
+		if px.held <= px.budget {
+			break
+		}
+		px.drop(e)
+	}
+}
+
+// evictOne drops the least-recently-used entry whose eviction frees at least
+// one pool block — the scheduler's first answer to MaxBlocks exhaustion. It
+// reports whether any block was freed.
 func (px *prefixIndex) evictOne() bool {
 	px.mu.Lock()
 	defer px.mu.Unlock()
-	var victim *prefixEntry
-	for _, e := range px.entries {
-		px.pool.mu.Lock()
-		freeable := false
-		for _, b := range e.k {
-			if b.refs == 1 {
-				freeable = true
-				break
-			}
-		}
-		if !freeable {
-			for _, b := range e.tailK {
-				if b.refs == 1 {
-					freeable = true
-					break
-				}
-			}
-		}
-		px.pool.mu.Unlock()
-		if !freeable {
-			continue
-		}
-		if victim == nil || e.lastUse < victim.lastUse ||
-			(e.lastUse == victim.lastUse && e.depth > victim.depth) {
-			victim = e
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	delete(px.entries, victim.key)
-	px.stats.Evicted++
-	return px.releaseEntry(victim) > 0
+	px.pool.mu.Lock()
+	defer px.pool.mu.Unlock()
+	v := px.victims(false)
+	return len(v) > 0 && px.drop(v[0]) > 0
 }
 
 // evictAll drops every entry, releasing all index-held block references —
@@ -451,9 +503,9 @@ func (px *prefixIndex) evictOne() bool {
 func (px *prefixIndex) evictAll() {
 	px.mu.Lock()
 	defer px.mu.Unlock()
-	for k, e := range px.entries {
-		delete(px.entries, k)
-		px.stats.Evicted++
-		px.releaseEntry(e)
+	px.pool.mu.Lock()
+	defer px.pool.mu.Unlock()
+	for _, e := range px.entries {
+		px.drop(e)
 	}
 }

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"math"
 	"testing"
 
 	"tokenpicker/internal/attention"
@@ -88,6 +89,73 @@ func TestPrefixSharingLogitsBitExact(t *testing.T) {
 				t.Fatalf("refcounts did not balance: %+v", st)
 			}
 		})
+	}
+}
+
+// TestExactKernelPagedBitIdenticalToDense is the paged half of the exact
+// kernel's bit-identity statement (internal/model pins the dense half to the
+// scalar oracle): ExactKernel scores keys and folds value rows four at a time,
+// and on a paged cache those four rows may come from two blocks, from adopted
+// shared blocks, or from a shared partial tail. With 6-row blocks every other
+// group of four straddles a block boundary. For every context length the
+// output must equal the same call on a dense cache holding the same rows —
+// first while the adopted tail is still shared, then after the adopter has
+// copied it and prefilled on.
+func TestExactKernelPagedBitIdenticalToDense(t *testing.T) {
+	cfg := model.TestConfig()
+	params := model.NewParams(cfg, 34)
+	const blockRows = 6
+	pool := NewPool(blockRows, cfg.HeadDim, 0)
+	px := newPrefixIndex(pool, blockRows, cfg.Layers, cfg.Heads)
+	prompt := testTokens(70, 4, cfg.VocabSize)
+
+	pub := model.NewDecoderWith(params, nil, pool.Provider())
+	pub.MustPrompt(prompt[:45]) // 7 full chunks + 3-row tail
+	px.publish(pub, prompt[:45])
+	ad := model.NewDecoderWith(params, nil, pool.Provider())
+	rows := px.adopt(ad, prompt, true, true)
+	if rows != 45 {
+		t.Fatalf("adopted %d rows, want 45", rows)
+	}
+	if err := ad.AdoptPrefix(rows); err != nil {
+		t.Fatal(err)
+	}
+	dense := model.NewDecoder(params, nil)
+	dense.MustPrompt(prompt)
+
+	var k model.ExactKernel
+	q := make([]float32, cfg.HeadDim)
+	got, want := make([]float32, cfg.HeadDim), make([]float32, cfg.HeadDim)
+	check := func(maxN int) {
+		t.Helper()
+		for l := 0; l < cfg.Layers; l++ {
+			for h := 0; h < cfg.Heads; h++ {
+				pk, pv := ad.Cache(l, h)
+				dk, dv := dense.Cache(l, h)
+				for n := 1; n <= maxN; n++ {
+					for j := range q {
+						q[j] = float32((n*7+j*3+h)%11-5) / 4
+					}
+					model.AttendOne(&k, got, q, pk, pv, n, 0.25, cfg.AlibiSlope(h), l)
+					model.AttendOne(&k, want, q, dk, dv, n, 0.25, cfg.AlibiSlope(h), l)
+					for j := range want {
+						if math.Float32bits(got[j]) != math.Float32bits(want[j]) {
+							t.Fatalf("layer %d head %d n=%d out[%d]: paged %g != dense %g", l, h, n, j, got[j], want[j])
+						}
+					}
+				}
+			}
+		}
+	}
+	check(rows) // every block shared, the tail included
+	ad.MustPrompt(prompt[rows:])
+	check(len(prompt)) // shared chunks, copied tail, private blocks
+
+	ad.Release()
+	pub.Release()
+	px.evictAll()
+	if st := pool.Stats(); st.InUse != 0 {
+		t.Fatalf("refcounts did not balance: %+v", st)
 	}
 }
 

@@ -113,7 +113,12 @@ type Config struct {
 	// copy-on-write at the first divergent append. Generated tokens are
 	// bit-identical with sharing on or off; the win is admission-side:
 	// prefill compute and time-to-first-token drop for every repeated
-	// prefix (system prompts, chat history). Off by default.
+	// prefix (system prompts, chat history). The index keeps at most 64 MiB
+	// alive (prefixBudgetBytes: whole KV blocks plus the quantized snapshots
+	// of adopted prefixes): past that, a publish or adoption evicts the
+	// least recently used chunks no live session still reads, so resident
+	// memory does not grow with prompts served; under a MaxBlocks budget the
+	// pool may evict sooner. Off by default.
 	SharePrefix bool
 	// MaxPreempts bounds how many times one session may be preempted —
 	// its non-shared KV blocks released and its context scheduled for

@@ -1,8 +1,11 @@
 // Package tensor provides the minimal float32 linear-algebra kernels the
 // transformer substrate is built on: flat row-major matrices, GEMM/GEMV,
 // softmax, layer normalization, and GELU. Everything is stdlib-only and
-// deterministic; no SIMD or parallelism tricks that would make numerical
-// results platform-dependent.
+// deterministic. The rule for the inner loops: independent sums may run side
+// by side (MatVec computes four output rows per pass), but one sum is never
+// split over several accumulators — every float32 sum adds its terms in
+// ascending index order, so results do not depend on the unroll width and a
+// faster loop leaves every downstream bit where it was.
 package tensor
 
 import (
@@ -121,16 +124,39 @@ func MatMul(out, a, b *Mat) {
 }
 
 // MatVec computes out = m (rows x cols) * v (cols). out must have length rows.
+//
+// Four output rows are computed per pass: one load of v[j] feeds four weight
+// rows, and the four single-accumulator chains overlap in the pipeline where
+// one chain would wait out the add latency on every element. Each out[i] is
+// still the sum over j in ascending order into one accumulator, so the result
+// does not depend on the unroll width.
 func MatVec(out []float32, m *Mat, v []float32) {
 	if len(v) != m.Cols || len(out) != m.Rows {
 		panic(fmt.Sprintf("tensor: matvec shape mismatch (%dx%d)*%d->%d",
 			m.Rows, m.Cols, len(v), len(out)))
 	}
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
+	cols := len(v)
+	i := 0
+	for ; i+4 <= len(out); i += 4 {
+		// Re-slice each row to len(v) once so the range loop carries no
+		// bounds check.
+		w := m.Data[i*cols : (i+4)*cols]
+		r0, r1, r2, r3 := w[:cols], w[cols:][:cols], w[2*cols:][:cols], w[3*cols:][:cols]
+		var a0, a1, a2, a3 float32
+		for j, x := range v {
+			a0 += r0[j] * x
+			a1 += r1[j] * x
+			a2 += r2[j] * x
+			a3 += r3[j] * x
+		}
+		o := out[i : i+4 : i+4]
+		o[0], o[1], o[2], o[3] = a0, a1, a2, a3
+	}
+	for ; i < len(out); i++ {
+		row := m.Data[i*cols:][:cols]
 		var acc float32
-		for j, x := range row {
-			acc += x * v[j]
+		for j, x := range v {
+			acc += row[j] * x
 		}
 		out[i] = acc
 	}

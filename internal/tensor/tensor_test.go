@@ -234,3 +234,79 @@ func TestRowSetAtClone(t *testing.T) {
 		t.Fatal("Zero failed")
 	}
 }
+
+// refMatVec is the one-row, one-accumulator loop MatVec replaced, kept as the
+// oracle: the blocked kernel must reproduce it bit for bit.
+func refMatVec(out []float32, m *Mat, v []float32) {
+	for i := 0; i < m.Rows; i++ {
+		var acc float32
+		for j, x := range m.Row(i) {
+			acc += x * v[j]
+		}
+		out[i] = acc
+	}
+}
+
+// TestMatVecBitIdenticalToScalar pins MatVec to the scalar oracle on raw bits:
+// every rows%4 remainder, fewer than four rows, odd widths, and the stand-in
+// model's own shapes.
+func TestMatVecBitIdenticalToScalar(t *testing.T) {
+	shapes := [][2]int{
+		{1, 1}, {2, 7}, {3, 33}, {4, 5}, {5, 17}, {6, 1}, {7, 129}, {8, 31}, {13, 64},
+		{128, 128}, {512, 128}, {128, 512}, {96, 128},
+	}
+	rng := rand.New(rand.NewSource(24))
+	for _, sh := range shapes {
+		m := NewMat(sh[0], sh[1])
+		m.RandInit(rng, 1)
+		v := make([]float32, sh[1])
+		for i := range v {
+			v[i] = float32(rng.NormFloat64())
+		}
+		got, want := make([]float32, sh[0]), make([]float32, sh[0])
+		MatVec(got, m, v)
+		refMatVec(want, m, v)
+		for i := range want {
+			if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+				t.Fatalf("%dx%d row %d: blocked %x != scalar %x", sh[0], sh[1], i,
+					math.Float32bits(got[i]), math.Float32bits(want[i]))
+			}
+		}
+	}
+}
+
+// BenchmarkMatVecSet times the 13 GEMVs of one decode step of the benchmark's
+// stand-in model (2 layers, d=128, FFN 512, vocab 96) — the in-repo
+// counterpart of benchmark/'s tensor.matvec_set_us.
+func BenchmarkMatVecSet(b *testing.B) {
+	const d, f, vocab, layers = 128, 512, 96, 2
+	rng := rand.New(rand.NewSource(1))
+	mat := func(r, c int) *Mat {
+		m := NewMat(r, c)
+		m.RandInit(rng, 0.08)
+		return m
+	}
+	type block struct{ wq, wk, wv, wo, w1, w2 *Mat }
+	var blocks [layers]block
+	for l := range blocks {
+		blocks[l] = block{mat(d, d), mat(d, d), mat(d, d), mat(d, d), mat(f, d), mat(d, f)}
+	}
+	emb := mat(vocab, d)
+	x, y, h, lg := make([]float32, d), make([]float32, d), make([]float32, f), make([]float32, vocab)
+	for i := range x {
+		x[i] = float32(rng.NormFloat64())
+	}
+	flops := float64(2 * (layers*(4*d*d+2*d*f) + vocab*d))
+	for b.Loop() {
+		for _, bl := range blocks {
+			MatVec(y, bl.wq, x)
+			MatVec(y, bl.wk, x)
+			MatVec(y, bl.wv, x)
+			MatVec(y, bl.wo, x)
+			MatVec(h, bl.w1, x)
+			MatVec(y, bl.w2, h)
+		}
+		MatVec(lg, emb, x)
+	}
+	b.ReportMetric(flops*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+}
