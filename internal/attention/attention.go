@@ -124,6 +124,28 @@ func accumulate(out []float32, p, vScale float64, v fixed.Vector) {
 	}
 }
 
+// quantScores writes every key's full-precision score, scores[i] =
+// float32(c·(q·k_i)) - slope·float32(n-1-i) with n = len(scores), for the
+// kernels that score every key (QuantizedExact and Oracle). The integer dots
+// run four keys per pass through fixed.MaskedDot4 and the tail through
+// fixed.Dot; integer sums are exact in any order, so every score keeps its
+// bits.
+func quantScores(scores []float32, q fixed.Vector, kRows []fixed.Vector, c float64, slope float32) {
+	n := len(scores)
+	kRows = kRows[:n]
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		d0, d1, d2, d3 := fixed.MaskedDot4(q, kRows[i], kRows[i+1], kRows[i+2], kRows[i+3], -1)
+		scores[i] = float32(c*float64(d0)) - slope*float32(n-1-i)
+		scores[i+1] = float32(c*float64(d1)) - slope*float32(n-2-i)
+		scores[i+2] = float32(c*float64(d2)) - slope*float32(n-3-i)
+		scores[i+3] = float32(c*float64(d3)) - slope*float32(n-4-i)
+	}
+	for ; i < n; i++ {
+		scores[i] = float32(c*float64(fixed.Dot(q, kRows[i]))) - slope*float32(n-1-i)
+	}
+}
+
 // TokenPicker is the paper's kernel: probability-estimation pruning over
 // chunked 12-bit keys, quantized values for kept tokens only.
 type TokenPicker struct {
@@ -328,10 +350,7 @@ func (k *QuantizedExact) attendTask(b *model.AttendBatch, t, slot int) {
 	kRows, kScale := s.qs.keys(keys, n, dim, k.Bits)
 	vRows, vScale := s.qs.values(vals, n, dim, k.Bits)
 	qq := s.qs.query(q, k.Bits)
-	c := float64(b.Scale) * qq.Scale * kScale
-	for i := 0; i < n; i++ {
-		scores[i] = float32(c*float64(fixed.Dot(qq.Data, kRows[i]))) - slope*float32(n-1-i)
-	}
+	quantScores(scores, qq.Data, kRows, float64(b.Scale)*qq.Scale*kScale, slope)
 	tensor.Softmax(probs, scores)
 	for j := range out {
 		out[j] = 0
@@ -421,10 +440,7 @@ func (k *Oracle) attendTask(b *model.AttendBatch, t, slot int) {
 	kRows, kScale := s.qs.keys(keys, n, dim, k.Bits)
 	vRows, vScale := s.qs.values(vals, n, dim, k.Bits)
 	qq := s.qs.query(q, k.Bits)
-	c := float64(b.Scale) * qq.Scale * kScale
-	for i := 0; i < n; i++ {
-		scores[i] = float32(c*float64(fixed.Dot(qq.Data, kRows[i]))) - slope*float32(n-1-i)
-	}
+	quantScores(scores, qq.Data, kRows, float64(b.Scale)*qq.Scale*kScale, slope)
 	tensor.Softmax(probs, scores)
 
 	keptIdx := s.keptIdx[:0]

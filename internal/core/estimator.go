@@ -148,11 +148,10 @@ func (e *Estimator) RunInto(rep *Report, in Inputs) {
 	}
 	e.margins.Compute(e.cfg.Chunks, in.Q.Data)
 
-	for i := range rep.PrunedAtChunk {
-		rep.PrunedAtChunk[i] = -1
-	}
+	// No per-token state is cleared here: every token's first visit, in
+	// both schedules, is chunk 0, and decide initialises its partial score,
+	// PrunedAtChunk entry and denominator contribution there.
 	e.partial = tensor.Grow(e.partial, n)
-	clear(e.partial)
 	r := run{
 		q:       in.Q.Data,
 		k:       in.K,
@@ -165,19 +164,18 @@ func (e *Estimator) RunInto(rep *Report, in Inputs) {
 		scores:  rep.Scores,
 		prune:   e.cfg.Threshold > 0,
 		keep:    e.cfg.KeepPrunedInDenominator,
-		d:       denom{fx: e.cfg.FixedPointExp, lnThr: math.Log(e.cfg.Threshold)},
+		d: denom{fx: e.cfg.FixedPointExp, lnThr: math.Log(e.cfg.Threshold),
+			lnLo: math.Inf(-1), lnHi: math.Inf(1), // no bracket, no anchor yet
+			winLo: math.Inf(1), winHi: math.Inf(-1)},
 	}
 	if r.d.fx {
 		e.fxExp = tensor.Grow(e.fxExp, n)
-		clear(e.fxExp)
 		r.d.qExp = e.fxExp
 		r.d.qLnThr = fixed.FloatToQ16(r.d.lnThr)
 		r.d.qLn = fixed.LnFix(0)
 	} else {
 		e.expMin = tensor.Grow(e.expMin, n)
-		clear(e.expMin)
 		r.d.exp = e.expMin
-		r.d.ln = math.Inf(-1)
 	}
 	e.buildOrder(n, in.TrueScores)
 
@@ -193,12 +191,35 @@ func (e *Estimator) RunInto(rep *Report, in Inputs) {
 		}
 	} else {
 		// Wave: chunk b of every surviving token before any chunk b+1. The
-		// survivors are compacted in place, in visiting order.
+		// survivors are compacted in place, in visiting order. A token's
+		// partial never depends on D, only its decision does, so the
+		// partials of four survivors are computed in one pass and then
+		// decided in visiting order: the decisions are the one-at-a-time
+		// ones. Compaction writes at most four entries behind the four just
+		// read.
 		live := e.order
 		for b := 0; b < numChunks; b++ {
 			rep.ChunkFetches[b] = int64(len(live))
 			next := live[:0]
-			for _, i := range live {
+			k, mask := r.k, r.masks[b]
+			j := 0
+			for ; j+4 <= len(live); j += 4 {
+				i0, i1, i2, i3 := live[j], live[j+1], live[j+2], live[j+3]
+				d0, d1, d2, d3 := fixed.MaskedDot4(r.q, k[i0], k[i1], k[i2], k[i3], mask)
+				if r.decide(i0, b, d0) {
+					next = append(next, i0)
+				}
+				if r.decide(i1, b, d1) {
+					next = append(next, i1)
+				}
+				if r.decide(i2, b, d2) {
+					next = append(next, i2)
+				}
+				if r.decide(i3, b, d3) {
+					next = append(next, i3)
+				}
+			}
+			for _, i := range live[j:] {
 				if r.step(i, b) {
 					next = append(next, i)
 				}
@@ -270,14 +291,53 @@ func (e *Estimator) buildOrder(n int, trueScores []float64) {
 
 // denom is the running denominator D = Σ exp(s_min) over the current subset,
 // in float64 or (FixedPointExp) in the PE lane's Q32.32, together with each
-// token's current contribution and a cached ln D. The prune test reads only
-// the cache; ln is re-evaluated only when D actually changes.
+// token's current contribution. A token's first fold (chunk 0) has no earlier
+// contribution to replace, so the contribution slices need no clearing
+// between instances.
+//
+// The fixed-point domain re-evaluates ln D eagerly, on every change of D.
+// The float64 domain evaluates it lazily. D = S is a plain float64 sum, and
+// the prune test is exactly
+//
+//	smax - math.Log(S) <= ln thr
+//
+// with the Log taken at the current S. That Log is skipped whenever a
+// bracket decides the test. The bracket is anchored at A, the value of S at
+// the last math.Log (lnA = math.Log(A)). While A/2 <= S <= 2A, write
+// x = S/A - 1, so x lies in [-1/2, 1]. The series of ln(1+x) bounds it:
+//
+//	x >= 0:  x - x²/2 <= ln(1+x) <= x
+//	x <  0:  x - x²   <= ln(1+x) <= x - x²/2
+//
+// (for x < 0 the tail beyond x is -Σ|x|^k/k, at least -x²/(2(1-|x|)) >= -x²).
+// So ln S lies in lnA + [lo(x), hi(x)]. The computed bracket is widened by
+// tol = 2^-40·(1 + |lnA|). That covers the roundings involved. S - A is exact
+// (Sterbenz: A/2 <= S <= 2A), and x = (S - A)·(1/A) has two roundings. Log is
+// within 1 ulp at A and at S. Then come the few adds that form the bracket.
+// All of these together stay under 2^-47·(1 + |lnA|). The window [A/2, 2A]
+// is only opened for A in [2^-1000, 2^1000], so 1/A, A/2 and 2A are normal.
+// Hence the floats lnLo <= math.Log(S) <= lnHi. Rounding to nearest is
+// monotone, so
+//
+//	fl(smax - lnHi) <= fl(smax - math.Log(S)) <= fl(smax - lnLo).
+//
+// If fl(smax - lnLo) <= ln thr, the exact test prunes. If fl(smax - lnHi) >
+// ln thr, it keeps. Only when the bracket straddles ln thr, or S has left
+// the window, does prunes call math.Log(S). It then decides exactly and
+// re-anchors at A = S. Every decision is therefore the exact test's.
 type denom struct {
 	fx    bool
 	lnThr float64 // ln(threshold)
 
-	sum, ln float64 // float64 domain: D and ln D
-	exp     []float64
+	// float64 domain: D and each token's contribution; a bracket [lnLo,
+	// lnHi] on math.Log(sum); the anchor A, 1/A and lnA ± tol; and the
+	// window [winLo, winHi] = [A/2, 2A] (empty without an anchor).
+	sum          float64
+	exp          []float64
+	lnLo, lnHi   float64
+	a, invA      float64
+	aLo, aHi     float64
+	winLo, winHi float64
 
 	qSum        uint64 // Q32.32 domain: D, then ln D and ln(threshold) in Q16.16
 	qLn, qLnThr int64
@@ -285,40 +345,90 @@ type denom struct {
 }
 
 // prunes evaluates s_max - ln D <= ln thr. An empty subset (D = 0) has
-// ln D = -inf and prunes nothing.
+// ln D = -inf and prunes nothing. The bracket test is small enough to inline
+// into decide; the fixed-point domain keeps its bracket at [-inf, +inf], so
+// every one of its tests falls through to the eager Q16.16 ln D.
 func (d *denom) prunes(smax float64) bool {
+	return smax-d.lnLo <= d.lnThr || (smax-d.lnHi <= d.lnThr && d.prunesExact(smax))
+}
+
+// prunesExact is the test without a bracket: the fixed-point one, or the
+// float64 one after anchoring.
+func (d *denom) prunesExact(smax float64) bool {
 	if d.fx {
 		return fixed.FloatToQ16(smax)-d.qLn <= d.qLnThr
 	}
-	return smax-d.ln <= d.lnThr
+	d.anchor()
+	return smax-d.lnLo <= d.lnThr
 }
 
-// tighten replaces token i's contribution with exp(smin).
-func (d *denom) tighten(i int, smin float64) {
+// anchor evaluates ln D with math.Log, which collapses the bracket onto it,
+// and re-anchors the window at A = D.
+func (d *denom) anchor() {
+	a := d.sum
+	ln := math.Log(a)
+	d.lnLo, d.lnHi = ln, ln
+	if a < 0x1p-1000 || a > 0x1p1000 {
+		d.winLo, d.winHi = math.Inf(1), math.Inf(-1)
+		return
+	}
+	tol := 0x1p-40 * (1 + math.Abs(ln))
+	d.a, d.invA = a, 1/a
+	d.aLo, d.aHi = ln-tol, ln+tol
+	d.winLo, d.winHi = a/2, 2*a
+}
+
+// moved re-brackets ln D after D changed: from the anchor while D is inside
+// its window, otherwise [-inf, +inf], which sends the next test to
+// math.Log.
+func (d *denom) moved() {
+	s := d.sum
+	if s < d.winLo || s > d.winHi {
+		d.lnLo, d.lnHi = math.Inf(-1), math.Inf(1)
+		return
+	}
+	x := (s - d.a) * d.invA
+	h := 0.5 * x * x
+	if x >= 0 {
+		d.lnLo, d.lnHi = d.aLo+(x-h), d.aHi+x
+	} else {
+		d.lnLo, d.lnHi = d.aLo+(x-2*h), d.aHi+(x-h)
+	}
+}
+
+// tighten replaces token i's contribution with exp(smin); on the token's
+// first fold (first) there is none to replace.
+func (d *denom) tighten(i int, smin float64, first bool) {
 	if d.fx {
 		v := fixed.ExpFix(fixed.FloatToQ16(smin))
-		d.qSum = fixed.AddSat(fixed.SubFloor(d.qSum, d.qExp[i]), v)
+		s := d.qSum
+		if !first {
+			s = fixed.SubFloor(s, d.qExp[i])
+		}
+		d.qSum = fixed.AddSat(s, v)
 		d.qExp[i] = v
 		d.qLn = fixed.LnFix(d.qSum)
 		return
 	}
 	v := math.Exp(smin)
-	s := d.sum - d.exp[i]
-	if s < 0 {
-		s = 0
+	s := d.sum
+	if !first {
+		s -= d.exp[i]
+		if s < 0 {
+			s = 0
+		}
 	}
 	d.sum = s + v
 	d.exp[i] = v
-	d.ln = math.Log(d.sum)
+	d.moved()
 }
 
-// drop removes token i's contribution from D. A token pruned before it ever
-// contributed (the common case: first chunk, first test) costs nothing here.
+// drop removes the contribution of token i, which has folded at least once,
+// from D.
 func (d *denom) drop(i int) {
 	if d.fx {
 		if v := d.qExp[i]; v != 0 {
 			d.qSum = fixed.SubFloor(d.qSum, v)
-			d.qExp[i] = 0
 			d.qLn = fixed.LnFix(d.qSum)
 		}
 		return
@@ -329,13 +439,12 @@ func (d *denom) drop(i int) {
 			s = 0
 		}
 		d.sum = s
-		d.exp[i] = 0
-		d.ln = math.Log(s)
+		d.moved()
 	}
 }
 
 // run is one instance's loop-invariant state, gathered once so the per-token
-// step takes two ints and copies nothing.
+// decision takes three ints and copies nothing.
 type run struct {
 	q       fixed.Vector
 	k       []fixed.Vector
@@ -351,23 +460,35 @@ type run struct {
 	d       denom
 }
 
-// step advances token i by chunk b — the one inner step of both schedules
-// and both denominator domains — and reports whether the token survives.
-//
-// The prune test comes before the exponential: s_max is compared against the
-// cached ln D first, and only a token that passes has exp(s_min) evaluated,
-// folded into D, and is tested again with its own contribution included.
-// Intervals nest, so exp(s_min) never shrinks from one chunk to the next and
-// folding it in can only raise D: a token the first test prunes would also
-// be pruned after the fold, and the decision is the one a fold-then-test
-// step makes. What the early exit saves is the Exp and the Log for tokens
-// that are discarded anyway. Pruning at the final chunk no longer saves K
-// bytes but still skips the V fetch ("only the tokens that have not been
-// removed by the last chunk participate in subsequent softmax and xV
-// operations", §3.2).
+// step advances token i by chunk b on its own: the depth-first schedule and
+// the wave remainder. The wave computes four partials per pass instead and
+// calls decide on each.
 func (r *run) step(i, b int) bool {
-	p := r.partial[i] + fixed.MaskedDot(r.q, r.k[i], r.masks[b])
-	r.partial[i] = p
+	return r.decide(i, b, fixed.MaskedDot(r.q, r.k[i], r.masks[b]))
+}
+
+// decide advances token i by chunk b, whose chunk-b partial dot is dp — the
+// one decision of both schedules and both denominator domains — and reports
+// whether the token survives. Chunk 0 is every token's first visit, so it
+// initialises the token's partial score, its PrunedAtChunk entry and (on its
+// first fold) its denominator contribution.
+//
+// The prune test comes before the exponential: s_max is compared against
+// ln D first, and only a token that passes has exp(s_min) evaluated, folded
+// into D, and is tested again with its own contribution included. Intervals
+// nest, so exp(s_min) never shrinks from one chunk to the next and folding it
+// in can only raise D: a token the first test prunes would also be pruned
+// after the fold, and the decision is the one a fold-then-test step makes.
+// What the early exit saves is the Exp for tokens that are discarded anyway;
+// the bracket on ln D (see denom) saves nearly every Log. Pruning at the
+// final chunk no longer saves K bytes but still skips the V fetch ("only the
+// tokens that have not been removed by the last chunk participate in
+// subsequent softmax and xV operations", §3.2).
+func (r *run) decide(i, b int, dp int64) bool {
+	p := dp
+	if b > 0 {
+		p += r.partial[i]
+	}
 	m := r.pairs[b]
 	var bias float64
 	if r.bias != nil {
@@ -377,11 +498,13 @@ func (r *run) step(i, b int) bool {
 	// KeepPrunedInDenominator cannot exit early: a pruned token's tightened
 	// exp(s_min) has to stay in D.
 	if r.prune && !r.keep && r.d.prunes(smax) {
-		r.d.drop(i)
+		if b > 0 {
+			r.d.drop(i)
+		}
 		r.pruned[i] = int8(b)
 		return false
 	}
-	r.d.tighten(i, r.c*float64(p+m.Min)+bias)
+	r.d.tighten(i, r.c*float64(p+m.Min)+bias, b == 0)
 	if b == len(r.masks)-1 {
 		r.scores[i] = smax // == s_min: exact
 	}
@@ -391,6 +514,10 @@ func (r *run) step(i, b int) bool {
 		}
 		r.pruned[i] = int8(b)
 		return false
+	}
+	r.partial[i] = p
+	if b == 0 {
+		r.pruned[i] = -1
 	}
 	return true
 }

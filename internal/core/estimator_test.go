@@ -377,6 +377,19 @@ func TestThresholdMonotonicityAggregate(t *testing.T) {
 	}
 }
 
+// BenchmarkEstimatorLong times one decode_long-shaped instance per op (so
+// ns/op is ns per instance): a peaked 12-bit instance with n = 1,536 keys of
+// width 32 under the default threshold — the in-repo counterpart of
+// benchmark/'s core.estimator_us_per_instance.
+func BenchmarkEstimatorLong(b *testing.B) {
+	in := specInstance(rand.New(rand.NewSource(1)), fixed.DefaultChunkSpec, 1536, 32, true)
+	est := MustNewEstimator(DefaultConfig(1e-3))
+	var rep Report
+	for b.Loop() {
+		est.RunInto(&rep, in)
+	}
+}
+
 func TestConfigValidation(t *testing.T) {
 	bad := Config{Chunks: fixed.ChunkSpec{TotalBits: 1, ChunkBits: 1}}
 	if _, err := NewEstimator(bad); err == nil {

@@ -186,6 +186,27 @@ func MaskedDot(q, k Vector, mask int16) int64 {
 	return a0 + a1 + a2 + a3
 }
 
+// MaskedDot4 is MaskedDot of one query against four keys in one pass: each
+// load of q[j] feeds four rows, one accumulator per row. The sums are integer
+// sums, exact in any order, so di equals MaskedDot(q, ki, mask) for every i
+// (a row may be passed in several slots). Every ki must be at least as long
+// as q. Each element is widened before it is masked, with the mask widened
+// too: sign extension commutes with AND, and the widening load then needs no
+// separate extend.
+func MaskedDot4(q, k0, k1, k2, k3 Vector, mask int16) (d0, d1, d2, d3 int64) {
+	n := len(q)
+	k0, k1, k2, k3 = k0[:n], k1[:n], k2[:n], k3[:n]
+	m := int64(mask)
+	for j, x := range q {
+		w := int64(x)
+		d0 += w * (int64(k0[j]) & m)
+		d1 += w * (int64(k1[j]) & m)
+		d2 += w * (int64(k2[j]) & m)
+		d3 += w * (int64(k3[j]) & m)
+	}
+	return d0, d1, d2, d3
+}
+
 // ExtractAll splits every element of k into chunks; result[b][i] is chunk b
 // of element i. This mirrors the DRAM layout: chunk b of the whole vector is
 // stored contiguously so it can be fetched as one burst.

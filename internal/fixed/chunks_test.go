@@ -256,3 +256,56 @@ func TestMaskedDotMatchesExtraction(t *testing.T) {
 		}
 	}
 }
+
+// TestMaskedDot4MatchesMaskedDot pins the four-key pass to the single-key
+// primitive: every chunk mask (and the full-dot mask -1) of the specs the
+// estimator's oracle sweep uses, elements drawn from the extremes
+// -2^(bits-1) and 2^(bits-1)-1 as well as uniformly, every length 0..67 (all
+// four len%4 remainders, empty included), keys longer than the query, and
+// one row passed in several slots.
+func TestMaskedDot4MatchesMaskedDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	specs := []ChunkSpec{DefaultChunkSpec, {TotalBits: 8, ChunkBits: 3}, {TotalBits: 15, ChunkBits: 5}}
+	for _, cs := range specs {
+		lim := int16(1) << (cs.TotalBits - 1)
+		val := func() int16 {
+			switch rng.Intn(4) {
+			case 0:
+				return -lim
+			case 1:
+				return lim - 1
+			}
+			return randVal(rng, cs.TotalBits)
+		}
+		masks := []int16{-1}
+		for b := 0; b < cs.NumChunks(); b++ {
+			masks = append(masks, cs.ChunkMask(b))
+		}
+		for dim := 0; dim <= 67; dim++ {
+			q := make(Vector, dim)
+			rows := make([]Vector, 4)
+			for j := range q {
+				q[j] = val()
+			}
+			for r := range rows {
+				rows[r] = make(Vector, dim+r) // k may be longer than q
+				for j := range rows[r] {
+					rows[r][j] = val()
+				}
+			}
+			for _, slots := range [][4]int{{0, 1, 2, 3}, {3, 2, 1, 0}, {1, 1, 2, 1}, {2, 2, 2, 2}} {
+				k0, k1, k2, k3 := rows[slots[0]], rows[slots[1]], rows[slots[2]], rows[slots[3]]
+				for _, m := range masks {
+					got := [4]int64{}
+					got[0], got[1], got[2], got[3] = MaskedDot4(q, k0, k1, k2, k3, m)
+					for s, k := range []Vector{k0, k1, k2, k3} {
+						if want := MaskedDot(q, k, m); got[s] != want {
+							t.Fatalf("%+v dim %d slots %v mask %#x: slot %d = %d, MaskedDot %d",
+								cs, dim, slots, uint16(m), s, got[s], want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
