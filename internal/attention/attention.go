@@ -1,21 +1,23 @@
 // Package attention provides the model.Kernel implementations compared in
-// the paper's evaluation: exact float attention, 12-bit quantized exact
-// attention (the non-pruning accelerator's arithmetic), the Token-Picker
-// estimator kernel, and an oracle pruner that bounds what any
-// probability-threshold method could achieve. Every kernel tracks the
+// the paper's evaluation: 12-bit quantized exact attention (the non-pruning
+// accelerator's arithmetic), the Token-Picker estimator kernel, an oracle
+// pruner that bounds what any probability-threshold method could achieve,
+// and the SpAtten-style cascade pruner of Fig. 9. Every kernel tracks the
 // off-chip traffic it would have generated so perplexity and memory-access
 // numbers come from the same code path.
 //
-// Kernels receive whole layers (model.AttendBatch) — one or many query rows,
-// each row one (sequence, position) instance — and schedule the rows×heads
-// tasks on the batch's executor. All mutable per-call state — quantization
-// scratch, estimator scratch, transfer statistics — lives in per-slot
-// shards, so tasks running concurrently never share memory; statistics are
-// merged across shards when read. Task outputs are computed independently
-// with no cross-task reduction, so pool execution is bit-identical to
-// serial, and multi-row batches may mix rows from different sessions (the
-// iteration-batched serving path): these kernels keep no per-sequence state
-// beyond the cache-owned quantization side-cars.
+// The four kernels share one slotted base. Kernels receive whole layers
+// (model.AttendBatch) — one or many query rows, each row one (sequence,
+// position) instance — and the base runs the kernel's task once per
+// (row, head) on the batch's executor. All mutable per-call state —
+// quantization scratch, score/probability scratch, the estimator, transfer
+// statistics — lives in one per-slot struct, so tasks running concurrently
+// never share memory; statistics are merged across slots when read. Task
+// outputs are computed independently with no cross-task reduction, so pool
+// execution is bit-identical to serial, and multi-row batches may mix rows
+// from different sessions (the iteration-batched serving path): every kernel
+// but SpAtten keeps no per-sequence state beyond the cache-owned
+// quantization side-cars.
 package attention
 
 import (
@@ -58,6 +60,21 @@ func (s *Stats) Add(other Stats) {
 	s.BaselineVBytes += other.BaselineVBytes
 }
 
+// countRows adds one instance over n context tokens that fetched keys whole
+// key vectors and vals whole value vectors at bits precision, and no chunks:
+// the accounting of every kernel but Token-Picker.
+func (s *Stats) countRows(n, keys, vals, dim int, bits uint) {
+	cs := fixed.ChunkSpec{TotalBits: bits, ChunkBits: bits}
+	vecBytes := int64(cs.VectorBytes(dim))
+	s.Instances++
+	s.Tokens += int64(n)
+	s.Kept += int64(vals)
+	s.KBytes += int64(keys) * vecBytes
+	s.VBytes += int64(vals) * vecBytes
+	s.BaselineKBytes += int64(n) * vecBytes
+	s.BaselineVBytes += int64(n) * vecBytes
+}
+
 // PruningRatio returns tokens/kept (the paper's V-access reduction factor).
 func (s *Stats) PruningRatio() float64 {
 	if s.Kept == 0 {
@@ -83,13 +100,12 @@ func (s *Stats) TotalReduction() float64 {
 	return float64(s.BaselineKBytes+s.BaselineVBytes) / float64(moved)
 }
 
-// quantScratch holds one slot's quantization state shared by every kernel
-// in this package: a quantized-query buffer and two fallback QuantCaches
-// for row sources that do not carry their own side-car. When the source
-// implements fixed.CacheQuantizer (the decoder's dense cache and the
-// serving engine's paged cache both do), SyncFor routes to the source-owned
-// side-car instead and quantization is incremental — O(added rows) per
-// decode step rather than O(context).
+// quantScratch holds one slot's quantization state: a quantized-query buffer
+// and two fallback QuantCaches for row sources that do not carry their own
+// side-car. When the source implements fixed.CacheQuantizer (the decoder's
+// dense cache and the serving engine's paged cache both do), SyncFor routes
+// to the source-owned side-car instead and quantization is incremental —
+// O(added rows) per decode step rather than O(context).
 type quantScratch struct {
 	qk, qv fixed.QuantCache
 	qq     fixed.Vector
@@ -113,9 +129,9 @@ func (qs *quantScratch) values(src tensor.RowSource, n, dim int, bits uint) ([]f
 }
 
 // accumulate adds one attended value row to out: out += p·vScale·v, with the
-// dequantisation folded into a single float32 weight per row. Every quantized
-// kernel sums V through this one loop, so perplexity deltas between them
-// isolate pruning from value arithmetic.
+// dequantisation folded into a single float32 weight per row. Token-Picker,
+// QuantizedExact and Oracle sum V through this one loop, so perplexity
+// deltas between them isolate pruning from value arithmetic.
 func accumulate(out []float32, p, vScale float64, v fixed.Vector) {
 	w := float32(p * vScale)
 	v = v[:len(out)]
@@ -146,86 +162,128 @@ func quantScores(scores []float32, q fixed.Vector, kRows []fixed.Vector, c float
 	}
 }
 
-// TokenPicker is the paper's kernel: probability-estimation pruning over
-// chunked 12-bit keys, quantized values for kept tokens only.
-type TokenPicker struct {
-	Est    *core.Estimator // slot 0's estimator; extra slots clone its config
-	Bits   uint            // operand precision (12 in the paper)
-	slots  []tpSlot
-	runner tpRunner
+// slot is one executor slot's private state, the same struct for every
+// kernel; a kernel leaves the fields it does not use empty.
+type slot struct {
+	qs      quantScratch
+	scores  []float32
+	probs   []float32
+	keptIdx []int
+	est     *core.Estimator // Token-Picker only
+	rep     core.Report     // Token-Picker only
+	stats   Stats
 }
 
-// tpSlot is one executor slot's private state.
-type tpSlot struct {
-	est   *core.Estimator
-	rep   core.Report
-	qs    quantScratch
-	stats Stats
+// scoreAll is the full-scoring prologue of QuantizedExact and Oracle:
+// quantize task t's query, sync its K/V side-cars, score every key and
+// softmax. It returns the n probabilities and the quantized value rows.
+func (s *slot) scoreAll(b *model.AttendBatch, t int, bits uint) (probs []float32, vRows []fixed.Vector, vScale float64) {
+	n, dim := b.TaskN(t), b.HeadDim
+	s.scores = tensor.Grow(s.scores, n)
+	s.probs = tensor.Grow(s.probs, n)
+	kRows, kScale := s.qs.keys(b.Keys[t], n, dim, bits)
+	vRows, vScale = s.qs.values(b.Vals[t], n, dim, bits)
+	qq := s.qs.query(b.TaskQ(t), bits)
+	quantScores(s.scores, qq.Data, kRows, float64(b.Scale)*qq.Scale*kScale, b.TaskSlope(t))
+	tensor.Softmax(s.probs, s.scores)
+	return s.probs, vRows, vScale
 }
 
-type tpRunner struct {
-	k *TokenPicker
-	b model.AttendBatch
+// slotted is the base every kernel embeds. It owns the per-slot state, runs
+// the kernel's task once per (row, head) on the batch's executor, and holds
+// the package's only Stats and ResetStats. Constructors set task, and
+// slotInit when a fresh slot needs more than zero values.
+type slotted struct {
+	slots    []slot
+	task     func(b *model.AttendBatch, t int, s *slot)
+	slotInit func(i int) slot
+	batch    model.AttendBatch
 }
+
+// slotTasks is slotted's exec.Tasks view; a type of its own keeps Do out of
+// the kernels' method sets.
+type slotTasks slotted
 
 // Do implements exec.Tasks.
-func (r *tpRunner) Do(t, slot int) { r.k.attendTask(&r.b, t, slot) }
+func (r *slotTasks) Do(t, i int) { r.task(&r.batch, t, &r.slots[i]) }
 
-// NewTokenPicker builds the kernel at the given pruning threshold with the
-// paper's defaults.
-func NewTokenPicker(threshold float64) *TokenPicker {
-	return &TokenPicker{Est: core.MustNewEstimator(core.DefaultConfig(threshold)), Bits: 12}
+// AttendLayer implements model.Kernel.
+func (k *slotted) AttendLayer(batch model.AttendBatch) {
+	for len(k.slots) < batch.Width() {
+		var s slot
+		if k.slotInit != nil {
+			s = k.slotInit(len(k.slots))
+		}
+		k.slots = append(k.slots, s)
+	}
+	k.batch = batch
+	batch.Run((*slotTasks)(k))
 }
 
-// NewTokenPickerFrom wraps a custom-configured estimator.
-func NewTokenPickerFrom(cfg core.Config) *TokenPicker {
-	return &TokenPicker{Est: core.MustNewEstimator(cfg), Bits: cfg.Chunks.TotalBits}
-}
-
-// Stats returns the transfer statistics merged across executor slots.
-func (k *TokenPicker) Stats() Stats {
+// Stats returns the transfer statistics merged across executor slots. The
+// merged ChunkFetches is a fresh slice the caller may keep, sized once.
+func (k *slotted) Stats() Stats {
 	var merged Stats
+	chunks := 0
+	for i := range k.slots {
+		chunks = max(chunks, len(k.slots[i].stats.ChunkFetches))
+	}
+	if chunks > 0 {
+		merged.ChunkFetches = make([]int64, chunks)
+	}
 	for i := range k.slots {
 		merged.Add(k.slots[i].stats)
 	}
 	return merged
 }
 
-// ResetStats clears the accumulated statistics of every slot.
-func (k *TokenPicker) ResetStats() {
+// ResetStats zeroes every slot's statistics in place; ChunkFetches keeps its
+// length and backing, so the next task does not regrow it. Other kernel
+// state (SpAtten's pruning state) is kept.
+func (k *slotted) ResetStats() {
 	for i := range k.slots {
-		k.slots[i].stats = Stats{}
+		chunks := k.slots[i].stats.ChunkFetches
+		clear(chunks)
+		k.slots[i].stats = Stats{ChunkFetches: chunks}
 	}
 }
 
-// ensureSlots provisions per-slot state up to width. Slot 0 reuses the
-// kernel's configured estimator; extra slots get clones of its config, so
-// every slot prunes identically.
-func (k *TokenPicker) ensureSlots(width int) {
-	for len(k.slots) < width {
-		var est *core.Estimator
-		if len(k.slots) == 0 {
-			est = k.Est
-		} else {
-			est = core.MustNewEstimator(k.Est.Config())
-		}
-		k.slots = append(k.slots, tpSlot{est: est})
-	}
+// TokenPicker is the paper's kernel: probability-estimation pruning over
+// chunked 12-bit keys, quantized values for kept tokens only.
+type TokenPicker struct {
+	slotted
+	est  *core.Estimator // slot 0's estimator; extra slots clone its config
+	Bits uint            // operand precision (12 in the paper)
 }
 
-// AttendLayer implements model.Kernel.
-func (k *TokenPicker) AttendLayer(batch model.AttendBatch) {
-	k.ensureSlots(batch.Width())
-	k.runner.k = k
-	k.runner.b = batch
-	batch.Run(&k.runner)
+// NewTokenPicker builds the kernel at the given pruning threshold with the
+// paper's defaults.
+func NewTokenPicker(threshold float64) *TokenPicker {
+	return NewTokenPickerFrom(core.DefaultConfig(threshold))
+}
+
+// NewTokenPickerFrom wraps a custom-configured estimator.
+func NewTokenPickerFrom(cfg core.Config) *TokenPicker {
+	k := &TokenPicker{est: core.MustNewEstimator(cfg), Bits: cfg.Chunks.TotalBits}
+	k.task = k.attendTask
+	k.slotInit = k.initSlot
+	return k
+}
+
+// initSlot provisions slot i: slot 0 reuses the kernel's configured
+// estimator, later slots get clones of its config, so every slot prunes
+// identically.
+func (k *TokenPicker) initSlot(i int) slot {
+	if i == 0 {
+		return slot{est: k.est}
+	}
+	return slot{est: core.MustNewEstimator(k.est.Config())}
 }
 
 // attendTask is the per-(row, head) hot path.
 //
 //topick:noalloc
-func (k *TokenPicker) attendTask(b *model.AttendBatch, t, slot int) {
-	s := &k.slots[slot]
+func (k *TokenPicker) attendTask(b *model.AttendBatch, t int, s *slot) {
 	q, out := b.TaskQ(t), b.TaskOut(t)
 	keys, vals := b.Keys[t], b.Vals[t]
 	n, dim := b.TaskN(t), b.HeadDim
@@ -284,165 +342,54 @@ func (k *TokenPicker) attendTask(b *model.AttendBatch, t, slot int) {
 // quantized arithmetic as the accelerator baseline (no pruning). Perplexity
 // deltas against this kernel isolate the pruning effect from quantization.
 type QuantizedExact struct {
-	Bits   uint
-	slots  []qeSlot
-	runner qeRunner
+	slotted
+	Bits uint
 }
-
-type qeSlot struct {
-	qs     quantScratch
-	scores []float32
-	probs  []float32
-	stats  Stats
-}
-
-type qeRunner struct {
-	k *QuantizedExact
-	b model.AttendBatch
-}
-
-// Do implements exec.Tasks.
-func (r *qeRunner) Do(t, slot int) { r.k.attendTask(&r.b, t, slot) }
 
 // NewQuantizedExact returns the 12-bit exact kernel.
-func NewQuantizedExact() *QuantizedExact { return &QuantizedExact{Bits: 12} }
-
-// Stats returns statistics merged across executor slots (always baseline
-// traffic).
-func (k *QuantizedExact) Stats() Stats {
-	var merged Stats
-	for i := range k.slots {
-		merged.Add(k.slots[i].stats)
-	}
-	return merged
-}
-
-// ResetStats clears every slot's statistics.
-func (k *QuantizedExact) ResetStats() {
-	for i := range k.slots {
-		k.slots[i].stats = Stats{}
-	}
-}
-
-// AttendLayer implements model.Kernel.
-func (k *QuantizedExact) AttendLayer(batch model.AttendBatch) {
-	for len(k.slots) < batch.Width() {
-		k.slots = append(k.slots, qeSlot{})
-	}
-	k.runner.k = k
-	k.runner.b = batch
-	batch.Run(&k.runner)
+func NewQuantizedExact() *QuantizedExact {
+	k := &QuantizedExact{Bits: 12}
+	k.task = k.attendTask
+	return k
 }
 
 // attendTask is the per-(row, head) hot path.
 //
 //topick:noalloc
-func (k *QuantizedExact) attendTask(b *model.AttendBatch, t, slot int) {
-	s := &k.slots[slot]
-	q, out := b.TaskQ(t), b.TaskOut(t)
-	keys, vals := b.Keys[t], b.Vals[t]
-	n, dim := b.TaskN(t), b.HeadDim
-	slope := b.TaskSlope(t)
-	s.scores = tensor.Grow(s.scores, n)
-	s.probs = tensor.Grow(s.probs, n)
-	scores := s.scores
-	probs := s.probs
-	kRows, kScale := s.qs.keys(keys, n, dim, k.Bits)
-	vRows, vScale := s.qs.values(vals, n, dim, k.Bits)
-	qq := s.qs.query(q, k.Bits)
-	quantScores(scores, qq.Data, kRows, float64(b.Scale)*qq.Scale*kScale, slope)
-	tensor.Softmax(probs, scores)
+func (k *QuantizedExact) attendTask(b *model.AttendBatch, t int, s *slot) {
+	n, out := b.TaskN(t), b.TaskOut(t)
+	probs, vRows, vScale := s.scoreAll(b, t, k.Bits)
 	for j := range out {
 		out[j] = 0
 	}
 	for i := 0; i < n; i++ {
 		accumulate(out, float64(probs[i]), vScale, vRows[i])
 	}
-	cs := fixed.ChunkSpec{TotalBits: k.Bits, ChunkBits: k.Bits}
-	s.stats.Instances++
-	s.stats.Tokens += int64(n)
-	s.stats.Kept += int64(n)
-	bytes := int64(n) * int64(cs.VectorBytes(dim))
-	s.stats.KBytes += bytes
-	s.stats.VBytes += bytes
-	s.stats.BaselineKBytes += bytes
-	s.stats.BaselineVBytes += bytes
+	s.stats.countRows(n, n, n, b.HeadDim, k.Bits)
 }
 
 // Oracle prunes tokens whose exact probability is at or below the
 // threshold. It cannot save K traffic (it needs every score) but bounds the
 // achievable V pruning for any sound threshold method.
 type Oracle struct {
+	slotted
 	Threshold float64
 	Bits      uint
-	slots     []orSlot
-	runner    orRunner
 }
-
-type orSlot struct {
-	qs      quantScratch
-	scores  []float32
-	probs   []float32
-	keptIdx []int
-	stats   Stats
-}
-
-type orRunner struct {
-	k *Oracle
-	b model.AttendBatch
-}
-
-// Do implements exec.Tasks.
-func (r *orRunner) Do(t, slot int) { r.k.attendTask(&r.b, t, slot) }
 
 // NewOracle returns an oracle pruning kernel.
-func NewOracle(threshold float64) *Oracle { return &Oracle{Threshold: threshold, Bits: 12} }
-
-// Stats returns statistics merged across executor slots.
-func (k *Oracle) Stats() Stats {
-	var merged Stats
-	for i := range k.slots {
-		merged.Add(k.slots[i].stats)
-	}
-	return merged
-}
-
-// ResetStats clears every slot's statistics.
-func (k *Oracle) ResetStats() {
-	for i := range k.slots {
-		k.slots[i].stats = Stats{}
-	}
-}
-
-// AttendLayer implements model.Kernel.
-func (k *Oracle) AttendLayer(batch model.AttendBatch) {
-	for len(k.slots) < batch.Width() {
-		k.slots = append(k.slots, orSlot{})
-	}
-	k.runner.k = k
-	k.runner.b = batch
-	batch.Run(&k.runner)
+func NewOracle(threshold float64) *Oracle {
+	k := &Oracle{Threshold: threshold, Bits: 12}
+	k.task = k.attendTask
+	return k
 }
 
 // attendTask is the per-(row, head) hot path.
 //
 //topick:noalloc
-func (k *Oracle) attendTask(b *model.AttendBatch, t, slot int) {
-	s := &k.slots[slot]
-	q, out := b.TaskQ(t), b.TaskOut(t)
-	keys, vals := b.Keys[t], b.Vals[t]
-	n, dim := b.TaskN(t), b.HeadDim
-	slope := b.TaskSlope(t)
-	s.scores = tensor.Grow(s.scores, n)
-	s.probs = tensor.Grow(s.probs, n)
-	scores := s.scores
-	probs := s.probs
-	kRows, kScale := s.qs.keys(keys, n, dim, k.Bits)
-	vRows, vScale := s.qs.values(vals, n, dim, k.Bits)
-	qq := s.qs.query(q, k.Bits)
-	quantScores(scores, qq.Data, kRows, float64(b.Scale)*qq.Scale*kScale, slope)
-	tensor.Softmax(probs, scores)
-
+func (k *Oracle) attendTask(b *model.AttendBatch, t int, s *slot) {
+	n, out := b.TaskN(t), b.TaskOut(t)
+	probs, vRows, vScale := s.scoreAll(b, t, k.Bits)
 	keptIdx := s.keptIdx[:0]
 	var keptMass float64
 	for i := 0; i < n; i++ {
@@ -464,14 +411,5 @@ func (k *Oracle) attendTask(b *model.AttendBatch, t, slot int) {
 	for _, i := range keptIdx {
 		accumulate(out, float64(probs[i])/keptMass, vScale, vRows[i])
 	}
-
-	cs := fixed.ChunkSpec{TotalBits: k.Bits, ChunkBits: k.Bits}
-	vecBytes := int64(cs.VectorBytes(dim))
-	s.stats.Instances++
-	s.stats.Tokens += int64(n)
-	s.stats.Kept += int64(len(keptIdx))
-	s.stats.KBytes += int64(n) * vecBytes
-	s.stats.VBytes += int64(len(keptIdx)) * vecBytes
-	s.stats.BaselineKBytes += int64(n) * vecBytes
-	s.stats.BaselineVBytes += int64(n) * vecBytes
+	s.stats.countRows(n, n, len(keptIdx), b.HeadDim, k.Bits)
 }

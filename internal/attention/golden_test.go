@@ -76,3 +76,23 @@ func TestGoldenQuantizedLogitsBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestGoldenSpAttenLogitsBitIdentical pins the Fig. 9 baseline the same way:
+// the cascade's active sets, its own score and V loops, and the post-batch
+// importance merge. The hash was recorded at b8fda34, before SpAtten moved
+// onto the shared slot base.
+func TestGoldenSpAttenLogitsBitIdentical(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		t.Skip("golden bits recorded on amd64; other targets may fuse multiply-adds")
+	}
+	const want = 0x78ca791397f3279a
+	cfg := model.Family()[4].StandIn
+	k := NewSpAtten(SpAttenConfig{
+		KeepRatio: 0.5, MinKeep: 4,
+		Layers: cfg.Layers, Heads: cfg.Heads,
+		Cascade: true, Bits: 12,
+	})
+	if got := goldenKernelHash(k); got != want {
+		t.Fatalf("spatten logits hash %#x, want %#x: an active set or a kept score moved", got, uint64(want))
+	}
+}

@@ -1,5 +1,16 @@
-// Package spatten reimplements the baseline the paper compares against in
-// Fig. 9: SpAtten-style cascade token pruning (Wang et al., HPCA 2021).
+package attention
+
+import (
+	"fmt"
+	"math"
+
+	"tokenpicker/internal/fixed"
+	"tokenpicker/internal/model"
+	"tokenpicker/internal/tensor"
+)
+
+// This file reimplements the baseline the paper compares against in Fig. 9:
+// SpAtten-style cascade token pruning (Wang et al., HPCA 2021).
 //
 // SpAtten ranks tokens by cumulative attention probability (summed over
 // heads, layers, and decode steps) and keeps, at each layer, a fixed
@@ -20,20 +31,9 @@
 //     a KV cache stored pre-quantized in DRAM, enabling the incremental
 //     side-car), not at a scale recomputed per call over the surviving
 //     rows; the difference stays within quantization tolerance.
-package spatten
 
-import (
-	"fmt"
-	"math"
-
-	"tokenpicker/internal/attention"
-	"tokenpicker/internal/fixed"
-	"tokenpicker/internal/model"
-	"tokenpicker/internal/tensor"
-)
-
-// Config parameterizes the cascade pruner.
-type Config struct {
+// SpAttenConfig parameterizes the cascade pruner.
+type SpAttenConfig struct {
 	// KeepRatio is the fraction of the sequence the deepest layer retains.
 	KeepRatio float64
 	// MinKeep floors the kept-set size.
@@ -50,7 +50,7 @@ type Config struct {
 }
 
 // Validate reports whether the config is usable.
-func (c Config) Validate() error {
+func (c SpAttenConfig) Validate() error {
 	if c.KeepRatio <= 0 || c.KeepRatio > 1 {
 		return fmt.Errorf("spatten: keep ratio %g out of (0,1]", c.KeepRatio)
 	}
@@ -67,7 +67,7 @@ func (c Config) Validate() error {
 }
 
 // layerKeepFraction returns the fraction of the sequence layer l retains.
-func (c Config) layerKeepFraction(l int) float64 {
+func (c SpAttenConfig) layerKeepFraction(l int) float64 {
 	if c.KeepRatio >= 1 {
 		return 1
 	}
@@ -81,84 +81,42 @@ func (c Config) layerKeepFraction(l int) float64 {
 	return 1 - (1-c.KeepRatio)*depth
 }
 
-// Kernel implements model.Kernel with cascade token pruning. It is stateful
+// SpAtten implements model.Kernel with cascade token pruning. It is stateful
 // across layers and decode steps: create a fresh kernel per generation.
 //
 // Parallel execution: the active-set rebuild runs once per layer before the
-// heads are scheduled, each head then works on slot-private scratch (scores,
-// probabilities, quantization fallback, stats shard), and the cumulative
-// importance update — the one cross-head reduction — is applied after the
-// batch in ascending head order, exactly the float-addition order of a
-// serial head walk. Pool execution is therefore bit-identical to serial.
-type Kernel struct {
-	cfg Config
+// heads are scheduled, each head then works on its slot's scratch and
+// statistics shard, and the cumulative importance update — the one
+// cross-head reduction — is applied after the batch in ascending head order,
+// exactly the float-addition order of a serial head walk. Pool execution is
+// therefore bit-identical to serial.
+type SpAtten struct {
+	slotted
+	cfg SpAttenConfig
 
 	importance []float64 // cumulative attention probability per cache row
 	active     [][]int   // per layer: active cache rows, ascending
-	lastN      int
 
 	rank []int
 	mark []bool // kept-row marker reused by rebuildActive
 
-	heads  []headState // per head: probs retained for the importance merge
-	slots  []slotState // per executor slot: scratch + stats shard
-	runner spRunner
+	// headProbs holds each head's probabilities (per head, not per slot):
+	// they feed the deterministic post-batch importance merge.
+	headProbs [][]float32
 }
 
-// headState is per-head (not per-slot): the probabilities feed the
-// deterministic post-batch importance merge, so every head needs its own.
-type headState struct {
-	scores []float32
-	probs  []float32
-}
-
-// slotState is one executor slot's private scratch.
-//
-// Quantization state: fallback caches for bare row sources plus the
-// quantized-query buffer. Decoder caches carry their own side-car, so the
-// K/V cache is quantized incrementally at the shared cache-wide scale (the
-// layout a pre-quantized KV store in DRAM would have) instead of
-// re-quantizing the active rows on every call.
-type slotState struct {
-	qk, qv fixed.QuantCache
-	qq     fixed.Vector
-	stats  attention.Stats
-}
-
-type spRunner struct {
-	k *Kernel
-	b model.AttendBatch
-}
-
-// Do implements exec.Tasks.
-func (r *spRunner) Do(h, slot int) { r.k.attendHead(&r.b, h, slot) }
-
-// New creates a cascade pruning kernel. Panics on invalid config.
-func New(cfg Config) *Kernel {
+// NewSpAtten creates a cascade pruning kernel. Panics on invalid config.
+func NewSpAtten(cfg SpAttenConfig) *SpAtten {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Kernel{cfg: cfg, active: make([][]int, cfg.Layers)}
-}
-
-// Stats returns transfer statistics merged across executor slots.
-func (k *Kernel) Stats() attention.Stats {
-	var merged attention.Stats
-	for i := range k.slots {
-		merged.Add(k.slots[i].stats)
-	}
-	return merged
-}
-
-// ResetStats clears statistics but keeps pruning state.
-func (k *Kernel) ResetStats() {
-	for i := range k.slots {
-		k.slots[i].stats = attention.Stats{}
-	}
+	k := &SpAtten{cfg: cfg, active: make([][]int, cfg.Layers)}
+	k.task = k.attendTask
+	return k
 }
 
 // ActiveTokens returns a copy of the rows active at the given layer.
-func (k *Kernel) ActiveTokens(layer int) []int {
+func (k *SpAtten) ActiveTokens(layer int) []int {
 	out := make([]int, len(k.active[layer]))
 	copy(out, k.active[layer])
 	return out
@@ -171,7 +129,7 @@ func (k *Kernel) ActiveTokens(layer int) []int {
 // different sessions — which is also why the serving engine does not accept
 // this kernel. Row-by-row processing reproduces the exact float-addition
 // order of a serial step walk, so batched execution stays bit-identical.
-func (k *Kernel) AttendLayer(batch model.AttendBatch) {
+func (k *SpAtten) AttendLayer(batch model.AttendBatch) {
 	if batch.Rows > 1 {
 		hd := batch.Heads * batch.HeadDim
 		for r := 0; r < batch.Rows; r++ {
@@ -189,57 +147,45 @@ func (k *Kernel) AttendLayer(batch model.AttendBatch) {
 	n := batch.TaskN(0)
 	k.syncContext(n)
 	k.rebuildActive(batch.Layer, n)
-	for len(k.heads) < batch.Heads {
-		k.heads = append(k.heads, headState{})
+	for len(k.headProbs) < batch.Heads {
+		k.headProbs = append(k.headProbs, nil)
 	}
-	for len(k.slots) < batch.Width() {
-		k.slots = append(k.slots, slotState{})
-	}
-	k.runner.k = k
-	k.runner.b = batch
-	batch.Run(&k.runner)
+	k.slotted.AttendLayer(batch)
 
 	// Cumulative importance, merged in ascending head order: the same
 	// float additions in the same order as a serial head loop, so the
 	// cascade's future active sets do not depend on the schedule.
 	act := k.active[batch.Layer]
 	for h := 0; h < batch.Heads; h++ {
-		probs := k.heads[h].probs[:len(act)]
+		probs := k.headProbs[h][:len(act)]
 		for ai, row := range act {
 			k.importance[row] += float64(probs[ai])
 		}
 	}
 }
 
-// attendHead is the per-head hot path.
+// attendTask is the per-head hot path (every batch here is one row, so task
+// h is head h).
 //
 //topick:noalloc
-func (k *Kernel) attendHead(b *model.AttendBatch, h, slot int) {
-	s := &k.slots[slot]
-	hs := &k.heads[h]
+func (k *SpAtten) attendTask(b *model.AttendBatch, h int, s *slot) {
 	q, out := b.TaskQ(h), b.TaskOut(h)
-	keys, vals := b.Keys[h], b.Vals[h]
 	n, dim := b.TaskN(h), b.HeadDim
-	slope := b.Slopes[h]
+	slope := b.TaskSlope(h)
 	act := k.active[b.Layer]
-
-	if cap(hs.scores) < len(act) {
-		hs.scores = make([]float32, len(act)*2)
-		hs.probs = make([]float32, len(act)*2)
-	}
-	scores := hs.scores[:len(act)]
-	probs := hs.probs[:len(act)]
+	s.scores = tensor.Grow(s.scores, len(act))
+	k.headProbs[h] = tensor.Grow(k.headProbs[h], len(act))
+	scores, probs := s.scores, k.headProbs[h]
 
 	// Quantized scores over active rows only (SpAtten loads all surviving
 	// K). Rows come pre-quantized at the shared cache-wide scale from the
 	// incremental side-car; only the dot products are per-call work.
-	kRows, kScale := s.qk.SyncFor(keys, n, dim, k.cfg.Bits)
-	vRows, vScale := s.qv.SyncFor(vals, n, dim, k.cfg.Bits)
-	qqz := fixed.QuantizeInto(s.qq, q, k.cfg.Bits)
-	s.qq = qqz.Data
-	c := float64(b.Scale) * qqz.Scale * kScale
+	kRows, kScale := s.qs.keys(b.Keys[h], n, dim, k.cfg.Bits)
+	vRows, vScale := s.qs.values(b.Vals[h], n, dim, k.cfg.Bits)
+	qq := s.qs.query(q, k.cfg.Bits)
+	c := float64(b.Scale) * qq.Scale * kScale
 	for ai, row := range act {
-		scores[ai] = float32(c*float64(fixed.Dot(qqz.Data, kRows[row]))) -
+		scores[ai] = float32(c*float64(fixed.Dot(qq.Data, kRows[row]))) -
 			slope*float32(n-1-row)
 	}
 	tensor.Softmax(probs, scores)
@@ -257,26 +203,15 @@ func (k *Kernel) attendHead(b *model.AttendBatch, h, slot int) {
 	}
 
 	// Traffic: K and V for every active row.
-	cs := fixed.ChunkSpec{TotalBits: k.cfg.Bits, ChunkBits: k.cfg.Bits}
-	vecBytes := int64(cs.VectorBytes(dim))
-	s.stats.Instances++
-	s.stats.Tokens += int64(n)
-	s.stats.Kept += int64(len(act))
-	s.stats.KBytes += int64(len(act)) * vecBytes
-	s.stats.VBytes += int64(len(act)) * vecBytes
-	s.stats.BaselineKBytes += int64(n) * vecBytes
-	s.stats.BaselineVBytes += int64(n) * vecBytes
+	s.stats.countRows(n, len(act), len(act), dim, k.cfg.Bits)
 }
 
 // syncContext grows the importance table when new rows appear.
 //
 //topick:noalloc
-func (k *Kernel) syncContext(n int) {
+func (k *SpAtten) syncContext(n int) {
 	for len(k.importance) < n {
 		k.importance = append(k.importance, 0)
-	}
-	if n > k.lastN {
-		k.lastN = n
 	}
 }
 
@@ -288,7 +223,7 @@ func (k *Kernel) syncContext(n int) {
 // decode step.
 //
 //topick:noalloc
-func (k *Kernel) rebuildActive(layer, n int) {
+func (k *SpAtten) rebuildActive(layer, n int) {
 	target := int(math.Ceil(k.cfg.layerKeepFraction(layer) * float64(n)))
 	if target < k.cfg.MinKeep {
 		target = k.cfg.MinKeep
@@ -331,7 +266,7 @@ func (k *Kernel) rebuildActive(layer, n int) {
 // just produced and must be attended), then descending cumulative
 // importance, then recency. The order is strict and total, so the top-target
 // set is unique and quickselect returns exactly what a full sort would.
-func (k *Kernel) higher(a, b, newest int) bool {
+func (k *SpAtten) higher(a, b, newest int) bool {
 	if a == newest {
 		return true
 	}
@@ -347,7 +282,7 @@ func (k *Kernel) higher(a, b, newest int) bool {
 // selectTop partially partitions rank so rank[:target] holds the target
 // highest-priority rows (in arbitrary order). Expected O(n) via quickselect
 // with median-of-three pivots.
-func (k *Kernel) selectTop(rank []int, target, newest int) {
+func (k *SpAtten) selectTop(rank []int, target, newest int) {
 	lo, hi := 0, len(rank)-1
 	for lo < hi {
 		p := k.partition(rank, lo, hi, newest)
@@ -365,7 +300,7 @@ func (k *Kernel) selectTop(rank []int, target, newest int) {
 // partition is a Lomuto partition of rank[lo..hi] under higher, with a
 // median-of-three pivot. Rows before the returned index outrank the pivot;
 // rows after do not.
-func (k *Kernel) partition(rank []int, lo, hi, newest int) int {
+func (k *SpAtten) partition(rank []int, lo, hi, newest int) int {
 	mid := lo + (hi-lo)/2
 	if k.higher(rank[mid], rank[lo], newest) {
 		rank[lo], rank[mid] = rank[mid], rank[lo]

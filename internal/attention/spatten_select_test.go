@@ -1,4 +1,4 @@
-package spatten
+package attention
 
 import (
 	"math/rand"
@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"tokenpicker/internal/model"
-	"tokenpicker/internal/tensor"
 	"tokenpicker/internal/train"
 )
 
@@ -17,10 +16,10 @@ import (
 // exactly.
 func TestQuickselectMatchesFullSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	cfg := testConfig(0.4, true)
+	cfg := spattenConfig(0.4, true)
 	for trial := 0; trial < 200; trial++ {
 		n := 1 + rng.Intn(97)
-		k := New(cfg)
+		k := NewSpAtten(cfg)
 		k.syncContext(n)
 		for i := 0; i < n; i++ {
 			switch rng.Intn(3) {
@@ -49,7 +48,7 @@ func TestQuickselectMatchesFullSort(t *testing.T) {
 }
 
 // referenceActive reimplements the pre-quickselect selection verbatim.
-func referenceActive(k *Kernel, layer, n int) []int {
+func referenceActive(k *SpAtten, layer, n int) []int {
 	target := len(k.active[layer]) // rebuildActive already computed the size
 	rank := make([]int, n)
 	for i := range rank {
@@ -73,34 +72,15 @@ func referenceActive(k *Kernel, layer, n int) []int {
 	return kept
 }
 
-// opaqueSource / stripQuant force the from-scratch quantization path by
-// hiding the cache's side-car (see the attention package's equivalence
-// tests).
-type opaqueSource struct{ src tensor.RowSource }
-
-func (o opaqueSource) Row(r int) []float32 { return o.src.Row(r) }
-
-type stripQuant struct{ inner model.Kernel }
-
-func (s stripQuant) AttendLayer(b model.AttendBatch) {
-	keys := make([]tensor.RowSource, b.Heads)
-	vals := make([]tensor.RowSource, b.Heads)
-	for h := 0; h < b.Heads; h++ {
-		keys[h] = opaqueSource{b.Keys[h]}
-		vals[h] = opaqueSource{b.Vals[h]}
-	}
-	b.Keys, b.Vals = keys, vals
-	s.inner.AttendLayer(b)
-}
-
 // TestSpAttenIncrementalBitIdentical decodes the same sequence with the
-// side-car visible and with it stripped; the stateful importance tables must
-// evolve identically and the logits match bit for bit.
+// side-car visible and with it stripped (stripQuant); the stateful
+// importance tables must evolve identically and the logits match bit for
+// bit.
 func TestSpAttenIncrementalBitIdentical(t *testing.T) {
 	r := train.TestModel()
-	cfg := testConfig(0.5, true)
-	decInc := model.NewDecoder(r.Params, New(cfg))
-	decScr := model.NewDecoder(r.Params, stripQuant{New(cfg)})
+	cfg := spattenConfig(0.5, true)
+	decInc := model.NewDecoder(r.Params, NewSpAtten(cfg))
+	decScr := model.NewDecoder(r.Params, stripQuant{NewSpAtten(cfg)})
 	prompt := r.Held[:32]
 	decInc.MustPrompt(prompt)
 	decScr.MustPrompt(prompt)

@@ -1,4 +1,4 @@
-package spatten
+package attention
 
 import (
 	"math"
@@ -8,9 +8,9 @@ import (
 	"tokenpicker/internal/train"
 )
 
-func testConfig(keep float64, cascade bool) Config {
+func spattenConfig(keep float64, cascade bool) SpAttenConfig {
 	cfg := model.TestConfig()
-	return Config{
+	return SpAttenConfig{
 		KeepRatio: keep,
 		MinKeep:   4,
 		Layers:    cfg.Layers,
@@ -21,7 +21,7 @@ func testConfig(keep float64, cascade bool) Config {
 }
 
 func TestConfigValidation(t *testing.T) {
-	bad := []Config{
+	bad := []SpAttenConfig{
 		{KeepRatio: 0, MinKeep: 1, Layers: 1, Heads: 1, Bits: 12},
 		{KeepRatio: 1.5, MinKeep: 1, Layers: 1, Heads: 1, Bits: 12},
 		{KeepRatio: 0.5, MinKeep: 0, Layers: 1, Heads: 1, Bits: 12},
@@ -33,14 +33,14 @@ func TestConfigValidation(t *testing.T) {
 			t.Errorf("config %d should fail: %+v", i, c)
 		}
 	}
-	if err := testConfig(0.5, true).Validate(); err != nil {
+	if err := spattenConfig(0.5, true).Validate(); err != nil {
 		t.Errorf("good config rejected: %v", err)
 	}
 }
 
 func TestPersistentPruningShrinksActiveSet(t *testing.T) {
 	r := train.TestModel()
-	k := New(testConfig(0.5, false))
+	k := NewSpAtten(spattenConfig(0.5, false))
 	dec := model.NewDecoder(r.Params, k)
 	prompt := r.Held[:64]
 	dec.MustPrompt(prompt)
@@ -69,7 +69,7 @@ func TestCascadeVsEndOfStep(t *testing.T) {
 	// bytes must be strictly lower at equal KeepRatio.
 	r := train.TestModel()
 	run := func(cascade bool) int64 {
-		k := New(testConfig(0.4, cascade))
+		k := NewSpAtten(spattenConfig(0.4, cascade))
 		dec := model.NewDecoder(r.Params, k)
 		dec.MustPrompt(r.Held[:96])
 		for i := 0; i < 8; i++ {
@@ -84,7 +84,7 @@ func TestCascadeVsEndOfStep(t *testing.T) {
 
 func TestTrafficBelowBaseline(t *testing.T) {
 	r := train.TestModel()
-	k := New(testConfig(0.3, true))
+	k := NewSpAtten(spattenConfig(0.3, true))
 	dec := model.NewDecoder(r.Params, k)
 	dec.MustPrompt(r.Held[:128])
 	for i := 0; i < 16; i++ {
@@ -105,7 +105,7 @@ func TestKeepRatioOneIsLossless(t *testing.T) {
 	// logits as a fresh decoder using exact attention, within quantization
 	// tolerance.
 	r := train.TestModel()
-	k := New(testConfig(1.0, false))
+	k := NewSpAtten(spattenConfig(1.0, false))
 	decP := model.NewDecoder(r.Params, k)
 	decE := model.NewDecoder(r.Params, nil)
 	toks := r.Held[:48]
@@ -135,7 +135,7 @@ func TestLowerKeepRatioDegradesPPLMore(t *testing.T) {
 		held = held[:300]
 	}
 	ppl := func(keep float64) float64 {
-		return train.Perplexity(r.Params, held, New(testConfig(keep, true)), 32)
+		return train.Perplexity(r.Params, held, NewSpAtten(spattenConfig(keep, true)), 32)
 	}
 	full := ppl(1.0)
 	tight := ppl(0.15)
@@ -146,9 +146,9 @@ func TestLowerKeepRatioDegradesPPLMore(t *testing.T) {
 
 func TestMinKeepFloor(t *testing.T) {
 	r := train.TestModel()
-	cfg := testConfig(0.01, false)
+	cfg := spattenConfig(0.01, false)
 	cfg.MinKeep = 6
-	k := New(cfg)
+	k := NewSpAtten(cfg)
 	dec := model.NewDecoder(r.Params, k)
 	dec.MustPrompt(r.Held[:64])
 	for i := 0; i < 6; i++ {

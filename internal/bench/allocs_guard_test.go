@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"tokenpicker/internal/attention"
 	"tokenpicker/internal/exec"
 	"tokenpicker/internal/model"
 	"tokenpicker/internal/obs"
@@ -26,30 +27,6 @@ func TestAttendSteadyStateZeroAllocs(t *testing.T) {
 		t.Skip("allocation accounting is skewed by race instrumentation")
 	}
 	cfg := model.TestConfig()
-	params := model.NewParams(cfg, 31)
-	dec := model.NewDecoder(params, nil) // exact prompt fills the KV caches
-	prompt := make([]int, 96)
-	for i := range prompt {
-		prompt[i] = (i * 13) % cfg.VocabSize
-	}
-	dec.MustPrompt(prompt)
-	n := dec.Len()
-
-	d := cfg.DModel()
-	rng := rand.New(rand.NewSource(33))
-	q := make([]float32, d)
-	for i := range q {
-		q[i] = float32(rng.NormFloat64())
-	}
-	out := make([]float32, d)
-	slopes := make([]float32, cfg.Heads)
-	keys := make([]tensor.RowSource, cfg.Heads)
-	vals := make([]tensor.RowSource, cfg.Heads)
-	for h := 0; h < cfg.Heads; h++ {
-		slopes[h] = cfg.AlibiSlope(h)
-		keys[h], vals[h] = dec.Cache(0, h)
-	}
-
 	pool := exec.NewPool(2)
 	defer pool.Close()
 	executors := []struct {
@@ -59,21 +36,10 @@ func TestAttendSteadyStateZeroAllocs(t *testing.T) {
 		{"serial", exec.Serial{}},
 		{"pool", pool},
 	}
+	batch := warmLayerBatch(cfg)
+	n := batch.Ns[0]
 	for _, et := range executors {
-		batch := model.AttendBatch{
-			Layer:   0,
-			Rows:    1,
-			Ns:      []int{n},
-			Heads:   cfg.Heads,
-			HeadDim: cfg.HeadDim,
-			Scale:   float32(1 / math.Sqrt(float64(cfg.HeadDim))),
-			Slopes:  slopes,
-			Q:       q,
-			Out:     out,
-			Keys:    keys,
-			Vals:    vals,
-			Exec:    et.ex,
-		}
+		batch.Exec = et.ex
 		// Fresh kernels per executor so each provisions its own slot count.
 		for _, name := range DecodeKernels() {
 			k := newDecodeKernel(name, cfg)
@@ -98,12 +64,7 @@ func TestAttendSteadyStateZeroAllocs(t *testing.T) {
 	tracer := obs.NewTracer(1 << 10)
 	tracer.SetSink(obs.NewJSONLWriter(io.Discard))
 	k := newDecodeKernel(DecodeKernels()[0], cfg)
-	batch := model.AttendBatch{
-		Layer: 0, Rows: 1, Ns: []int{n}, Heads: cfg.Heads, HeadDim: cfg.HeadDim,
-		Scale:  float32(1 / math.Sqrt(float64(cfg.HeadDim))),
-		Slopes: slopes, Q: q, Out: out, Keys: keys, Vals: vals,
-		Exec: exec.Serial{},
-	}
+	batch.Exec = exec.Serial{}
 	var step int32
 	instrumented := func() {
 		start := time.Now()
@@ -121,6 +82,79 @@ func TestAttendSteadyStateZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, instrumented); allocs != 0 {
 		t.Errorf("instrumented decode step allocates %g times per call", allocs)
+	}
+}
+
+// warmLayerBatch returns a one-row, layer-0 batch over a 96-token context that
+// an exact prompt filled, on the serial executor: the fixed-context input of
+// the steady-state guards.
+func warmLayerBatch(cfg model.Config) model.AttendBatch {
+	dec := model.NewDecoder(model.NewParams(cfg, 31), nil)
+	prompt := make([]int, 96)
+	for i := range prompt {
+		prompt[i] = (i * 13) % cfg.VocabSize
+	}
+	dec.MustPrompt(prompt)
+
+	d := cfg.DModel()
+	rng := rand.New(rand.NewSource(33))
+	q := make([]float32, d)
+	for i := range q {
+		q[i] = float32(rng.NormFloat64())
+	}
+	slopes := make([]float32, cfg.Heads)
+	keys := make([]tensor.RowSource, cfg.Heads)
+	vals := make([]tensor.RowSource, cfg.Heads)
+	for h := 0; h < cfg.Heads; h++ {
+		slopes[h] = cfg.AlibiSlope(h)
+		keys[h], vals[h] = dec.Cache(0, h)
+	}
+	return model.AttendBatch{
+		Layer: 0, Rows: 1, Ns: []int{dec.Len()}, Heads: cfg.Heads, HeadDim: cfg.HeadDim,
+		Scale:  float32(1 / math.Sqrt(float64(cfg.HeadDim))),
+		Slopes: slopes, Q: q, Out: make([]float32, d), Keys: keys, Vals: vals,
+		Exec: exec.Serial{},
+	}
+}
+
+// TestServingStatsDrainAllocs guards the serving engine's statistics drain:
+// after every iteration a runner calls Stats and then ResetStats on its
+// kernel. On top of a steady-state AttendLayer that round may allocate only
+// the merged ChunkFetches copy Stats hands the caller — at most once — for
+// every kernel with statistics, at executor widths 1 and 2. A reset that
+// dropped the per-slot ChunkFetches backing, or a merge that grew its
+// result append by append, allocated six times per round.
+func TestServingStatsDrainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is skewed by race instrumentation")
+	}
+	cfg := model.TestConfig()
+	pool := exec.NewPool(2)
+	defer pool.Close()
+	batch := warmLayerBatch(cfg)
+	for _, ex := range []exec.Executor{exec.Serial{}, pool} {
+		batch.Exec = ex
+		for _, name := range QuantizedDecodeKernels() {
+			k := newDecodeKernel(name, cfg).(interface {
+				model.Kernel
+				Stats() attention.Stats
+				ResetStats()
+			})
+			round := func() {
+				k.AttendLayer(batch)
+				if k.Stats().Instances != int64(cfg.Heads) {
+					t.Fatalf("%s: one round should count %d instances", name, cfg.Heads)
+				}
+				k.ResetStats()
+			}
+			for i := 0; i < 3; i++ {
+				round()
+			}
+			if allocs := testing.AllocsPerRun(100, round); allocs > 1 {
+				t.Errorf("%s at width %d: AttendLayer + Stats + ResetStats allocates %g times per round (want <= 1)",
+					name, ex.Width(), allocs)
+			}
+		}
 	}
 }
 

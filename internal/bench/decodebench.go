@@ -7,7 +7,6 @@ import (
 	"tokenpicker/internal/attention"
 	"tokenpicker/internal/exec"
 	"tokenpicker/internal/model"
-	"tokenpicker/internal/spatten"
 	"tokenpicker/internal/tensor"
 )
 
@@ -100,7 +99,7 @@ func newDecodeKernel(name string, cfg model.Config) model.Kernel {
 	case "oracle":
 		return attention.NewOracle(1e-3)
 	case "spatten":
-		return spatten.New(spatten.Config{
+		return attention.NewSpAtten(attention.SpAttenConfig{
 			KeepRatio: 0.5, MinKeep: 4,
 			Layers: cfg.Layers, Heads: cfg.Heads,
 			Cascade: true, Bits: 12,

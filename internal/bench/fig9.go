@@ -5,7 +5,6 @@ import (
 
 	"tokenpicker/internal/attention"
 	"tokenpicker/internal/model"
-	"tokenpicker/internal/spatten"
 	"tokenpicker/internal/train"
 )
 
@@ -51,13 +50,13 @@ func Fig9(opts Options, splits []Fig9Split, budget float64) (*Table, []Fig9Row) 
 		evalRun(r, baseK, sp.Prompt, gen, opts.Parallel)
 		baseBytes := baseK.Stats().KBytes + baseK.Stats().VBytes
 
-		spCfg := spatten.Config{
+		spCfg := attention.SpAttenConfig{
 			KeepRatio: 0.5, MinKeep: 8,
 			Layers: cfg.Layers, Heads: cfg.Heads, Cascade: false, Bits: 12,
 		}
 		keep := CalibrateKeepRatio(r, spCfg, sp.Prompt, gen, budget, opts.Parallel)
 		spCfg.KeepRatio = keep
-		spK := spatten.New(spCfg)
+		spK := attention.NewSpAtten(spCfg)
 		evalRun(r, spK, sp.Prompt, gen, opts.Parallel)
 		spBytes := spK.Stats().KBytes + spK.Stats().VBytes
 
@@ -67,7 +66,7 @@ func Fig9(opts Options, splits []Fig9Split, budget float64) (*Table, []Fig9Row) 
 		starCfg.Cascade = true
 		keepStar := CalibrateKeepRatio(r, starCfg, sp.Prompt, gen, budget*2, opts.Parallel)
 		starCfg.KeepRatio = keepStar
-		starK := spatten.New(starCfg)
+		starK := attention.NewSpAtten(starCfg)
 		evalRun(r, starK, sp.Prompt, gen, opts.Parallel)
 		starBytes := starK.Stats().KBytes + starK.Stats().VBytes
 

@@ -10,7 +10,6 @@ import (
 	"tokenpicker/internal/fixed"
 	"tokenpicker/internal/model"
 	"tokenpicker/internal/sim/arch"
-	"tokenpicker/internal/spatten"
 	"tokenpicker/internal/tensor"
 	"tokenpicker/internal/train"
 )
@@ -148,7 +147,7 @@ func CalibrateThreshold(r *train.Result, promptLen, evalTokens int, budget float
 
 // CalibrateKeepRatio bisects the SpAtten keep ratio to the same budget,
 // with the same parallel semantics as CalibrateThreshold.
-func CalibrateKeepRatio(r *train.Result, cfg spatten.Config, promptLen, evalTokens int, budget float64, parallel int) float64 {
+func CalibrateKeepRatio(r *train.Result, cfg attention.SpAttenConfig, promptLen, evalTokens int, budget float64, parallel int) float64 {
 	base := evalRun(r, attention.NewQuantizedExact(), promptLen, evalTokens, parallel)
 	lo, hi := 0.02, 1.0
 	best := hi
@@ -156,7 +155,7 @@ func CalibrateKeepRatio(r *train.Result, cfg spatten.Config, promptLen, evalToke
 		mid := (lo + hi) / 2
 		c := cfg
 		c.KeepRatio = mid
-		ppl := evalRun(r, spatten.New(c), promptLen, evalTokens, parallel)
+		ppl := evalRun(r, attention.NewSpAtten(c), promptLen, evalTokens, parallel)
 		if ppl-base <= budget {
 			best = mid
 			hi = mid

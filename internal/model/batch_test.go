@@ -7,7 +7,6 @@ import (
 	"tokenpicker/internal/attention"
 	"tokenpicker/internal/exec"
 	"tokenpicker/internal/model"
-	"tokenpicker/internal/spatten"
 )
 
 // batchKernels are the generation kernels whose outputs must not depend on
@@ -25,7 +24,7 @@ var batchKernels = []struct {
 	{"oracle", func() model.Kernel { return attention.NewOracle(1e-3) }, 4},
 	{"spatten", func() model.Kernel {
 		cfg := model.TestConfig()
-		return spatten.New(spatten.Config{
+		return attention.NewSpAtten(attention.SpAttenConfig{
 			KeepRatio: 0.5, MinKeep: 4,
 			Layers: cfg.Layers, Heads: cfg.Heads,
 			Cascade: true, Bits: 12,

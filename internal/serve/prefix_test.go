@@ -8,7 +8,6 @@ import (
 
 	"tokenpicker/internal/attention"
 	"tokenpicker/internal/model"
-	"tokenpicker/internal/spatten"
 	"tokenpicker/internal/train"
 )
 
@@ -21,7 +20,7 @@ func prefixTestKernels(cfg model.Config) map[string]func() model.Kernel {
 		"token-picker":    func() model.Kernel { return attention.NewTokenPicker(1e-3) },
 		"oracle":          func() model.Kernel { return attention.NewOracle(1e-3) },
 		"spatten": func() model.Kernel {
-			return spatten.New(spatten.Config{
+			return attention.NewSpAtten(attention.SpAttenConfig{
 				KeepRatio: 0.5, MinKeep: 4,
 				Layers: cfg.Layers, Heads: cfg.Heads,
 				Cascade: true, Bits: 12,
