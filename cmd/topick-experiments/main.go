@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"tokenpicker/internal/bench"
-	"tokenpicker/internal/exec"
 )
 
 func main() {
@@ -25,7 +24,6 @@ func main() {
 		all       = flag.Bool("all", false, "regenerate everything")
 		ablations = flag.Bool("ablations", false, "run the design-choice ablation suite")
 		quick     = flag.Bool("quick", false, "reduced scale (subset of models, short training)")
-		parallel  = flag.Int("parallel", 1, "head-executor width for perplexity decodes (0 = NumCPU; bit-identical results)")
 	)
 	flag.Parse()
 
@@ -33,7 +31,6 @@ func main() {
 	if *quick || os.Getenv("TOPICK_QUICK") != "" {
 		opts = bench.Quick()
 	}
-	opts.Parallel = exec.ResolveWidth(*parallel)
 	if !*all && *fig == 0 && *table == 0 && !*ablations {
 		flag.Usage()
 		os.Exit(2)

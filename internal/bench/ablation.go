@@ -22,7 +22,7 @@ type AblationRow struct {
 // runVariant evaluates one estimator configuration on the first stand-in.
 func runVariant(r *train.Result, opts Options, name string, cfg core.Config, baseBytes int64, basePPL float64) AblationRow {
 	k := attention.NewTokenPickerFrom(cfg)
-	ppl := evalRun(r, k, opts.PromptLen, opts.EvalTokens, opts.Parallel)
+	ppl := evalRun(r, k, opts.PromptLen, opts.EvalTokens)
 	st := k.Stats()
 	return AblationRow{
 		Name:    name,
@@ -41,7 +41,7 @@ func runVariant(r *train.Result, opts Options, name string, cfg core.Config, bas
 func AblationChunkWidth(opts Options) (*Table, []AblationRow) {
 	r := trainFirst(opts)
 	base := attention.NewQuantizedExact()
-	basePPL := evalRun(r, base, opts.PromptLen, opts.EvalTokens, opts.Parallel)
+	basePPL := evalRun(r, base, opts.PromptLen, opts.EvalTokens)
 	baseBytes := base.Stats().KBytes + base.Stats().VBytes
 
 	t := &Table{
@@ -69,7 +69,7 @@ func AblationChunkWidth(opts Options) (*Table, []AblationRow) {
 func AblationOrdering(opts Options) (*Table, []AblationRow) {
 	r := trainFirst(opts)
 	base := attention.NewQuantizedExact()
-	basePPL := evalRun(r, base, opts.PromptLen, opts.EvalTokens, opts.Parallel)
+	basePPL := evalRun(r, base, opts.PromptLen, opts.EvalTokens)
 	baseBytes := base.Stats().KBytes + base.Stats().VBytes
 
 	t := &Table{
@@ -94,7 +94,7 @@ func AblationOrdering(opts Options) (*Table, []AblationRow) {
 func AblationSchedule(opts Options) (*Table, []AblationRow) {
 	r := trainFirst(opts)
 	base := attention.NewQuantizedExact()
-	basePPL := evalRun(r, base, opts.PromptLen, opts.EvalTokens, opts.Parallel)
+	basePPL := evalRun(r, base, opts.PromptLen, opts.EvalTokens)
 	baseBytes := base.Stats().KBytes + base.Stats().VBytes
 
 	t := &Table{
@@ -119,7 +119,7 @@ func AblationSchedule(opts Options) (*Table, []AblationRow) {
 func AblationDenominator(opts Options) (*Table, []AblationRow) {
 	r := trainFirst(opts)
 	base := attention.NewQuantizedExact()
-	basePPL := evalRun(r, base, opts.PromptLen, opts.EvalTokens, opts.Parallel)
+	basePPL := evalRun(r, base, opts.PromptLen, opts.EvalTokens)
 	baseBytes := base.Stats().KBytes + base.Stats().VBytes
 
 	t := &Table{
@@ -146,7 +146,7 @@ func AblationDenominator(opts Options) (*Table, []AblationRow) {
 func AblationFixedPoint(opts Options) (*Table, []AblationRow) {
 	r := trainFirst(opts)
 	base := attention.NewQuantizedExact()
-	basePPL := evalRun(r, base, opts.PromptLen, opts.EvalTokens, opts.Parallel)
+	basePPL := evalRun(r, base, opts.PromptLen, opts.EvalTokens)
 	baseBytes := base.Stats().KBytes + base.Stats().VBytes
 
 	t := &Table{

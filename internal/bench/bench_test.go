@@ -173,12 +173,12 @@ func TestTables(t *testing.T) {
 func TestCalibrateThreshold(t *testing.T) {
 	opts := Quick()
 	r := trainFirst(opts)
-	thr := CalibrateThreshold(r, opts.PromptLen, opts.EvalTokens, 0.5, opts.Parallel)
+	thr := CalibrateThreshold(r, opts.PromptLen, opts.EvalTokens, 0.5)
 	if thr <= 0 || thr >= 1 {
 		t.Fatalf("calibrated threshold %g out of range", thr)
 	}
 	// A generous budget must allow at least the most conservative probe.
-	tight := CalibrateThreshold(r, opts.PromptLen, opts.EvalTokens, 5.0, opts.Parallel)
+	tight := CalibrateThreshold(r, opts.PromptLen, opts.EvalTokens, 5.0)
 	if tight < thr {
 		t.Fatalf("wider budget produced tighter threshold: %g < %g", tight, thr)
 	}

@@ -50,11 +50,11 @@ func Fig8(opts Options) (*Table, []Fig8Row) {
 		row := Fig8Row{Model: pm.Paper}
 
 		base := attention.NewQuantizedExact()
-		row.BasePPL = evalRun(r, base, opts.PromptLen, opts.EvalTokens, opts.Parallel)
+		row.BasePPL = evalRun(r, base, opts.PromptLen, opts.EvalTokens)
 		baseStats := base.Stats()
 
 		tp := attention.NewTokenPicker(opts.ThrToPick)
-		row.TPPPL = evalRun(r, tp, opts.PromptLen, opts.EvalTokens, opts.Parallel)
+		row.TPPPL = evalRun(r, tp, opts.PromptLen, opts.EvalTokens)
 		st := tp.Stats()
 		row.TPKAccess = float64(st.KBytes) / float64(baseStats.KBytes)
 		row.TPVAccess = float64(st.VBytes) / float64(baseStats.VBytes)
@@ -64,7 +64,7 @@ func Fig8(opts Options) (*Table, []Fig8Row) {
 		row.TPTotalRed = st.TotalReduction()
 
 		tp03 := attention.NewTokenPicker(opts.ThrToPick03)
-		row.TP03PPL = evalRun(r, tp03, opts.PromptLen, opts.EvalTokens, opts.Parallel)
+		row.TP03PPL = evalRun(r, tp03, opts.PromptLen, opts.EvalTokens)
 		st03 := tp03.Stats()
 		row.TP03KAccess = float64(st03.KBytes) / float64(baseStats.KBytes)
 		row.TP03VAccess = float64(st03.VBytes) / float64(baseStats.VBytes)

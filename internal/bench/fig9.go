@@ -47,31 +47,31 @@ func Fig9(opts Options, splits []Fig9Split, budget float64) (*Table, []Fig9Row) 
 		}
 
 		baseK := attention.NewQuantizedExact()
-		evalRun(r, baseK, sp.Prompt, gen, opts.Parallel)
+		evalRun(r, baseK, sp.Prompt, gen)
 		baseBytes := baseK.Stats().KBytes + baseK.Stats().VBytes
 
 		spCfg := attention.SpAttenConfig{
 			KeepRatio: 0.5, MinKeep: 8,
 			Layers: cfg.Layers, Heads: cfg.Heads, Cascade: false, Bits: 12,
 		}
-		keep := CalibrateKeepRatio(r, spCfg, sp.Prompt, gen, budget, opts.Parallel)
+		keep := CalibrateKeepRatio(r, spCfg, sp.Prompt, gen, budget)
 		spCfg.KeepRatio = keep
 		spK := attention.NewSpAtten(spCfg)
-		evalRun(r, spK, sp.Prompt, gen, opts.Parallel)
+		evalRun(r, spK, sp.Prompt, gen)
 		spBytes := spK.Stats().KBytes + spK.Stats().VBytes
 
 		// Starred variant: cascade schedule, calibrated with a widened
 		// budget standing in for fine-tuned recovery.
 		starCfg := spCfg
 		starCfg.Cascade = true
-		keepStar := CalibrateKeepRatio(r, starCfg, sp.Prompt, gen, budget*2, opts.Parallel)
+		keepStar := CalibrateKeepRatio(r, starCfg, sp.Prompt, gen, budget*2)
 		starCfg.KeepRatio = keepStar
 		starK := attention.NewSpAtten(starCfg)
-		evalRun(r, starK, sp.Prompt, gen, opts.Parallel)
+		evalRun(r, starK, sp.Prompt, gen)
 		starBytes := starK.Stats().KBytes + starK.Stats().VBytes
 
 		tpK := attention.NewTokenPicker(opts.ThrToPick05)
-		evalRun(r, tpK, sp.Prompt, gen, opts.Parallel)
+		evalRun(r, tpK, sp.Prompt, gen)
 		tpBytes := tpK.Stats().KBytes + tpK.Stats().VBytes
 
 		row := Fig9Row{

@@ -2,8 +2,10 @@ package bench
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
+	"tokenpicker/internal/attention"
 	"tokenpicker/internal/exec"
 	"tokenpicker/internal/model"
 	"tokenpicker/internal/serve"
@@ -30,10 +32,19 @@ func parallelTestConfig() model.Config {
 func decodeLogits(t *testing.T, cfg model.Config, kernel model.Kernel,
 	prov model.CacheProvider, ex exec.Executor, steps int) [][]float32 {
 	t.Helper()
+	return decodeAll(cfg, kernel, prov, func(dec *model.Decoder) { dec.Exec = ex }, 24, steps)
+}
+
+// decodeAll is decodeLogits with a promptLen-token prompt and the decoder
+// as NewDecoderWith builds it, after setup (when non-nil) adjusts it.
+func decodeAll(cfg model.Config, kernel model.Kernel, prov model.CacheProvider,
+	setup func(*model.Decoder), promptLen, steps int) [][]float32 {
 	params := model.NewParams(cfg, 77)
 	dec := model.NewDecoderWith(params, kernel, prov)
-	dec.Exec = ex
-	prompt := make([]int, 24)
+	if setup != nil {
+		setup(dec)
+	}
+	prompt := make([]int, promptLen)
 	for i := range prompt {
 		prompt[i] = (i*5 + 3) % cfg.VocabSize
 	}
@@ -92,6 +103,58 @@ func TestPoolExecutorBitIdenticalToSerial(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestDefaultDecoderBitIdenticalToSerial checks the default a library
+// decoder gets — Exec = exec.Shared(), the process-wide pool — against
+// Exec = nil (serial) for every kernel on both cache providers, over a
+// 100-token prompt (four prompt chunks, exact attention on the pool) and
+// 64 generation steps. Every logit must match bit for bit.
+func TestDefaultDecoderBitIdenticalToSerial(t *testing.T) {
+	cfg := parallelTestConfig()
+	const prompt, steps = 100, 64
+	providers := []struct {
+		name string
+		mk   func() model.CacheProvider
+	}{
+		{"dense", func() model.CacheProvider { return nil }},
+		{"paged", func() model.CacheProvider { return serve.NewPool(5, cfg.HeadDim, 0).Provider() }},
+	}
+	for _, kernel := range DecodeKernels() {
+		for _, prov := range providers {
+			t.Run(kernel+"/"+prov.name, func(t *testing.T) {
+				serial := func(dec *model.Decoder) { dec.Exec = nil }
+				want := decodeAll(cfg, newDecodeKernel(kernel, cfg), prov.mk(), serial, prompt, steps)
+				got := decodeAll(cfg, newDecodeKernel(kernel, cfg), prov.mk(), nil, prompt, steps)
+				for s := range want {
+					for v := range want[s] {
+						if want[s][v] != got[s][v] {
+							t.Fatalf("step %d vocab %d: serial %g != default %g",
+								s, v, want[s][v], got[s][v])
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// TestSharedExecutorGoroutinesBounded checks that decoders share one pool:
+// building, stepping and releasing 200 default decoders starts at most the
+// shared pool's GOMAXPROCS-1 workers, not a pool per decoder.
+func TestSharedExecutorGoroutinesBounded(t *testing.T) {
+	cfg := parallelTestConfig()
+	params := model.NewParams(cfg, 79)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 200; i++ {
+		dec := model.NewDecoder(params, attention.NewTokenPicker(1e-3))
+		dec.MustPrompt([]int{1, 2, 3})
+		dec.MustStep(i % cfg.VocabSize)
+		dec.Release()
+	}
+	if grew, limit := runtime.NumGoroutine()-before, runtime.GOMAXPROCS(0)-1; grew > limit {
+		t.Fatalf("200 decoders raised the goroutine count by %d, want <= %d", grew, limit)
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 
 	"tokenpicker/internal/attention"
 	"tokenpicker/internal/core"
-	"tokenpicker/internal/exec"
 	"tokenpicker/internal/fixed"
 	"tokenpicker/internal/model"
 	"tokenpicker/internal/sim/arch"
@@ -33,11 +32,6 @@ type Options struct {
 	// approaching 1024), which is longer than the PPL eval window.
 	TracePrompt int
 	TraceEval   int
-	// Parallel is the head-executor width used by the perplexity decodes
-	// (<= 1 serial; parallel execution is bit-identical, just faster on
-	// multi-core hosts). cmd/topick-experiments threads its -parallel flag
-	// here.
-	Parallel int
 }
 
 // Full returns the experiment scale used by cmd/topick-experiments and the
@@ -82,20 +76,15 @@ func FromEnv() Options {
 }
 
 // evalRun decodes the held-out stream through the given kernel and returns
-// perplexity; kernel statistics accumulate inside the kernel. parallel is
-// the head-executor width (<= 1 serial); the choice never changes a logit
-// bit, only the wall clock.
-func evalRun(r *train.Result, kernel model.Kernel, promptLen, evalTokens, parallel int) float64 {
+// perplexity; kernel statistics accumulate inside the kernel.
+func evalRun(r *train.Result, kernel model.Kernel, promptLen, evalTokens int) float64 {
 	tokens := r.Held
 	need := promptLen + evalTokens + 1
 	if len(tokens) < need {
 		need = len(tokens)
 	}
 	tokens = tokens[:need]
-	ex := exec.New(parallel)
-	defer ex.Close()
 	dec := model.NewDecoder(r.Params, kernel)
-	dec.Exec = ex
 	dec.MustPrompt(tokens[:promptLen])
 	var nll float64
 	n := 0
@@ -126,15 +115,13 @@ type statKernel interface {
 // CalibrateThreshold bisects the Token-Picker threshold until held-out
 // perplexity degrades by about budget over the quantized-exact baseline.
 // Coarse by design (the paper tunes thresholds offline the same way).
-// parallel is the head-executor width of the eval decodes (<= 1 serial);
-// it cannot change the calibration result, only its wall clock.
-func CalibrateThreshold(r *train.Result, promptLen, evalTokens int, budget float64, parallel int) float64 {
-	base := evalRun(r, attention.NewQuantizedExact(), promptLen, evalTokens, parallel)
+func CalibrateThreshold(r *train.Result, promptLen, evalTokens int, budget float64) float64 {
+	base := evalRun(r, attention.NewQuantizedExact(), promptLen, evalTokens)
 	lo, hi := 1e-6, 0.2
 	best := lo
 	for iter := 0; iter < 7; iter++ {
 		mid := math.Sqrt(lo * hi) // geometric bisection
-		ppl := evalRun(r, attention.NewTokenPicker(mid), promptLen, evalTokens, parallel)
+		ppl := evalRun(r, attention.NewTokenPicker(mid), promptLen, evalTokens)
 		if ppl-base <= budget {
 			best = mid
 			lo = mid
@@ -145,17 +132,16 @@ func CalibrateThreshold(r *train.Result, promptLen, evalTokens int, budget float
 	return best
 }
 
-// CalibrateKeepRatio bisects the SpAtten keep ratio to the same budget,
-// with the same parallel semantics as CalibrateThreshold.
-func CalibrateKeepRatio(r *train.Result, cfg attention.SpAttenConfig, promptLen, evalTokens int, budget float64, parallel int) float64 {
-	base := evalRun(r, attention.NewQuantizedExact(), promptLen, evalTokens, parallel)
+// CalibrateKeepRatio bisects the SpAtten keep ratio to the same budget.
+func CalibrateKeepRatio(r *train.Result, cfg attention.SpAttenConfig, promptLen, evalTokens int, budget float64) float64 {
+	base := evalRun(r, attention.NewQuantizedExact(), promptLen, evalTokens)
 	lo, hi := 0.02, 1.0
 	best := hi
 	for iter := 0; iter < 6; iter++ {
 		mid := (lo + hi) / 2
 		c := cfg
 		c.KeepRatio = mid
-		ppl := evalRun(r, attention.NewSpAtten(c), promptLen, evalTokens, parallel)
+		ppl := evalRun(r, attention.NewSpAtten(c), promptLen, evalTokens)
 		if ppl-base <= budget {
 			best = mid
 			hi = mid
@@ -225,7 +211,7 @@ func CaptureTraces(r *train.Result, opts Options) []arch.Instance {
 		prompt = len(r.Held) * 2 / 3
 		eval = len(r.Held) - prompt - 1
 	}
-	evalRun(r, tk, prompt, eval, 1)
+	evalRun(r, tk, prompt, eval)
 	return tk.Instances
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -224,4 +225,77 @@ func TestPoolRunSteadyStateZeroAllocs(t *testing.T) {
 	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
 		t.Fatalf("steady-state Pool.Run allocates %g times per call", allocs)
 	}
+	// A pool another caller holds runs the batch inline.
+	p.busy.Store(true)
+	defer p.busy.Store(false)
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("busy-pool Pool.Run allocates %g times per call", allocs)
+	}
+	for i := 0; i < 8; i++ {
+		if c.slots[i].Load() != 0 {
+			t.Fatalf("busy pool ran task %d on slot %d, want inline on 0", i, c.slots[i].Load())
+		}
+	}
+}
+
+// TestPoolConcurrentRunsRace drives one pool from several goroutines at once,
+// the shared pool's situation when decoders on different goroutines step
+// together: a Run that finds the pool busy runs inline on slot 0, so every
+// task still runs exactly once, on a slot below its batch's parts, and no
+// caller's slot is entered twice at once.
+func TestPoolConcurrentRunsRace(t *testing.T) {
+	const (
+		width   = 3
+		callers = 4
+		runs    = 2000
+	)
+	p := NewPool(width)
+	defer p.Close()
+	var wg sync.WaitGroup
+	errs := make(chan string, callers)
+	for g := 0; g < callers; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for r := 0; r < runs; r++ {
+				n := 1 + rng.Intn(64)
+				c := newCountingTasks(n, min(width, n), 20)
+				p.Run(n, c)
+				if c.fail.Load() {
+					errs <- "slot contract violated (slot >= parts or concurrent slot sharing)"
+					return
+				}
+				for i := 0; i < n; i++ {
+					if got := c.ran[i].Load(); got != 1 {
+						errs <- "a task did not run exactly once"
+						return
+					}
+				}
+			}
+		}(int64(g + 1))
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+}
+
+// TestSharedIsOneUnclosablePool pins Shared's lifecycle: one executor per
+// process, as wide as GOMAXPROCS (Serial on one CPU), and Close leaves it
+// running.
+func TestSharedIsOneUnclosablePool(t *testing.T) {
+	ex := Shared()
+	if Shared() != ex {
+		t.Fatal("Shared returned two executors")
+	}
+	if w := runtime.GOMAXPROCS(0); ex.Width() != w {
+		t.Fatalf("shared width %d, want GOMAXPROCS %d", ex.Width(), w)
+	}
+	ex.Close()
+	const n = 40
+	c := newCountingTasks(n, ex.Width(), 10)
+	ex.Run(n, c)
+	c.check(t, n)
 }

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -140,7 +141,8 @@ func (l *Loader) DiscoverPackages() ([]string, error) {
 	return paths, nil
 }
 
-// sourceFiles lists the non-test .go files of dir, sorted.
+// sourceFiles lists the non-test .go files of dir that build on this
+// platform (file-name and //go:build constraints), sorted.
 func sourceFiles(dir string) ([]string, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -151,6 +153,13 @@ func sourceFiles(dir string) ([]string, error) {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") ||
 			strings.HasSuffix(name, "_test.go") || strings.HasPrefix(name, ".") {
+			continue
+		}
+		ok, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
 			continue
 		}
 		names = append(names, name)

@@ -415,9 +415,11 @@ type headCache struct {
 // A Decoder is not goroutine-safe, and neither are the kernels plugged into
 // it. Concurrent sessions each need their own Decoder (sharing one read-only
 // *Params is fine). The Exec field chooses the intra-step executor Step and
-// Prompt hand to the kernels: nil or exec.Serial walks heads in order, an
-// exec.Pool runs the heads of each layer across cores (prompt and generation
-// phases alike) with bit-identical results.
+// Prompt hand to the kernels, with bit-identical results either way.
+// NewDecoder sets it to exec.Shared(), the process-wide pool, so the heads
+// of each layer (prompt and generation phases alike) run across cores;
+// decoders on other goroutines that find the pool busy run inline. Setting
+// Exec to nil walks the heads in order on the calling goroutine.
 type Decoder struct {
 	P      *Params
 	Kernel Kernel
@@ -442,20 +444,22 @@ const promptChunkRows = 32
 
 // NewDecoder creates a decoder with the given attention kernel for the
 // generation phase. kernel may be nil, which means exact attention
-// everywhere. KV storage uses the default on-demand dense provider.
+// everywhere. KV storage uses the default on-demand dense provider, and
+// Exec the shared pool.
 func NewDecoder(p *Params, kernel Kernel) *Decoder {
 	return NewDecoderWith(p, kernel, nil)
 }
 
 // NewDecoderWith creates a decoder whose KV caches come from the given
-// provider (nil = default dense provider). The serving engine passes a
-// pooled block-paged provider here so thousands of short sessions share
-// recycled storage.
+// provider (nil = default dense provider), with Exec set to exec.Shared().
+// The serving engine passes a pooled block-paged provider here so thousands
+// of short sessions share recycled storage; its runners step sessions with
+// executors of their own, so a session never uses Exec.
 func NewDecoderWith(p *Params, kernel Kernel, prov CacheProvider) *Decoder {
 	if prov == nil {
 		prov = denseProvider{}
 	}
-	dec := &Decoder{P: p, Kernel: kernel}
+	dec := &Decoder{P: p, Kernel: kernel, Exec: exec.Shared()}
 	dec.caches = make([][]headCache, p.Cfg.Layers)
 	dec.keySrc = make([][]tensor.RowSource, p.Cfg.Layers)
 	dec.valSrc = make([][]tensor.RowSource, p.Cfg.Layers)
