@@ -54,7 +54,7 @@ bench-smoke:
 #     instrumentation skews alloc counts, so the guards skip themselves there).
 EXACT_TESTS = BitExact|BitIdentical|MatchesSequential|Equivalence|Deterministic
 check: fmt-check vet lint build bench-smoke
-	TOPICK_QUICK=1 $(GO) test -race ./internal/fixed/ ./internal/core/ ./internal/attention/ ./internal/exec/ ./internal/obs/ ./internal/sample/ ./internal/serve/ ./internal/fleet/ ./internal/httpapi/ ./internal/bench/
+	TOPICK_QUICK=1 $(GO) test -race ./internal/fixed/ ./internal/core/ ./internal/attention/ ./internal/exec/ ./internal/model/ ./internal/obs/ ./internal/sample/ ./internal/serve/ ./internal/fleet/ ./internal/httpapi/ ./internal/bench/
 	GOMAXPROCS=1 TOPICK_QUICK=1 $(GO) test -count=1 -run '$(EXACT_TESTS)' ./internal/...
 	GOMAXPROCS=$(NCPU) TOPICK_QUICK=1 $(GO) test -count=1 -run '$(EXACT_TESTS)' ./internal/...
 	TOPICK_QUICK=1 $(GO) test -race -count=1 -run 'Race|Churn|Fairness|Requeue' ./internal/...

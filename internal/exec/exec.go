@@ -1,11 +1,13 @@
-// Package exec provides the intra-step execution strategies behind the
-// decoder's per-layer attention batches. A model.Kernel receives one
-// layer's whole batch at once (model.AttendBatch) — all heads of a single
+// Package exec provides the intra-step execution strategies behind every
+// stage of a decoder layer. A model.Kernel receives one layer's whole
+// attention batch at once (model.AttendBatch) — all heads of a single
 // session's step, or rows × heads when the serving engine batches token
-// rows across sessions — and schedules the tasks on an Executor: Serial
-// runs them inline (the reference order), Pool fans them out over
-// persistent workers with work-stealing, so a single iteration uses every
-// core the host offers instead of walking (row, head) pairs one at a time.
+// rows across sessions — and the engine hands the layer's dense stages
+// (Q/K/V, Wo, the FFN) over as blocks of output rows or of whole token rows.
+// An Executor schedules the tasks: Serial runs them inline (the reference
+// order), Pool fans them out over persistent workers with work-stealing, so
+// a single iteration uses every core the host offers instead of walking the
+// tasks one at a time.
 //
 // Shared is the process-wide Pool that library decoders default to: a lone
 // decoding stream otherwise leaves all cores but one idle. The serving

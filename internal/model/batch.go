@@ -58,13 +58,19 @@ type BatchEntry struct {
 }
 
 // BatchEngine is the transformer forward pass: one Step advances every
-// entry's rows through the layers together. The projection and FFN stages run
-// one tensor.MatVec per row; attention is submitted as one multi-row
-// AttendBatch per layer per phase kernel, so the executor sees rows×heads
-// tasks. A row's arithmetic does not depend on which other rows share its
-// step, so logits and KV rows are bit-identical however a token sequence is
-// split into steps and entries — one row at a time (Decoder.Step), a prompt
-// chunk, or many sessions' rows at once.
+// entry's rows through the layers together, and every stage of a layer runs
+// on the step's executor. Attention is submitted as one multi-row AttendBatch
+// per layer per phase kernel, so the executor sees rows×heads tasks. The
+// dense stages — Q/K/V (one Run for all three), Wo, W1 with its GELU, and W2
+// — split by the step's row count: a single row cuts each matrix's output
+// rows into blocks at multiples of 4, several rows go out as contiguous
+// blocks of whole rows. Either way each output element is the same 4-wide
+// tensor.MatVec sum as in a whole-matrix, row-at-a-time pass; LayerNorm, one
+// reduction per row, stays on the caller. A row's arithmetic does not depend
+// on which other rows share its step or on the executor's width, so logits
+// and KV rows are bit-identical however a token sequence is split into steps
+// and entries — one row at a time (Decoder.Step), a prompt chunk, or many
+// sessions' rows at once.
 //
 // The engine owns the forward-pass scratch; it is not goroutine-safe and must
 // not be shared between concurrent Steps. Steady-state Step calls allocate
@@ -77,9 +83,12 @@ type BatchEngine struct {
 	rows []batchRow
 
 	// Row-batched scratch, rows*d (or rows*FFNDim) packed row-major.
-	x, h, q, attnOut, tmp []float32
-	ffnH                  []float32
-	logits                []float32
+	x, h, q, k, v, attnOut, tmp []float32
+	ffnH                        []float32
+	logits                      []float32
+
+	// The dense stage handed to the executor, refilled per stage.
+	stage denseStage
 
 	// Per-layer attention views, refilled each layer without allocating.
 	ns         []int
@@ -112,9 +121,9 @@ func NewBatchEngine(p *Params) *BatchEngine {
 // Step advances every entry by its tokens in one batched iteration. gen is
 // the generation-phase attention kernel shared by all decode rows (nil means
 // exact); prefill rows always use exact attention. ex schedules the
-// rows×heads attention tasks (nil = serial). Decode entries must precede
-// prefill entries. Per-entry storage failures land in BatchEntry.Err; the
-// rest of the batch is unaffected.
+// rows×heads attention tasks and the dense stages' blocks (nil = serial).
+// Decode entries must precede prefill entries. Per-entry storage failures
+// land in BatchEntry.Err; the rest of the batch is unaffected.
 //
 //topick:noalloc
 func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
@@ -178,6 +187,8 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 	e.x = tensor.Grow(e.x, R*d)
 	e.h = tensor.Grow(e.h, R*d)
 	e.q = tensor.Grow(e.q, R*d)
+	e.k = tensor.Grow(e.k, R*d)
+	e.v = tensor.Grow(e.v, R*d)
 	e.attnOut = tensor.Grow(e.attnOut, R*d)
 	e.tmp = tensor.Grow(e.tmp, R*d)
 	e.ffnH = tensor.Grow(e.ffnH, R*cfg.FFNDim())
@@ -220,40 +231,32 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 	}
 
 	for l, b := range e.p.Blocks {
-		// Attention sublayer: per-row QKV projections, KV rows appended to
-		// each row's own caches, then one multi-row AttendBatch per phase.
+		// Attention sublayer: QKV projections, KV rows appended to each
+		// row's own caches, then one multi-row AttendBatch per phase.
 		for r := 0; r < R; r++ {
 			tensor.LayerNorm(e.h[r*d:(r+1)*d], e.x[r*d:(r+1)*d], b.Ln1G, b.Ln1B, cfg.Eps)
 		}
-		project(e.q, b.Wq, b.Bq, e.h, R)
-		project(e.tmp, b.Wk, b.Bk, e.h, R)
+		e.dense(ex, R, e.h, false, gemv{b.Wq, b.Bq, e.q}, gemv{b.Wk, b.Bk, e.k}, gemv{b.Wv, b.Bv, e.v})
 		for r, row := range e.rows {
 			dec := entries[row.entry].Dec
 			for hIdx := 0; hIdx < H; hIdx++ {
-				copy(dec.caches[l][hIdx].K.Row(row.pos), e.tmp[r*d+hIdx*hd:r*d+(hIdx+1)*hd])
-			}
-		}
-		project(e.tmp, b.Wv, b.Bv, e.h, R)
-		for r, row := range e.rows {
-			dec := entries[row.entry].Dec
-			for hIdx := 0; hIdx < H; hIdx++ {
-				copy(dec.caches[l][hIdx].V.Row(row.pos), e.tmp[r*d+hIdx*hd:r*d+(hIdx+1)*hd])
+				copy(dec.caches[l][hIdx].K.Row(row.pos), e.k[r*d+hIdx*hd:r*d+(hIdx+1)*hd])
+				copy(dec.caches[l][hIdx].V.Row(row.pos), e.v[r*d+hIdx*hd:r*d+(hIdx+1)*hd])
 			}
 			copy(e.keys[r*H:(r+1)*H], dec.keySrc[l])
 			copy(e.vals[r*H:(r+1)*H], dec.valSrc[l])
 		}
 		e.attend(l, 0, decodeRows, scale, genKernel, ex, groups)
 		e.attend(l, decodeRows, R, scale, &e.exact, ex, nil)
-		project(e.tmp, b.Wo, b.Bo, e.attnOut, R)
+		e.dense(ex, R, e.attnOut, false, gemv{b.Wo, b.Bo, e.tmp})
 		tensor.Add(e.x, e.x, e.tmp)
 
 		// FFN sublayer.
 		for r := 0; r < R; r++ {
 			tensor.LayerNorm(e.h[r*d:(r+1)*d], e.x[r*d:(r+1)*d], b.Ln2G, b.Ln2B, cfg.Eps)
 		}
-		project(e.ffnH, b.W1, b.B1, e.h, R)
-		tensor.GELU(e.ffnH)
-		project(e.tmp, b.W2, b.B2, e.ffnH, R)
+		e.dense(ex, R, e.h, true, gemv{b.W1, b.B1, e.ffnH})
+		e.dense(ex, R, e.ffnH, false, gemv{b.W2, b.B2, e.tmp})
 		tensor.Add(e.x, e.x, e.tmp)
 	}
 
@@ -302,13 +305,79 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 	}
 }
 
-// project computes dst[r] = m*src[r] + bias for each of the rows vectors
-// packed back to back in src.
-func project(dst []float32, m *tensor.Mat, bias, src []float32, rows int) {
-	for r := 0; r < rows; r++ {
-		out := dst[r*m.Rows : (r+1)*m.Rows]
-		tensor.MatVec(out, m, src[r*m.Cols:(r+1)*m.Cols])
+// gemv is one matrix of a dense stage: dst[r] = m*src[r] + bias for every
+// row r of the step.
+type gemv struct {
+	m         *tensor.Mat
+	bias, dst []float32
+}
+
+// denseStage is the exec.Tasks adapter of one dense stage: up to three
+// matrices over the same src rows, cut into parts blocks each. Task t is
+// block t%parts of matrix t/parts. With one row a block is a run of output
+// rows starting and ending at multiples of 4 (the last block takes the
+// remainder), so every output element comes from the same 4-wide
+// tensor.MatVec pass as a whole-matrix call; with several rows a block is a
+// contiguous run of whole rows. Blocks write disjoint slices of dst, so any
+// schedule gives the serial bits.
+type denseStage struct {
+	g           [3]gemv
+	rows, parts int
+	src         []float32
+	gelu        bool // apply GELU to each output block (after W1)
+}
+
+// Do implements exec.Tasks.
+//
+//topick:noalloc
+func (s *denseStage) Do(t, _ int) {
+	g := &s.g[t/s.parts]
+	blk := t % s.parts
+	m := g.m
+	r0, r1, o0, o1 := 0, s.rows, 0, m.Rows
+	if s.rows == 1 {
+		quads := m.Rows / 4
+		o0 = 4 * (blk * quads / s.parts)
+		if blk+1 < s.parts {
+			o1 = 4 * ((blk + 1) * quads / s.parts)
+		}
+	} else {
+		r0, r1 = blk*s.rows/s.parts, (blk+1)*s.rows/s.parts
+	}
+	view := tensor.Mat{Rows: o1 - o0, Cols: m.Cols, Data: m.Data[o0*m.Cols : o1*m.Cols]}
+	bias := g.bias[o0:o1]
+	for r := r0; r < r1; r++ {
+		out := g.dst[r*m.Rows+o0 : r*m.Rows+o1]
+		tensor.MatVec(out, &view, s.src[r*m.Cols:(r+1)*m.Cols])
 		tensor.Add(out, out, bias)
+		if s.gelu {
+			tensor.GELU(out)
+		}
+	}
+}
+
+// dense runs one stage — up to three matrices of one output height, over the
+// rows of src — inline when ex is nil or one slot wide, else as one Run of
+// len(gs)×parts tasks, parts = min(width, rows) for several rows and
+// min(width, output rows/4) for one.
+func (e *BatchEngine) dense(ex exec.Executor, rows int, src []float32, gelu bool, gs ...gemv) {
+	s := &e.stage
+	n := copy(s.g[:], gs)
+	s.rows, s.src, s.gelu = rows, src, gelu
+	s.parts = 1
+	if ex != nil {
+		if rows == 1 {
+			s.parts = max(1, min(ex.Width(), s.g[0].m.Rows/4))
+		} else {
+			s.parts = min(ex.Width(), rows)
+		}
+	}
+	if s.parts == 1 {
+		for t := 0; t < n; t++ {
+			s.Do(t, 0)
+		}
+	} else {
+		ex.Run(n*s.parts, s)
 	}
 }
 

@@ -2,6 +2,7 @@ package model_test
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"tokenpicker/internal/attention"
@@ -254,51 +255,57 @@ func TestBatchEngineOrderingPanics(t *testing.T) {
 
 // TestBatchEngineSteadyStateZeroAllocs guards the batched decode hot path:
 // once scratch has grown and KV capacity covers the measured window, a
-// multi-session batched step must not allocate — under the serial executor
-// and the pool alike.
+// batched step must not allocate — under the serial executor and pools of
+// widths 2 and 3 alike, for one decode row (the dense stages split by output
+// rows) and for four (split by whole rows).
 func TestBatchEngineSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed by race instrumentation")
 	}
 	cfg := model.TestConfig()
 	p := model.NewParams(cfg, 19)
-	pool := exec.NewPool(2)
-	defer pool.Close()
+	pool2, pool3 := exec.NewPool(2), exec.NewPool(3)
+	defer pool2.Close()
+	defer pool3.Close()
 	executors := []struct {
 		name string
 		ex   exec.Executor
 	}{
 		{"serial", exec.Serial{}},
-		{"pool", pool},
+		{"pool", pool2},
+		{"pool3", pool3},
 	}
 	for _, tc := range executors {
 		t.Run(tc.name, func(t *testing.T) {
-			eng := model.NewBatchEngine(p)
-			const nSess = 4
-			entries := make([]model.BatchEntry, nSess)
-			tokens := make([][]int, nSess)
-			for i := 0; i < nSess; i++ {
-				dec := model.NewDecoder(p, nil)
-				// 90 prompt rows: dense caches round capacity up to 128, so
-				// the measured steps below never cross a growth boundary.
-				dec.MustPrompt(testPromptN(i, 90, cfg.VocabSize))
-				tokens[i] = []int{i + 1}
-				entries[i] = model.BatchEntry{Dec: dec, Tokens: tokens[i], NeedLogits: true}
-			}
-			step := func() {
-				eng.Step(entries, nil, tc.ex)
-				for i := range entries {
-					if entries[i].Err != nil {
-						t.Fatalf("entry %d: %v", i, entries[i].Err)
+			for _, nSess := range []int{1, 4} {
+				t.Run(fmt.Sprintf("R=%d", nSess), func(t *testing.T) {
+					eng := model.NewBatchEngine(p)
+					entries := make([]model.BatchEntry, nSess)
+					tokens := make([][]int, nSess)
+					for i := 0; i < nSess; i++ {
+						dec := model.NewDecoder(p, nil)
+						// 90 prompt rows: dense caches round capacity up to 128, so
+						// the measured steps below never cross a growth boundary.
+						dec.MustPrompt(testPromptN(i, 90, cfg.VocabSize))
+						tokens[i] = []int{i + 1}
+						entries[i] = model.BatchEntry{Dec: dec, Tokens: tokens[i], NeedLogits: true}
 					}
-					tokens[i][0] = argmax32(entries[i].Logits)
-				}
-			}
-			for i := 0; i < 10; i++ {
-				step() // warm scratch and per-slot kernel state
-			}
-			if allocs := testing.AllocsPerRun(20, step); allocs > 0 {
-				t.Fatalf("steady-state batched decode allocates %.1f allocs/op, want 0", allocs)
+					step := func() {
+						eng.Step(entries, nil, tc.ex)
+						for i := range entries {
+							if entries[i].Err != nil {
+								t.Fatalf("entry %d: %v", i, entries[i].Err)
+							}
+							tokens[i][0] = argmax32(entries[i].Logits)
+						}
+					}
+					for i := 0; i < 10; i++ {
+						step() // warm scratch and per-slot kernel state
+					}
+					if allocs := testing.AllocsPerRun(20, step); allocs > 0 {
+						t.Fatalf("steady-state batched decode allocates %.1f allocs/op, want 0", allocs)
+					}
+				})
 			}
 		})
 	}

@@ -39,8 +39,9 @@ type AttendBatch struct {
 	// Keys and Vals hold each task's KV cache view, indexed row*Heads+head;
 	// rows beyond the task's context length are stale.
 	Keys, Vals []tensor.RowSource
-	// Exec schedules the tasks; nil means serial. Kernels must route every
-	// task through Run so the executor choice is honoured.
+	// Exec schedules the tasks; nil means serial. It is the step's
+	// executor, which runs the layer's dense stages too. Kernels must route
+	// every task through Run so the executor choice is honoured.
 	Exec exec.Executor
 	// Groups, when non-nil, partitions the rows into consecutive runs that
 	// share mutable per-(layer, head) cache state: group g spans Groups[g]
@@ -415,15 +416,16 @@ type headCache struct {
 // A Decoder is not goroutine-safe, and neither are the kernels plugged into
 // it. Concurrent sessions each need their own Decoder (sharing one read-only
 // *Params is fine). The Exec field chooses the intra-step executor Step and
-// Prompt hand to the kernels, with bit-identical results either way.
+// Prompt hand to the engine, with bit-identical results either way.
 // NewDecoder sets it to exec.Shared(), the process-wide pool, so the heads
-// of each layer (prompt and generation phases alike) run across cores;
-// decoders on other goroutines that find the pool busy run inline. Setting
-// Exec to nil walks the heads in order on the calling goroutine.
+// and the Q/K/V, Wo and FFN blocks of each layer (prompt and generation
+// phases alike) run across cores; decoders on other goroutines that find the
+// pool busy run inline. Setting Exec to nil runs every stage in order on the
+// calling goroutine.
 type Decoder struct {
 	P      *Params
 	Kernel Kernel
-	Exec   exec.Executor // intra-step head executor; nil = serial
+	Exec   exec.Executor // intra-step executor of heads and dense blocks; nil = serial
 	n      int           // tokens consumed so far
 	caches [][]headCache
 

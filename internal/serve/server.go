@@ -98,10 +98,11 @@ type Config struct {
 	// (default 64).
 	DefaultMaxNew int
 	// HeadParallel is the intra-step parallelism of each runner: the
-	// rows×heads attention tasks of one layer run on this many executor
-	// slots (1 = serial, the default; 0 is treated as 1). Every runner owns
-	// its own executor, so the process runs up to Workers*HeadParallel
-	// attention goroutines — size the product to the machine. Results are
+	// rows×heads attention tasks of one layer, and the blocks of its
+	// Q/K/V, Wo and FFN stages, run on this many executor slots (1 =
+	// serial, the default; 0 is treated as 1). Every runner owns its own
+	// executor, so the process runs up to Workers*HeadParallel step
+	// goroutines — size the product to the machine. Results are
 	// bit-identical to serial execution regardless of the setting.
 	HeadParallel int
 	// SharePrefix enables prompt prefix sharing: the full BlockRows-sized

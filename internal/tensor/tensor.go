@@ -5,7 +5,9 @@
 // by side (MatVec computes four output rows per pass), but one sum is never
 // split over several accumulators — every float32 sum adds its terms in
 // ascending index order, so results do not depend on the unroll width and a
-// faster loop leaves every downstream bit where it was.
+// faster loop leaves every downstream bit where it was. A GEMV may be split
+// across output rows only at multiples of 4: MatVec over such a block of
+// rows is then the same passes as the whole-matrix call.
 package tensor
 
 import (

@@ -275,6 +275,43 @@ func TestMatVecBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
+// TestMatVecRowBlocksBitIdentical pins the split a GEMV may take across
+// cores: MatVec over a view of rows [lo, hi), lo a multiple of 4, writes the
+// same bits as rows [lo, hi) of the whole-matrix call — including a last
+// block that carries the rows%4 remainder.
+func TestMatVecRowBlocksBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(25))
+	for _, sh := range [][2]int{{18, 6}, {54, 18}, {35, 33}, {128, 128}, {512, 128}, {131, 512}} {
+		rows, cols := sh[0], sh[1]
+		m := NewMat(rows, cols)
+		m.RandInit(rng, 1)
+		v := make([]float32, cols)
+		for i := range v {
+			v[i] = float32(rng.NormFloat64())
+		}
+		want := make([]float32, rows)
+		MatVec(want, m, v)
+		for parts := 1; parts <= min(8, rows/4); parts++ {
+			got := make([]float32, rows)
+			quads := rows / 4
+			for blk := 0; blk < parts; blk++ {
+				lo, hi := 4*(blk*quads/parts), rows
+				if blk+1 < parts {
+					hi = 4 * ((blk + 1) * quads / parts)
+				}
+				view := FromSlice(hi-lo, cols, m.Data[lo*cols:hi*cols])
+				MatVec(got[lo:hi], view, v)
+			}
+			for i := range want {
+				if math.Float32bits(got[i]) != math.Float32bits(want[i]) {
+					t.Fatalf("%dx%d in %d blocks, row %d: %x != whole-matrix %x", rows, cols, parts, i,
+						math.Float32bits(got[i]), math.Float32bits(want[i]))
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkMatVecSet times the 13 GEMVs of one decode step of the benchmark's
 // stand-in model (2 layers, d=128, FFN 512, vocab 96) — the in-repo
 // counterpart of benchmark/'s tensor.matvec_set_us.
