@@ -48,13 +48,17 @@ bench-smoke:
 # so a new feature joins the gate by naming its test, not by editing this file:
 #   - bit-exactness (BitExact|BitIdentical|MatchesSequential|Equivalence|
 #     Deterministic): pinned to one core and to every core — schedule
-#     diversity must never change a logit bit;
+#     diversity must never change a logit bit. TestEquivalenceLattice
+#     (internal/equiv) is the one statement of it: every valid pair of axis
+#     values plus today's matrices against the serial dense reference, and a
+#     new feature joins it by adding an axis; the other names here pin
+#     kernels, golden hashes and single-package invariants;
 #   - concurrency (Race|Churn|Fairness|Requeue): under -race, uncached;
 #   - allocation guards (ZeroAlloc|Allocs): without -race (race
 #     instrumentation skews alloc counts, so the guards skip themselves there).
 EXACT_TESTS = BitExact|BitIdentical|MatchesSequential|Equivalence|Deterministic
 check: fmt-check vet lint build bench-smoke
-	TOPICK_QUICK=1 $(GO) test -race ./internal/fixed/ ./internal/core/ ./internal/attention/ ./internal/exec/ ./internal/model/ ./internal/obs/ ./internal/sample/ ./internal/serve/ ./internal/fleet/ ./internal/httpapi/ ./internal/bench/
+	TOPICK_QUICK=1 $(GO) test -race ./internal/fixed/ ./internal/core/ ./internal/attention/ ./internal/exec/ ./internal/model/ ./internal/obs/ ./internal/sample/ ./internal/serve/ ./internal/fleet/ ./internal/httpapi/ ./internal/bench/ ./internal/equiv/
 	GOMAXPROCS=1 TOPICK_QUICK=1 $(GO) test -count=1 -run '$(EXACT_TESTS)' ./internal/...
 	GOMAXPROCS=$(NCPU) TOPICK_QUICK=1 $(GO) test -count=1 -run '$(EXACT_TESTS)' ./internal/...
 	TOPICK_QUICK=1 $(GO) test -race -count=1 -run 'Race|Churn|Fairness|Requeue' ./internal/...

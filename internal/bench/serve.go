@@ -475,24 +475,6 @@ func CompareSpeculative(r *train.Result, o SpeculativeOptions) SpeculativeResult
 	return res
 }
 
-// SpeculativeTable renders the speculative-decoding comparison.
-func SpeculativeTable(res SpeculativeResult) *Table {
-	t := &Table{
-		Title:  "Serving: speculative decoding (draft-and-verify)",
-		Header: []string{"draft", "tokens/s", "speedup", "acceptance", "tokens match"},
-	}
-	t.AddRow("off", fmt.Sprintf("%.1f", res.BaselineTokSec), "1.00x", "-", "-")
-	for _, a := range res.Arms {
-		t.AddRow(a.Draft, fmt.Sprintf("%.1f", a.TokSec),
-			fmt.Sprintf("%.2fx", a.Speedup),
-			fmt.Sprintf("%.0f%% (%d/%d)", 100*a.AcceptanceRate, a.Accepted, a.Drafted),
-			fmt.Sprintf("%v", a.TokensMatch))
-	}
-	t.AddNote("%d sessions, %d tokens per arm, draft window k=%d (adaptive)",
-		res.Sessions, res.TotalTokens, res.K)
-	return t
-}
-
 // BatchingTable renders the iteration-batching comparison.
 func BatchingTable(res BatchingResult) *Table {
 	t := &Table{

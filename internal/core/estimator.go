@@ -20,7 +20,7 @@ type Inputs struct {
 	// k & ChunkMask(b).
 	//
 	// Deprecated: kept only because the frozen benchmark harness still sets
-	// it; the next benchmark PR removes it (see ROADMAP item 3).
+	// it; the next benchmark PR removes it (see ROADMAP item 1(b)).
 	KPlanes [][]int32
 	// Bias is an optional additive score bias known before any K bits
 	// arrive (e.g. ALiBi recency bias); nil means zero. It shifts both

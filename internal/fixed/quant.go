@@ -5,11 +5,6 @@ import (
 	"math"
 )
 
-// DefaultBits is the operand precision used by the ToPick architecture for
-// the self-attention datapath (paper §4: "The operand precision for
-// self-attention is set to 12 bits").
-const DefaultBits = 12
-
 // Vector is a quantized vector of two's-complement integers. Elements are
 // stored sign-extended in int16 regardless of the nominal bit width.
 type Vector []int16

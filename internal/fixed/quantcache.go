@@ -230,7 +230,7 @@ func (qc *QuantCache) Truncate(n int) {
 // k & cs.ChunkMask(b) — so the planes result is always nil.
 //
 // Deprecated: call Sync. Kept only because the frozen benchmark harness
-// still calls it; the next benchmark PR removes it (see ROADMAP item 3).
+// still calls it; the next benchmark PR removes it (see ROADMAP item 1(b)).
 func (qc *QuantCache) SyncChunked(src tensor.RowSource, n, dim int, cs ChunkSpec) ([]Vector, [][]int32, float64) {
 	rows, scale := qc.Sync(src, n, dim, cs.TotalBits)
 	return rows, nil, scale

@@ -58,11 +58,6 @@ func (c *Counter) Inc() { c.shards[0].v.Add(1) }
 //topick:noalloc
 func (c *Counter) AddSlot(slot int, n int64) { c.shards[slot&c.mask].v.Add(n) }
 
-// IncSlot increments by one on slot's shard.
-//
-//topick:noalloc
-func (c *Counter) IncSlot(slot int) { c.shards[slot&c.mask].v.Add(1) }
-
 // Value merges the shards.
 func (c *Counter) Value() int64 {
 	var n int64
@@ -301,20 +296,6 @@ func (r *Registry) Histogram(name, help, labels string, bounds []float64) *Histo
 	f.series = append(f.series, series{labels: labels, h: h})
 	r.mu.Unlock()
 	return h
-}
-
-// FindHistogram returns the first histogram series of family name, or nil.
-func (r *Registry) FindHistogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if f, ok := r.index[name]; ok {
-		for _, s := range f.series {
-			if s.h != nil {
-				return s.h
-			}
-		}
-	}
-	return nil
 }
 
 func formatFloat(v float64) string {

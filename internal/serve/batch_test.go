@@ -152,74 +152,6 @@ func TestIterationBatchingBitExact(t *testing.T) {
 	}
 }
 
-// TestIterationBatchingPreemptionChurnBitExact drives the whole preemption
-// ladder while iterations are batched: a pool sized for a fraction of the
-// fleet forces evictions, steals, and self-preemptions mid-batch, and every
-// session must still replay to exactly the serial reference tokens.
-func TestIterationBatchingPreemptionChurnBitExact(t *testing.T) {
-	r := train.TestModel()
-	cfg := r.Params.Cfg
-	const (
-		sessions = 6
-		maxNew   = 12
-	)
-	// Prompt lengths 12..32: the largest session's completed working set is
-	// 44 rows = 48 blocks, so every session fits the 56-block pool alone but
-	// no two mid-sized ones fit together — churn is guaranteed, rejection is
-	// not.
-	prompts := make([][]int, sessions)
-	for i := range prompts {
-		l := 12 + 4*i
-		start := (i * 17) % (len(r.Held) - l)
-		prompts[i] = r.Held[start : start+l]
-	}
-	srv := NewServer(r.Params, Config{
-		Workers:        2,
-		BlockRows:      8,
-		MaxBlocks:      14 * cfg.Layers * cfg.Heads,
-		MaxPreempts:    128,
-		PromptChunk:    8,
-		MaxBatchTokens: 16,
-		SharePrefix:    true,
-		NewKernel:      func() model.Kernel { return attention.NewTokenPicker(1e-3) },
-	})
-	streams := make([]*Stream, sessions)
-	for i, p := range prompts {
-		st, err := srv.Submit(context.Background(), GenerateRequest{Prompt: p, MaxTokens: maxNew})
-		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
-		streams[i] = st
-	}
-	got := make([][]int, sessions)
-	for i, st := range streams {
-		for ev := range st.Events() {
-			got[i] = append(got[i], ev.Token)
-		}
-		res := st.Result()
-		if res.Reason != ReasonLength || res.Err != nil {
-			t.Fatalf("session %d finished %q err=%v", i, res.Reason, res.Err)
-		}
-	}
-	rep := srv.Report()
-	srv.Close()
-
-	if rep.Preempted == 0 && rep.RecomputeTokens == 0 {
-		t.Fatal("pool pressure produced no preemption churn; tighten MaxBlocks")
-	}
-	for i, p := range prompts {
-		want := decodeSerial(t, r.Params, attention.NewTokenPicker(1e-3), p, maxNew)
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("session %d token %d: churned batch %d != serial %d", i, j, got[i][j], want[j])
-			}
-		}
-	}
-	if st := srv.Pool().Stats(); st.InUse != 0 {
-		t.Fatalf("%d blocks still leased after drain", st.InUse)
-	}
-}
-
 // TestIterationBatchingSchedulerFairness interleaves long-prompt prefills
 // with short decode sessions under pool pressure and -race: chunked prefill
 // must keep short sessions flowing (bounded queue wait), preempt/park/resume

@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"tokenpicker/internal/attention"
@@ -238,6 +239,7 @@ type session struct {
 	lastTok   time.Time // previous emission (inter-token latency)
 	started   bool      // first iteration has begun
 	parked    bool      // sitting on (or just promoted off) the stalled list
+	parkedAt  int64     // Server.finishes when last preempted (see canResume)
 	promptPos int       // prompt tokens consumed so far
 	next      int       // next token to feed to Step (already emitted)
 	generated int
@@ -297,6 +299,7 @@ type Server struct {
 	sessWG   sync.WaitGroup // in-flight sessions
 
 	closeOnce sync.Once
+	finishes  atomic.Int64 // sessions finished so far (see canResume)
 
 	mu        sync.Mutex
 	closed    bool
@@ -730,14 +733,19 @@ func (s *Server) storageErr(sess *session, err error) bool {
 // exhaustion that parked it — against sessions it cannot steal from, because
 // other runners are mid-iteration on them — and burns its preemption budget.
 // Leading prompt blocks the prefix index still caches are re-adopted, not
-// leased, so they do not count against the room it needs.
+// leased, so they do not count against the room it needs. It also waits for
+// some session to finish after it parked: its own released blocks are room
+// for the session it yielded to, and two sessions that resume into each
+// other's room otherwise preempt each other in turn until both budgets are
+// spent.
 func (s *Server) canResume(v *session) bool {
 	rows := len(v.req.Prompt) + v.generated
 	blocks := (rows + s.cfg.BlockRows - 1) / s.cfg.BlockRows
 	if s.prefixes != nil {
 		blocks -= s.prefixes.cachedBlocks(v.req.Prompt)
 	}
-	return s.pool.hasCapacity(2 * s.params.Cfg.Layers * s.params.Cfg.Heads * blocks)
+	return s.finishes.Load() > v.parkedAt &&
+		s.pool.hasCapacity(2*s.params.Cfg.Layers*s.params.Cfg.Heads*blocks)
 }
 
 // othersActive reports whether any other non-parked session is in flight —
@@ -774,6 +782,7 @@ func (s *Server) preempt(sess *session) {
 	sess.adopted = 0
 	sess.preempts++
 	sess.dec.Reset()
+	sess.parkedAt = s.finishes.Load()
 	s.met.Preemptions.Inc()
 	s.mu.Lock()
 	s.preempted++
@@ -861,7 +870,8 @@ func (s *Server) finish(sess *session, res Result) {
 		int32(sess.generated), int32(sess.adoptedAll), int32(sess.promptPos),
 		ReasonCode(res.Reason))
 	sess.dec.Release()
-	sess.cancel() // release the derived context
+	s.finishes.Add(1) // before the stream closes: a consumer sees it counted
+	sess.cancel()     // release the derived context
 	close(sess.emit)
 	sess.stream.res = res
 	close(sess.stream.done)
