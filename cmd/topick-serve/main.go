@@ -60,7 +60,6 @@ func main() {
 		stride    = flag.Int("stride", 6, "extra prompt tokens per session index")
 		threshold = flag.Float64("threshold", 1e-3, "Token-Picker pruning threshold")
 		blockRows = flag.Int("block-rows", 32, "KV pool block granularity (rows)")
-		parallel  = flag.Int("parallel", 1, "per-worker head parallelism (executor slots; 0 = NumCPU)")
 		maxBatch  = flag.Int("max-batch-tokens", 0, "row budget of one scheduling iteration: token rows a worker co-schedules across sessions (0 = one session per iteration)")
 		temp      = flag.Float64("temperature", 0, "sampling temperature (0 = greedy)")
 		deadline  = flag.Duration("deadline", 0, "per-request deadline (0 = none)")
@@ -130,7 +129,6 @@ func main() {
 		SharePrefix:    *share,
 		MaxPreempts:    *preempts,
 		Speculate:      tokenpicker.SpeculateConfig{K: *specK},
-		HeadParallel:   tokenpicker.ResolveParallel(*parallel),
 		Tracer:         tracer,
 		Detokenize:     detok,
 		NewKernel:      func() tokenpicker.Kernel { return tokenpicker.NewKernel(*threshold) },
@@ -166,7 +164,7 @@ func main() {
 	offlineDemo(res, srv, offlineOptions{
 		sessions: *sessions, workers: *workers, maxNew: *maxNew,
 		promptLen: *promptLen, stride: *stride, threshold: *threshold,
-		blockRows: *blockRows, parallel: *parallel, specK: *specK,
+		blockRows: *blockRows, specK: *specK,
 		temp: *temp, deadline: *deadline, compare: *compare, share: *share,
 	})
 	flushTrace()
@@ -261,7 +259,7 @@ func runHTTP(handler *tokenpicker.HTTPHandler, addr string, pprofOn bool, drainG
 
 type offlineOptions struct {
 	sessions, workers, maxNew, promptLen, stride int
-	blockRows, parallel, specK                   int
+	blockRows, specK                             int
 	threshold, temp                              float64
 	deadline                                     time.Duration
 	compare, share                               bool
@@ -372,8 +370,7 @@ func offlineDemo(res *tokenpicker.TrainResult, srv *tokenpicker.Server, o offlin
 		cmp := bench.CompareServing(res, bench.ServingOptions{
 			Sessions: o.sessions, PromptLen: o.promptLen, Stride: o.stride,
 			MaxNew: o.maxNew, Workers: o.workers, BlockRows: o.blockRows,
-			Threshold:    o.threshold,
-			HeadParallel: tokenpicker.ResolveParallel(o.parallel),
+			Threshold: o.threshold,
 		})
 		fmt.Println(bench.ServingTable(cmp).String())
 

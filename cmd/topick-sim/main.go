@@ -8,7 +8,7 @@
 // decode, replay, and prefill step in the trace becomes one attention
 // instance at that step's real context length, so the simulator sees the
 // context-length distribution of actual serving traffic instead of a fixed
-// synthetic size (co-simulation, ROADMAP item 5).
+// synthetic size (co-simulation under real serving traffic).
 //
 // Usage:
 //

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"tokenpicker/internal/attention"
-	"tokenpicker/internal/exec"
 	"tokenpicker/internal/model"
 	"tokenpicker/internal/serve"
 	"tokenpicker/internal/tensor"
@@ -23,10 +22,6 @@ type ServingOptions struct {
 	Workers   int     // server decode workers
 	BlockRows int     // KV pool granularity
 	Threshold float64 // Token-Picker pruning threshold
-	// HeadParallel is the per-worker intra-step head executor width used by
-	// BOTH arms (the serialized baseline gets the same executor on its one
-	// decoder), so the comparison isolates continuous batching.
-	HeadParallel int
 }
 
 // DefaultServingOptions returns the profile used by cmd/topick-serve and the
@@ -92,12 +87,11 @@ func servingPrompts(r *train.Result, o ServingOptions) [][]int {
 func CompareServing(r *train.Result, o ServingOptions) ServingResult {
 	prompts := servingPrompts(r, o)
 
-	// Serialized baseline: one decoder, sessions back to back.
+	// Serialized baseline: one decoder, sessions back to back, on the
+	// shared pool a lone server runner steps on too, so the comparison
+	// isolates continuous batching.
 	kernel := attention.NewTokenPicker(o.Threshold)
 	dec := model.NewDecoder(r.Params, kernel)
-	ex := exec.New(o.HeadParallel)
-	defer ex.Close()
-	dec.Exec = ex
 	start := time.Now()
 	var serialToks int64
 	var serialTTFT float64
@@ -125,10 +119,9 @@ func CompareServing(r *train.Result, o ServingOptions) ServingResult {
 
 	// Continuous batching: all sessions in flight at once.
 	srv := serve.NewServer(r.Params, serve.Config{
-		Workers:      o.Workers,
-		BlockRows:    o.BlockRows,
-		HeadParallel: o.HeadParallel,
-		NewKernel:    func() model.Kernel { return attention.NewTokenPicker(o.Threshold) },
+		Workers:   o.Workers,
+		BlockRows: o.BlockRows,
+		NewKernel: func() model.Kernel { return attention.NewTokenPicker(o.Threshold) },
 	})
 	start = time.Now()
 	streams := make([]*serve.Stream, len(prompts))

@@ -46,7 +46,9 @@ var axes = [numAxes]struct {
 	axKernel: {"kernel", []string{"exact", "quantized-exact", "token-picker", "oracle", "spatten"}},
 	// pagedN: a block-paged pool with N-row blocks (the server's BlockRows).
 	axStore: {"store", []string{"dense", "paged4", "paged5", "paged8", "paged16", "paged32"}},
-	// The library decoder's Exec; on the server, poolN is HeadParallel N.
+	// The library decoder's Exec. A serving runner has no executor of its
+	// own: it steps on the shared pool when it is the process's only runner
+	// mid-iteration and serially otherwise, written shared.
 	axExec:    {"exec", []string{"serial", "shared", "pool2", "pool3", "pool8"}},
 	axBudget:  {"budget", []string{"0", "16", "24", "32"}},
 	axWorkers: {"workers", []string{"1", "2", "3"}},
@@ -70,8 +72,8 @@ var rules = []struct{ when, then string }{
 	{"kernel=spatten", "engine=library spec=0"},
 	// Scheduling axes exist only behind the serving loop.
 	{"engine=library", "budget=0 workers=1 chunk=default share=off pressure=none replicas=1"},
-	// Servers store KV in their pool and own their head executors.
-	{"engine=server|fleet", "store=paged4|paged5|paged8|paged16|paged32 exec=serial|pool2|pool3|pool8"},
+	// Servers store KV in their pool, and their runners ride the shared pool.
+	{"engine=server|fleet", "store=paged4|paged5|paged8|paged16|paged32 exec=shared"},
 	{"engine=server", "replicas=1"},
 	{"spec=0", "draft=none"},
 	// A speculating server always drafts.
@@ -80,20 +82,33 @@ var rules = []struct{ when, then string }{
 
 // regressions are the axis tuples the hand-rolled serving tests this lattice
 // replaced ran, as products (axis=a|b); unnamed axes sit at the bottom.
+// TestIterationBatchingBitExact, TestSpeculativeServingBitExact and
+// TestSamplingDeterministicAcrossEngines still run in internal/serve too
+// (ROADMAP item 6).
 var regressions = []string{
-	// TestHeadParallelServingBitExact: runners hop sessions between executors.
-	"engine=server kernel=token-picker store=paged16 exec=pool2 workers=3",
+	// The head-parallel serving test: runners hop sessions between the
+	// shared pool and serial steps.
+	"engine=server kernel=token-picker store=paged16 exec=shared workers=3",
 	// TestIterationBatchingPreemptionChurnBitExact: churn mid-batch.
-	"engine=server kernel=token-picker store=paged8 workers=2 budget=16 chunk=8 share=on pressure=tight",
-	// TestHeadParallelPoolRecyclingStaysBitExact: recycled blocks, quantized side-car.
-	"engine=server kernel=quantized-exact store=paged4 exec=pool2 workers=3 pressure=tight",
+	"engine=server kernel=token-picker store=paged8 exec=shared workers=2 budget=16 chunk=8 share=on pressure=tight",
+	// The head-parallel pool-recycling test: recycled blocks, quantized side-car.
+	"engine=server kernel=quantized-exact store=paged4 exec=shared workers=3 pressure=tight",
 	// TestServerPrefixSharingMatchesUnshared: publisher wave, then adopters.
-	"engine=server kernel=token-picker store=paged32 workers=2 share=off|on",
+	"engine=server kernel=token-picker store=paged32 exec=shared workers=2 share=off|on",
+	// TestIterationBatchingBitExact: every serving kernel, one session per
+	// iteration or cross-session rows, chunked prefill, adopters mid-batch.
+	"engine=server kernel=exact|quantized-exact|token-picker|oracle store=paged16 exec=shared workers=2 budget=0|24 chunk=8 share=on",
+	// TestSpeculativeServingBitExact: verify entries of several sessions
+	// in one step, on every serving kernel.
+	"engine=server kernel=exact|quantized-exact|token-picker|oracle store=paged16 exec=shared workers=2 budget=0|32 chunk=8 spec=4 draft=ngram share=on",
+	// TestSamplingDeterministicAcrossEngines: the seeded chain served from
+	// the paged pool, with and without adopted prefixes.
+	"engine=server kernel=quantized-exact store=paged16 exec=shared workers=2 share=off|on sampling=seeded",
 	// Found by the lattice: two sessions that resumed into each other's room
 	// preempted each other until both preemption budgets were spent, and
 	// one finished rejected (Server.canResume now waits for a finish).
-	"model=parallel engine=server kernel=token-picker store=paged32 exec=pool2 budget=32 share=on pressure=tight",
-	"engine=fleet kernel=oracle store=paged16 budget=24 chunk=8 spec=4 draft=ngram share=on pressure=tight replicas=2",
+	"model=parallel engine=server kernel=token-picker store=paged32 exec=shared budget=32 share=on pressure=tight",
+	"engine=fleet kernel=oracle store=paged16 exec=shared budget=24 chunk=8 spec=4 draft=ngram share=on pressure=tight replicas=2",
 }
 
 // Point is one configuration: a value index per axis (-1 = unset while a

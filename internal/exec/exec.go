@@ -9,10 +9,10 @@
 // a single iteration uses every core the host offers instead of walking the
 // tasks one at a time.
 //
-// Shared is the process-wide Pool that library decoders default to: a lone
-// decoding stream otherwise leaves all cores but one idle. The serving
-// engine does not use it; its runners already fill the cores and pass
-// executors of their own.
+// Shared is the process-wide Pool: a lone decoding stream otherwise leaves
+// all cores but one idle. Library decoders default to it, and a serving
+// runner steps on it whenever it is the only runner of the process inside
+// an iteration (busy runners already fill the cores, so they run serial).
 //
 // The contract that keeps parallel execution bit-identical to serial: tasks
 // are independent (task t only writes its own output slice and slot-private
@@ -116,18 +116,14 @@ type SlotStats struct {
 	BusyNs int64 `json:"busy_ns"`
 }
 
-// Add accumulates o into s.
-func (s *SlotStats) Add(o SlotStats) {
-	s.Tasks += o.Tasks
-	s.Steals += o.Steals
-	s.BusyNs += o.BusyNs
-}
-
-// StatsOf returns ex's aggregate slot stats when it collects them: a Pool
-// does for the batches it spreads over its slots; Serial, and a batch a
-// busy or too-small Pool runs inline, count nothing.
+// StatsOf returns ex's aggregate slot stats when it collects them: a Pool,
+// the Shared one included, does for the batches it spreads over its slots;
+// Serial, and a batch a busy or too-small Pool runs inline, count nothing.
 func StatsOf(ex Executor) SlotStats {
-	if p, ok := ex.(*Pool); ok {
+	switch p := ex.(type) {
+	case *Pool:
+		return p.StatsTotal()
+	case sharedPool:
 		return p.StatsTotal()
 	}
 	return SlotStats{}
@@ -381,19 +377,6 @@ func (p *Pool) participate(slot, parts int) {
 	st.tasks.Add(ran)
 	st.steals.Add(stolen)
 	st.busy.Add(int64(time.Since(start)))
-}
-
-// SlotStats snapshots the per-slot accounting (read path; allocates).
-func (p *Pool) SlotStats() []SlotStats {
-	out := make([]SlotStats, p.width)
-	for i := range p.stats {
-		out[i] = SlotStats{
-			Tasks:  p.stats[i].tasks.Load(),
-			Steals: p.stats[i].steals.Load(),
-			BusyNs: p.stats[i].busy.Load(),
-		}
-	}
-	return out
 }
 
 // StatsTotal sums the per-slot accounting without allocating.

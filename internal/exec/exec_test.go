@@ -283,8 +283,8 @@ func TestPoolConcurrentRunsRace(t *testing.T) {
 }
 
 // TestSharedIsOneUnclosablePool pins Shared's lifecycle: one executor per
-// process, as wide as GOMAXPROCS (Serial on one CPU), and Close leaves it
-// running.
+// process, as wide as GOMAXPROCS (Serial on one CPU), Close leaves it
+// running, and StatsOf reads its slot accounting.
 func TestSharedIsOneUnclosablePool(t *testing.T) {
 	ex := Shared()
 	if Shared() != ex {
@@ -295,7 +295,11 @@ func TestSharedIsOneUnclosablePool(t *testing.T) {
 	}
 	ex.Close()
 	const n = 40
+	before := StatsOf(ex)
 	c := newCountingTasks(n, ex.Width(), 10)
 	ex.Run(n, c)
 	c.check(t, n)
+	if got := StatsOf(ex).Tasks - before.Tasks; ex.Width() > 1 && got != n {
+		t.Fatalf("StatsOf(Shared()) counted %d tasks, want %d", got, n)
+	}
 }

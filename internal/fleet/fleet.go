@@ -294,12 +294,17 @@ func (f *Fleet) Report() Report {
 }
 
 // Rollup folds the per-replica reports into one fleet-wide engine report:
-// counters sum, the finish-reason map merges, and the kernel/executor stats
+// counters sum, the finish-reason map merges, and the kernel stats
 // accumulate. PeakConcurrent is the sum of per-replica peaks — an upper
 // bound on the true fleet-wide peak, which no replica can observe alone.
+// Exec is taken once, from the first replica: every replica reports the
+// same process-wide shared pool, so a sum would count it once per replica.
 func (r Report) Rollup() serve.Report {
 	var out serve.Report
 	out.Finished = make(map[serve.FinishReason]int64)
+	if len(r.Replicas) > 0 {
+		out.Exec = r.Replicas[0].Exec
+	}
 	for _, rep := range r.Replicas {
 		out.Admitted += rep.Admitted
 		out.PromptTokens += rep.PromptTokens
@@ -311,7 +316,6 @@ func (r Report) Rollup() serve.Report {
 			out.Finished[k] += v
 		}
 		out.Attn.Add(rep.Attn)
-		out.Exec.Add(rep.Exec)
 		addPoolStats(&out.Pool, rep.Pool)
 		addPrefixStats(&out.Prefix, rep.Prefix)
 	}

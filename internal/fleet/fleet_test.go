@@ -3,9 +3,12 @@ package fleet
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
+	"tokenpicker/internal/model"
 	"tokenpicker/internal/obs"
 	"tokenpicker/internal/serve"
 	"tokenpicker/internal/train"
@@ -166,14 +169,31 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// heldKernel is exact attention whose layers wait until hold closes, so a
+// session stays active past its prefill until the test lets it decode.
+type heldKernel struct {
+	model.ExactKernel
+	hold <-chan struct{}
+}
+
+func (k *heldKernel) AttendLayer(batch model.AttendBatch) {
+	<-k.hold
+	k.ExactKernel.AttendLayer(batch)
+}
+
 func TestFleetAdmission(t *testing.T) {
 	r := train.TestModel()
+	// The first session must still be active when the second is submitted.
+	hold := make(chan struct{})
+	release := sync.OnceFunc(func() { close(hold) })
 	fl := NewFleet(r.Params, Config{
 		Replicas:    2,
 		MaxSessions: 1,
-		Serve:       serve.Config{Workers: 1, BlockRows: 16},
+		Serve: serve.Config{Workers: 1, BlockRows: 16,
+			NewKernel: func() model.Kernel { return &heldKernel{hold: hold} }},
 	})
 	defer fl.Close()
+	defer release()
 
 	req := Request{}
 	req.Prompt = r.Held[:8]
@@ -189,6 +209,7 @@ func TestFleetAdmission(t *testing.T) {
 	if got := fl.Report().Routing.Rejected; got != 1 {
 		t.Fatalf("Rejected %d, want 1", got)
 	}
+	release()
 	st.Result()
 
 	// Invalid requests fail validation before any routing or accounting.
@@ -254,5 +275,32 @@ func TestRateLimitErrorIsBusy(t *testing.T) {
 	}
 	if errors.Is(err, serve.ErrServerClosed) {
 		t.Fatal("RateLimitError must not match ErrServerClosed")
+	}
+}
+
+// TestRollupCountsSharedPoolOnce serves one request on each replica of a
+// 2-replica fleet. Both replicas report the process-wide shared pool, so the
+// rollup's Exec is one replica's, not their sum.
+func TestRollupCountsSharedPoolOnce(t *testing.T) {
+	r := train.TestModel()
+	fl := NewFleet(r.Params, Config{Replicas: 2, Serve: serve.Config{Workers: 1, BlockRows: 16}})
+	for i := 0; i < fl.Replicas(); i++ {
+		st, err := fl.Replica(i).Submit(context.Background(), serve.GenerateRequest{Prompt: r.Held[:16], MaxTokens: 4})
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Result()
+	}
+	fl.Close()
+	rep := fl.Report()
+	one := rep.Replicas[0].Exec
+	if rep.Replicas[1].Exec != one {
+		t.Fatalf("replicas report different pools: %+v, %+v", one, rep.Replicas[1].Exec)
+	}
+	if got := rep.Rollup().Exec; got != one {
+		t.Fatalf("rollup Exec %+v, want one replica's %+v", got, one)
+	}
+	if runtime.GOMAXPROCS(0) > 1 && one.Tasks == 0 {
+		t.Fatal("a lone replica runner ran no task on the shared pool")
 	}
 }

@@ -11,8 +11,8 @@ import (
 
 // The JSONL trace schema: one object per line, fixed fields, all integers
 // except the kind name. It is the wire form of Event, stable so recorded
-// serving traces can be replayed offline (internal/sim co-simulation,
-// ROADMAP item 5) and diffed across versions.
+// serving traces can be replayed offline (internal/sim co-simulation) and
+// diffed across versions.
 //
 //	{"sid":3,"kind":"decode_step","t_ns":18000321,"step":7,"tokens":1,
 //	 "rows":103,"batch":2,"queue":4,"stalled":0,"pool_inuse":52,

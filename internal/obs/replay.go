@@ -4,7 +4,7 @@ import "sort"
 
 // StepSample is one attention-step observation extracted from a serving
 // trace: the per-step batch shape the cycle-level simulator replays
-// (ROADMAP item 5 — co-simulation under real serving traffic). Each
+// (co-simulation under real serving traffic). Each
 // decode_step and replay_step event yields one sample; prefill chunks yield
 // one sample per chunk with Tokens > 1.
 type StepSample struct {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"sync/atomic"
 	"time"
 
 	"tokenpicker/internal/exec"
@@ -9,26 +10,39 @@ import (
 	"tokenpicker/internal/obs"
 )
 
+// stepping counts the runners of the whole process — every Server, so every
+// fleet replica — that are inside an iteration. The shared executor is one
+// pool per process, so only a runner that is alone mid-iteration steps on it;
+// one that finds another runner busy steps serially, because fanning out
+// there would only compete with that runner for the same cores.
+var stepping atomic.Int32
+
 // run is one runner's scheduling loop: pop up to MaxBatchTokens rows of
 // runnable sessions, advance them in one engine step, fold the kernel's
 // transfer statistics into the fleet report, repeat until the scheduler
-// closes. The kernel, head executor and engine are this goroutine's alone;
-// sessions borrow them for the duration of an iteration (per-session state —
-// the KV caches and their quantized side-cars — travels with the session's
-// decoder, so the hand-off is safe).
+// closes. The kernel and engine are this goroutine's alone; sessions borrow
+// them for the duration of an iteration (per-session state — the KV caches
+// and their quantized side-cars — travels with the session's decoder, so
+// the hand-off is safe). Tokens are bit-identical on either executor.
 func (s *Server) run(wid int) {
 	defer s.wg.Done()
-	r := &runner{s: s, wid: wid, eng: model.NewBatchEngine(s.params), ex: s.execs[wid]}
+	r := &runner{s: s, wid: wid, eng: model.NewBatchEngine(s.params)}
 	if s.cfg.NewKernel != nil {
 		r.kernel = s.cfg.NewKernel()
 	}
+	shared := exec.Shared()
 	var batch []*session
 	for {
 		batch = s.sched.popBatch(batch[:0], s.cfg.MaxBatchTokens, s.cfg.PromptChunk)
 		if batch == nil {
 			return
 		}
-		r.iterate(batch)
+		ex := shared
+		if stepping.Add(1) > 1 {
+			ex = exec.Serial{}
+		}
+		r.iterate(batch, ex)
+		stepping.Add(-1)
 		if sk, ok := r.kernel.(statKernel); ok {
 			delta := sk.Stats()
 			sk.ResetStats()
@@ -48,7 +62,6 @@ type runner struct {
 	wid     int // shard of the worker-sharded counters
 	eng     *model.BatchEngine
 	kernel  model.Kernel
-	ex      exec.Executor
 	entries []model.BatchEntry
 	owners  []*session
 }
@@ -56,9 +69,10 @@ type runner struct {
 // iterate advances every session in batch by one iteration: decode and
 // replay sessions by one token row, speculating sessions by one verify pass,
 // prefilling sessions by one prompt chunk.
-// Sessions that neither finished nor parked are pushed back onto the run
-// queue, behind whatever arrived while the iteration ran.
-func (r *runner) iterate(batch []*session) {
+// The engine step runs on ex. Sessions that neither finished nor parked are
+// pushed back onto the run queue, behind whatever arrived while the
+// iteration ran.
+func (r *runner) iterate(batch []*session, ex exec.Executor) {
 	s := r.s
 	r.entries = r.entries[:0]
 	r.owners = r.owners[:0]
@@ -164,7 +178,7 @@ func (r *runner) iterate(batch []*session) {
 	}
 
 	start := time.Now()
-	r.eng.Step(r.entries, r.kernel, r.ex)
+	r.eng.Step(r.entries, r.kernel, ex)
 	elapsed := time.Since(start).Seconds()
 	s.met.BatchIteration.Observe(elapsed)
 	s.met.BatchIterations.Inc()
@@ -177,8 +191,9 @@ func (r *runner) iterate(batch []*session) {
 		}
 	}
 
-	// Post-process in entry order; token counters are published once per
-	// iteration so the hot path takes the global mutex once.
+	// Post-process in entry order. A row's token counters are booked before
+	// advance or finish can close its session's stream, so a client that has
+	// read its last token finds it counted.
 	var stepped, replayed, prompted int64
 	laddered := false
 	for i := range r.entries {
@@ -242,6 +257,7 @@ func (r *runner) iterate(batch []*session) {
 			res := sess.spec.FinishEntry(ent, &sess.specEmit)
 			s.finishSpecPass(sess, res)
 			stepped += int64(res.Emitted)
+			s.genToks.Add(int64(res.Emitted))
 			if sess.specEmit.done {
 				s.finish(sess, sess.specEmit.res)
 				continue
@@ -250,6 +266,7 @@ func (r *runner) iterate(batch []*session) {
 			continue
 		}
 		stepped++
+		s.genToks.Add(1)
 		// Traced before advance: advance may finish the session, and finish
 		// must stay its last trace event.
 		s.trace(sess, obs.KindDecodeStep, int32(sess.generated+1), 1, int32(sess.dec.Len()), 0)
@@ -267,10 +284,5 @@ func (r *runner) iterate(batch []*session) {
 		s.met.BatchRows.Observe(float64(advanced))
 		s.met.BatchDecodeRows.Add(stepped + replayed)
 		s.met.BatchPrefillRows.Add(prompted)
-		s.mu.Lock()
-		s.genToks += stepped
-		s.recompute += replayed
-		s.prompted += prompted
-		s.mu.Unlock()
 	}
 }

@@ -9,7 +9,7 @@ import (
 // on the per-token hot path (sharded by worker), latency histograms for the
 // serving SLO quantities, and scrape-time gauge/counter funcs over the
 // subsystems that already keep their own totals (pool, prefix index,
-// scheduler, executors). Everything is registered on one obs.Registry, so
+// scheduler, the shared executor). Everything is registered on one obs.Registry, so
 // the HTTP front-end exposes the whole engine with a single
 // WritePrometheus call. All fields are live — read them with Value(),
 // Quantile(), or via the registry.
@@ -205,15 +205,15 @@ func newMetrics(s *Server) *Metrics {
 	reg.GaugeFunc("topick_prefix_hit_ratio", "Prefix-index hit rate over probes (0-1).", "",
 		prefix(func(ps PrefixStats) float64 { return ps.HitRate() }))
 
-	// Head-parallel executors (all zero under serial execution).
+	// The process-wide shared pool (all zero on one CPU).
 	execTotal := func(get func(exec.SlotStats) float64) func() float64 {
-		return func() float64 { return get(s.execStats()) }
+		return func() float64 { return get(exec.StatsOf(exec.Shared())) }
 	}
-	reg.CounterFunc("topick_exec_tasks_total", "Attention head tasks run by the pool executors.", "",
+	reg.CounterFunc("topick_exec_tasks_total", "Step tasks run by the process-wide shared pool.", "",
 		execTotal(func(st exec.SlotStats) float64 { return float64(st.Tasks) }))
-	reg.CounterFunc("topick_exec_steals_total", "Head tasks stolen from another slot's span.", "",
+	reg.CounterFunc("topick_exec_steals_total", "Step tasks the process-wide shared pool stole from another slot's span.", "",
 		execTotal(func(st exec.SlotStats) float64 { return float64(st.Steals) }))
-	reg.CounterFunc("topick_exec_busy_seconds_total", "Cumulative busy time across executor slots.", "",
+	reg.CounterFunc("topick_exec_busy_seconds_total", "Cumulative busy time across the process-wide shared pool's slots.", "",
 		execTotal(func(st exec.SlotStats) float64 { return float64(st.BusyNs) / 1e9 }))
 	return m
 }

@@ -57,6 +57,18 @@ func testPrompts(r *train.Result, n int) [][]int {
 	return prompts
 }
 
+// heldKernel is a Token-Picker kernel whose layers wait until hold closes,
+// so every session a test submits is admitted before any can finish.
+type heldKernel struct {
+	*attention.TokenPicker
+	hold <-chan struct{}
+}
+
+func (k heldKernel) AttendLayer(batch model.AttendBatch) {
+	<-k.hold
+	k.TokenPicker.AttendLayer(batch)
+}
+
 func TestContinuousBatchingMatchesSerialGreedy(t *testing.T) {
 	r := train.TestModel()
 	const (
@@ -65,10 +77,11 @@ func TestContinuousBatchingMatchesSerialGreedy(t *testing.T) {
 	)
 	prompts := testPrompts(r, sessions)
 
+	hold := make(chan struct{})
 	srv := NewServer(r.Params, Config{
 		Workers:   4,
 		BlockRows: 32,
-		NewKernel: func() model.Kernel { return attention.NewTokenPicker(1e-3) },
+		NewKernel: func() model.Kernel { return heldKernel{attention.NewTokenPicker(1e-3), hold} },
 	})
 	streams := make([]*Stream, sessions)
 	for i, p := range prompts {
@@ -78,6 +91,7 @@ func TestContinuousBatchingMatchesSerialGreedy(t *testing.T) {
 		}
 		streams[i] = st
 	}
+	close(hold)
 	got := make([][]int, sessions)
 	for i, st := range streams {
 		for ev := range st.Events() {
@@ -112,8 +126,8 @@ func TestContinuousBatchingMatchesSerialGreedy(t *testing.T) {
 	if rep.Admitted != sessions || rep.Completed() != sessions {
 		t.Fatalf("report admitted %d completed %d", rep.Admitted, rep.Completed())
 	}
-	if rep.PeakConcurrent < 8 {
-		t.Fatalf("peak concurrency %d, want >= 8", rep.PeakConcurrent)
+	if rep.PeakConcurrent != sessions {
+		t.Fatalf("peak concurrency %d, want %d", rep.PeakConcurrent, sessions)
 	}
 	if pr := rep.Attn.PruningRatio(); !(pr > 1) {
 		t.Fatalf("fleet pruning ratio %g, want > 1", pr)

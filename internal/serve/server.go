@@ -98,14 +98,6 @@ type Config struct {
 	// DefaultMaxNew applies when a request leaves MaxTokens zero
 	// (default 64).
 	DefaultMaxNew int
-	// HeadParallel is the intra-step parallelism of each runner: the
-	// rows×heads attention tasks of one layer, and the blocks of its
-	// Q/K/V, Wo and FFN stages, run on this many executor slots (1 =
-	// serial, the default; 0 is treated as 1). Every runner owns its own
-	// executor, so the process runs up to Workers*HeadParallel step
-	// goroutines — size the product to the machine. Results are
-	// bit-identical to serial execution regardless of the setting.
-	HeadParallel int
 	// SharePrefix enables prompt prefix sharing: the full BlockRows-sized
 	// chunks of every prefilled prompt are published to an in-pool prefix
 	// index, and a later Submit whose prompt starts with a cached chunk
@@ -191,9 +183,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.DefaultMaxNew <= 0 {
 		c.DefaultMaxNew = 64
-	}
-	if c.HeadParallel <= 0 {
-		c.HeadParallel = 1
 	}
 	if c.MaxPreempts == 0 {
 		c.MaxPreempts = 3
@@ -292,7 +281,6 @@ type Server struct {
 	pool     *Pool
 	prefixes *prefixIndex // nil unless Config.SharePrefix
 	sched    scheduler
-	execs    []exec.Executor // one head executor per runner, indexed by runner id
 	met      *Metrics
 	tracer   *obs.Tracer    // nil unless Config.Tracer
 	wg       sync.WaitGroup // runners
@@ -300,6 +288,9 @@ type Server struct {
 
 	closeOnce sync.Once
 	finishes  atomic.Int64 // sessions finished so far (see canResume)
+	// genToks counts tokens sampled from decode and verify steps, booked
+	// before the step's sessions can finish (Report.GenTokens).
+	genToks atomic.Int64
 
 	mu        sync.Mutex
 	closed    bool
@@ -307,16 +298,14 @@ type Server struct {
 	peak      int
 	admitted  int64
 	finished  map[FinishReason]int64
-	prompted  int64
-	genToks   int64
-	recompute int64 // tokens re-consumed by preemption replay
 	preempted int64 // preemption events
 	agg       attention.Stats
 }
 
 // Report is a fleet-wide snapshot: session counts, token counts, peak
 // concurrency, aggregated attention-transfer statistics, and pool state.
-// Counts lag the currently executing iterations slightly until Close.
+// A token is counted before the stream that carried it closes; the
+// attention statistics lag the currently executing iterations until Close.
 type Report struct {
 	Admitted       int64
 	Finished       map[FinishReason]int64
@@ -331,8 +320,10 @@ type Report struct {
 	Pool            PoolStats
 	// Prefix is the prefix-sharing index accounting (zero when disabled).
 	Prefix PrefixStats
-	// Exec aggregates the head-parallel executors' slot accounting: tasks
-	// run, tasks stolen, cumulative busy time (zero under serial execution).
+	// Exec is the process-wide exec.Shared() pool's slot accounting: tasks
+	// run, tasks stolen, cumulative busy time (zero on one CPU). Every
+	// server of the process, and every library decoder on the default
+	// executor, adds to the same totals.
 	Exec exec.SlotStats
 }
 
@@ -367,12 +358,6 @@ func NewServer(params *model.Params, cfg Config) *Server {
 	s.sched.resumeGate = s.canResume
 	s.tracer = cfg.Tracer
 	s.met = newMetrics(s)
-	// Executors live on the server (not inside the runner goroutines) so the
-	// metrics layer can read their slot accounting at scrape time.
-	s.execs = make([]exec.Executor, cfg.Workers)
-	for i := range s.execs {
-		s.execs[i] = exec.New(cfg.HeadParallel)
-	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
 		go s.run(i)
@@ -426,15 +411,6 @@ func hashRequestID(id string) uint64 {
 		h *= fnvPrime
 	}
 	return h
-}
-
-// execStats sums the slot accounting of every runner's head executor.
-func (s *Server) execStats() exec.SlotStats {
-	var total exec.SlotStats
-	for _, ex := range s.execs {
-		total.Add(exec.StatsOf(ex))
-	}
-	return total
 }
 
 // trace records one lifecycle event for sess, sampling queue depth, dispatch
@@ -594,9 +570,6 @@ func (s *Server) Close() {
 		s.sessWG.Wait()
 		s.sched.close()
 		s.wg.Wait()
-		for _, ex := range s.execs {
-			ex.Close()
-		}
 		if s.prefixes != nil {
 			s.prefixes.evictAll()
 		}
@@ -610,13 +583,13 @@ func (s *Server) Report() Report {
 	r := Report{
 		Admitted:        s.admitted,
 		Finished:        make(map[FinishReason]int64, len(s.finished)),
-		PromptTokens:    s.prompted,
-		GenTokens:       s.genToks,
+		PromptTokens:    s.met.PromptTokens.Value(),
+		GenTokens:       s.genToks.Load(),
 		PeakConcurrent:  s.peak,
 		Preempted:       s.preempted,
-		RecomputeTokens: s.recompute,
+		RecomputeTokens: s.met.Recomputed.Value(),
 		Pool:            s.pool.Stats(),
-		Exec:            s.execStats(),
+		Exec:            exec.StatsOf(exec.Shared()),
 	}
 	if s.prefixes != nil {
 		r.Prefix = s.prefixes.Stats()

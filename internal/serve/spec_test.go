@@ -52,12 +52,12 @@ func collectStreams(t *testing.T, srv *Server, prompts [][]int, maxNew int,
 }
 
 // TestSpeculativeServingBitExact is the serving half of the speculation
-// gate: with drafting on, every serving kernel, row budget, and executor
-// width must emit exactly the non-speculative serial reference over the
-// paged KV pool — and the speculation accounting must reconcile: the
-// topick_spec_* counters against the per-request Usage totals, accepted plus
-// rolled-back against drafted, and the lifecycle trace (with its new
-// draft_step/verify_step events) must still validate.
+// gate: with drafting on, every serving kernel and row budget must emit
+// exactly the non-speculative serial reference over the paged KV pool — and
+// the speculation accounting must reconcile: the topick_spec_* counters
+// against the per-request Usage totals, accepted plus rolled-back against
+// drafted, and the lifecycle trace (with its new draft_step/verify_step
+// events) must still validate.
 func TestSpeculativeServingBitExact(t *testing.T) {
 	r := train.TestModel()
 	const (
@@ -68,105 +68,102 @@ func TestSpeculativeServingBitExact(t *testing.T) {
 
 	for _, kc := range batchTestKernels {
 		for _, mode := range specServeBudgets {
-			for _, width := range []int{1, 8} {
-				t.Run(kc.name+"/"+mode.name+"/width="+string(rune('0'+width)), func(t *testing.T) {
-					var newKernel func() model.Kernel
-					if kc.mk != nil {
-						newKernel = kc.mk
-					}
-					tracer := obs.NewTracer(1 << 15)
-					var traceBuf bytes.Buffer
-					sink := obs.NewJSONLWriter(&traceBuf)
-					tracer.SetSink(sink)
-					srv := NewServer(r.Params, Config{
-						Workers:        2,
-						BlockRows:      16,
-						PromptChunk:    8,
-						MaxBatchTokens: mode.batch,
-						SharePrefix:    true,
-						HeadParallel:   width,
-						Speculate:      SpeculateConfig{K: 4},
-						Tracer:         tracer,
-						NewKernel:      newKernel,
-					})
-					got, res := collectStreams(t, srv, prompts, maxNew, sample.Config{})
-					met := srv.Metrics()
-					srv.Close()
-
-					var drafted, accepted int64
-					for i := range prompts {
-						if res[i].Reason != ReasonLength || res[i].Err != nil {
-							t.Fatalf("session %d finished %q err=%v", i, res[i].Reason, res[i].Err)
-						}
-						u := res[i].Usage
-						if u.AcceptedDraftTokens > u.DraftedTokens {
-							t.Fatalf("session %d accepted %d of %d drafted", i, u.AcceptedDraftTokens, u.DraftedTokens)
-						}
-						drafted += int64(u.DraftedTokens)
-						accepted += int64(u.AcceptedDraftTokens)
-					}
-					for i, p := range prompts {
-						var k model.Kernel
-						if kc.mk != nil {
-							k = kc.mk()
-						}
-						want := decodeSerial(t, r.Params, k, p, maxNew)
-						if len(got[i]) != len(want) {
-							t.Fatalf("session %d emitted %d tokens, want %d", i, len(got[i]), len(want))
-						}
-						for j := range want {
-							if got[i][j] != want[j] {
-								t.Fatalf("session %d token %d: speculative %d != serial %d", i, j, got[i][j], want[j])
-							}
-						}
-					}
-
-					// Counter/usage reconciliation — exact, not approximate.
-					if met.SpecVerifies.Value() == 0 {
-						t.Fatal("no verify passes recorded")
-					}
-					if got := met.SpecDrafted.Value(); got != drafted {
-						t.Fatalf("spec drafted counter %d, usage total %d", got, drafted)
-					}
-					if got := met.SpecAccepted.Value(); got != accepted {
-						t.Fatalf("spec accepted counter %d, usage total %d", got, accepted)
-					}
-					if d, a, rb := met.SpecDrafted.Value(), met.SpecAccepted.Value(), met.SpecRolledBack.Value(); d != a+rb {
-						t.Fatalf("drafted %d != accepted %d + rolled back %d", d, a, rb)
-					}
-					// The synthetic corpus repeats heavily; prompt lookup must
-					// actually draft here, or the test is vacuous.
-					if drafted == 0 {
-						t.Fatal("prompt-lookup drafting proposed nothing")
-					}
-
-					// The trace, including the appended draft_step/verify_step
-					// kinds, still parses and validates.
-					if err := sink.Flush(); err != nil {
-						t.Fatalf("trace sink: %v", err)
-					}
-					events, err := obs.ParseTrace(&traceBuf)
-					if err != nil {
-						t.Fatalf("parse trace: %v", err)
-					}
-					if err := obs.ValidateTimeline(events, false); err != nil {
-						t.Fatalf("trace inconsistent: %v", err)
-					}
-					var draftEvs, verifyEvs int
-					for _, ev := range events {
-						switch ev.Kind {
-						case obs.KindDraftStep:
-							draftEvs++
-						case obs.KindVerifyStep:
-							verifyEvs++
-						}
-					}
-					if draftEvs == 0 || int64(verifyEvs) != met.SpecVerifies.Value() {
-						t.Fatalf("trace recorded %d draft / %d verify events, want >0 / %d",
-							draftEvs, verifyEvs, met.SpecVerifies.Value())
-					}
+			t.Run(kc.name+"/"+mode.name, func(t *testing.T) {
+				var newKernel func() model.Kernel
+				if kc.mk != nil {
+					newKernel = kc.mk
+				}
+				tracer := obs.NewTracer(1 << 15)
+				var traceBuf bytes.Buffer
+				sink := obs.NewJSONLWriter(&traceBuf)
+				tracer.SetSink(sink)
+				srv := NewServer(r.Params, Config{
+					Workers:        2,
+					BlockRows:      16,
+					PromptChunk:    8,
+					MaxBatchTokens: mode.batch,
+					SharePrefix:    true,
+					Speculate:      SpeculateConfig{K: 4},
+					Tracer:         tracer,
+					NewKernel:      newKernel,
 				})
-			}
+				got, res := collectStreams(t, srv, prompts, maxNew, sample.Config{})
+				met := srv.Metrics()
+				srv.Close()
+
+				var drafted, accepted int64
+				for i := range prompts {
+					if res[i].Reason != ReasonLength || res[i].Err != nil {
+						t.Fatalf("session %d finished %q err=%v", i, res[i].Reason, res[i].Err)
+					}
+					u := res[i].Usage
+					if u.AcceptedDraftTokens > u.DraftedTokens {
+						t.Fatalf("session %d accepted %d of %d drafted", i, u.AcceptedDraftTokens, u.DraftedTokens)
+					}
+					drafted += int64(u.DraftedTokens)
+					accepted += int64(u.AcceptedDraftTokens)
+				}
+				for i, p := range prompts {
+					var k model.Kernel
+					if kc.mk != nil {
+						k = kc.mk()
+					}
+					want := decodeSerial(t, r.Params, k, p, maxNew)
+					if len(got[i]) != len(want) {
+						t.Fatalf("session %d emitted %d tokens, want %d", i, len(got[i]), len(want))
+					}
+					for j := range want {
+						if got[i][j] != want[j] {
+							t.Fatalf("session %d token %d: speculative %d != serial %d", i, j, got[i][j], want[j])
+						}
+					}
+				}
+
+				// Counter/usage reconciliation — exact, not approximate.
+				if met.SpecVerifies.Value() == 0 {
+					t.Fatal("no verify passes recorded")
+				}
+				if got := met.SpecDrafted.Value(); got != drafted {
+					t.Fatalf("spec drafted counter %d, usage total %d", got, drafted)
+				}
+				if got := met.SpecAccepted.Value(); got != accepted {
+					t.Fatalf("spec accepted counter %d, usage total %d", got, accepted)
+				}
+				if d, a, rb := met.SpecDrafted.Value(), met.SpecAccepted.Value(), met.SpecRolledBack.Value(); d != a+rb {
+					t.Fatalf("drafted %d != accepted %d + rolled back %d", d, a, rb)
+				}
+				// The synthetic corpus repeats heavily; prompt lookup must
+				// actually draft here, or the test is vacuous.
+				if drafted == 0 {
+					t.Fatal("prompt-lookup drafting proposed nothing")
+				}
+
+				// The trace, including the appended draft_step/verify_step
+				// kinds, still parses and validates.
+				if err := sink.Flush(); err != nil {
+					t.Fatalf("trace sink: %v", err)
+				}
+				events, err := obs.ParseTrace(&traceBuf)
+				if err != nil {
+					t.Fatalf("parse trace: %v", err)
+				}
+				if err := obs.ValidateTimeline(events, false); err != nil {
+					t.Fatalf("trace inconsistent: %v", err)
+				}
+				var draftEvs, verifyEvs int
+				for _, ev := range events {
+					switch ev.Kind {
+					case obs.KindDraftStep:
+						draftEvs++
+					case obs.KindVerifyStep:
+						verifyEvs++
+					}
+				}
+				if draftEvs == 0 || int64(verifyEvs) != met.SpecVerifies.Value() {
+					t.Fatalf("trace recorded %d draft / %d verify events, want >0 / %d",
+						draftEvs, verifyEvs, met.SpecVerifies.Value())
+				}
+			})
 		}
 	}
 }

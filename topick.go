@@ -61,7 +61,6 @@ import (
 	"io"
 
 	"tokenpicker/internal/attention"
-	"tokenpicker/internal/exec"
 	"tokenpicker/internal/fleet"
 	"tokenpicker/internal/httpapi"
 	"tokenpicker/internal/model"
@@ -141,10 +140,6 @@ func NewSpecDecoder(dec *Decoder, draft DraftSource, maxK int) *model.SpecDecode
 // configuration — the same chain the serving engine runs per session; use
 // it directly with a Decoder for single-tenant generation.
 func NewSampler(cfg SamplingConfig) (*SamplerChain, error) { return sample.New(cfg) }
-
-// ResolveParallel maps a -parallel style flag to an executor width: 0 means
-// one slot per CPU, anything else is literal.
-func ResolveParallel(flag int) int { return exec.ResolveWidth(flag) }
 
 // ErrContextFull is returned by Decoder.Step/Prompt when the context window
 // is exhausted; the serving engine finishes such sessions gracefully.
