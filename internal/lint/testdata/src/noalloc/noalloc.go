@@ -176,3 +176,12 @@ func panicArgs(n int) {
 		panic(fmt.Sprintf("negative: %d", n))
 	}
 }
+
+// bodyless is declared without a Go body, as an assembly kernel is: the call
+// graph ends at it, so a root calling it has no finding.
+func bodyless(dst []float32)
+
+//topick:noalloc
+func callsBodyless(dst []float32) {
+	bodyless(dst)
+}

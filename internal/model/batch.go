@@ -62,11 +62,12 @@ type BatchEntry struct {
 // on the step's executor. Attention is submitted as one multi-row AttendBatch
 // per layer per phase kernel, so the executor sees rows×heads tasks. The
 // dense stages — Q/K/V (one Run for all three), Wo, W1 with its GELU, and W2
-// — split by the step's row count: a single row cuts each matrix's output
-// rows into blocks at multiples of 4, several rows go out as contiguous
-// blocks of whole rows. Either way each output element is the same 4-wide
-// tensor.MatVec sum as in a whole-matrix, row-at-a-time pass; LayerNorm, one
-// reduction per row, stays on the caller. A row's arithmetic does not depend
+// — run on the Params' packed panels (tensor.Panels) and split by the step's
+// row count: a single row cuts each matrix's output rows into blocks at
+// multiples of tensor.PanelRows (8), several rows go out as contiguous blocks
+// of whole rows. Either way each output element is the same sum tensor.MatVec
+// computes in a whole-matrix, row-at-a-time pass; LayerNorm, one reduction per
+// row, stays on the caller. A row's arithmetic does not depend
 // on which other rows share its step or on the executor's width, so logits
 // and KV rows are bit-identical however a token sequence is split into steps
 // and entries — one row at a time (Decoder.Step), a prompt chunk, or many
@@ -77,6 +78,7 @@ type BatchEntry struct {
 // nothing once the scratch has grown to the workload's row count.
 type BatchEngine struct {
 	p      *Params
+	w      *packedParams // p's matrices in panel layout, shared by every engine over p
 	exact  ExactKernel
 	slopes []float32
 
@@ -111,7 +113,7 @@ type batchRow struct {
 // NewBatchEngine builds an engine over params. Entries passed to Step must
 // use decoders built from the same params.
 func NewBatchEngine(p *Params) *BatchEngine {
-	e := &BatchEngine{p: p, slopes: make([]float32, p.Cfg.Heads)}
+	e := &BatchEngine{p: p, w: p.panels(), slopes: make([]float32, p.Cfg.Heads)}
 	for h := range e.slopes {
 		e.slopes[h] = p.Cfg.AlibiSlope(h)
 	}
@@ -231,12 +233,13 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 	}
 
 	for l, b := range e.p.Blocks {
+		w := &e.w.blocks[l]
 		// Attention sublayer: QKV projections, KV rows appended to each
 		// row's own caches, then one multi-row AttendBatch per phase.
 		for r := 0; r < R; r++ {
 			tensor.LayerNorm(e.h[r*d:(r+1)*d], e.x[r*d:(r+1)*d], b.Ln1G, b.Ln1B, cfg.Eps)
 		}
-		e.dense(ex, R, e.h, false, gemv{b.Wq, b.Bq, e.q}, gemv{b.Wk, b.Bk, e.k}, gemv{b.Wv, b.Bv, e.v})
+		e.dense(ex, R, e.h, false, gemv{w.wq, b.Bq, e.q}, gemv{w.wk, b.Bk, e.k}, gemv{w.wv, b.Bv, e.v})
 		for r, row := range e.rows {
 			dec := entries[row.entry].Dec
 			for hIdx := 0; hIdx < H; hIdx++ {
@@ -248,15 +251,15 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 		}
 		e.attend(l, 0, decodeRows, scale, genKernel, ex, groups)
 		e.attend(l, decodeRows, R, scale, &e.exact, ex, nil)
-		e.dense(ex, R, e.attnOut, false, gemv{b.Wo, b.Bo, e.tmp})
+		e.dense(ex, R, e.attnOut, false, gemv{w.wo, b.Bo, e.tmp})
 		tensor.Add(e.x, e.x, e.tmp)
 
 		// FFN sublayer.
 		for r := 0; r < R; r++ {
 			tensor.LayerNorm(e.h[r*d:(r+1)*d], e.x[r*d:(r+1)*d], b.Ln2G, b.Ln2B, cfg.Eps)
 		}
-		e.dense(ex, R, e.h, true, gemv{b.W1, b.B1, e.ffnH})
-		e.dense(ex, R, e.ffnH, false, gemv{b.W2, b.B2, e.tmp})
+		e.dense(ex, R, e.h, true, gemv{w.w1, b.B1, e.ffnH})
+		e.dense(ex, R, e.ffnH, false, gemv{w.w2, b.B2, e.tmp})
 		tensor.Add(e.x, e.x, e.tmp)
 	}
 
@@ -285,7 +288,7 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 		}
 		tensor.LayerNorm(e.h[r*d:(r+1)*d], e.x[r*d:(r+1)*d], e.p.LnFG, e.p.LnFB, cfg.Eps)
 		lg := e.logits[out*V : (out+1)*V]
-		tensor.MatVec(lg, e.p.TokEmb, e.h[r*d:(r+1)*d])
+		e.w.emb.MatVecRange(lg, 0, V, e.h[r*d:(r+1)*d])
 		ent.Logits = lg
 		if ent.Verify {
 			// An entry's rows are consecutive in row order, so its logits
@@ -305,21 +308,21 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 	}
 }
 
-// gemv is one matrix of a dense stage: dst[r] = m*src[r] + bias for every
-// row r of the step.
+// gemv is one matrix of a dense stage: dst[r] = W·src[r] + bias for every
+// row r of the step, W packed in w.
 type gemv struct {
-	m         *tensor.Mat
+	w         *tensor.Panels
 	bias, dst []float32
 }
 
 // denseStage is the exec.Tasks adapter of one dense stage: up to three
 // matrices over the same src rows, cut into parts blocks each. Task t is
 // block t%parts of matrix t/parts. With one row a block is a run of output
-// rows starting and ending at multiples of 4 (the last block takes the
-// remainder), so every output element comes from the same 4-wide
-// tensor.MatVec pass as a whole-matrix call; with several rows a block is a
-// contiguous run of whole rows. Blocks write disjoint slices of dst, so any
-// schedule gives the serial bits.
+// rows starting and ending at multiples of tensor.PanelRows (the last block
+// takes the remainder), so every block is whole panels; with several rows a
+// block is a contiguous run of whole rows. Each output element is the same
+// sum either way, and blocks write disjoint slices of dst, so any schedule
+// gives the serial bits.
 type denseStage struct {
 	g           [3]gemv
 	rows, parts int
@@ -333,22 +336,21 @@ type denseStage struct {
 func (s *denseStage) Do(t, _ int) {
 	g := &s.g[t/s.parts]
 	blk := t % s.parts
-	m := g.m
+	m := g.w.Mat
 	r0, r1, o0, o1 := 0, s.rows, 0, m.Rows
 	if s.rows == 1 {
-		quads := m.Rows / 4
-		o0 = 4 * (blk * quads / s.parts)
+		panels := m.Rows / tensor.PanelRows
+		o0 = tensor.PanelRows * (blk * panels / s.parts)
 		if blk+1 < s.parts {
-			o1 = 4 * ((blk + 1) * quads / s.parts)
+			o1 = tensor.PanelRows * ((blk + 1) * panels / s.parts)
 		}
 	} else {
 		r0, r1 = blk*s.rows/s.parts, (blk+1)*s.rows/s.parts
 	}
-	view := tensor.Mat{Rows: o1 - o0, Cols: m.Cols, Data: m.Data[o0*m.Cols : o1*m.Cols]}
 	bias := g.bias[o0:o1]
 	for r := r0; r < r1; r++ {
 		out := g.dst[r*m.Rows+o0 : r*m.Rows+o1]
-		tensor.MatVec(out, &view, s.src[r*m.Cols:(r+1)*m.Cols])
+		g.w.MatVecRange(out, o0, o1, s.src[r*m.Cols:(r+1)*m.Cols])
 		tensor.Add(out, out, bias)
 		if s.gelu {
 			tensor.GELU(out)
@@ -359,7 +361,7 @@ func (s *denseStage) Do(t, _ int) {
 // dense runs one stage — up to three matrices of one output height, over the
 // rows of src — inline when ex is nil or one slot wide, else as one Run of
 // len(gs)×parts tasks, parts = min(width, rows) for several rows and
-// min(width, output rows/4) for one.
+// min(width, whole panels) for one.
 func (e *BatchEngine) dense(ex exec.Executor, rows int, src []float32, gelu bool, gs ...gemv) {
 	s := &e.stage
 	n := copy(s.g[:], gs)
@@ -367,7 +369,7 @@ func (e *BatchEngine) dense(ex exec.Executor, rows int, src []float32, gelu bool
 	s.parts = 1
 	if ex != nil {
 		if rows == 1 {
-			s.parts = max(1, min(ex.Width(), s.g[0].m.Rows/4))
+			s.parts = max(1, min(ex.Width(), s.g[0].w.Mat.Rows/tensor.PanelRows))
 		} else {
 			s.parts = min(ex.Width(), rows)
 		}

@@ -9,9 +9,10 @@ import (
 	"tokenpicker/internal/model"
 )
 
-// denseConfig has matrices that do not split evenly: d = 18 rows is four
-// quads and a remainder of 2, fewer than 4 × width rows at widths 5 and 8,
-// and the FFN's 54 rows are 13 quads and a remainder of 2.
+// denseConfig has matrices that do not split evenly into 8-row panels:
+// d = 18 rows is two panels and a remainder of 2, fewer panels than the
+// widths 3, 5 and 8, and the FFN's 54 rows are six panels and a remainder
+// of 6.
 func denseConfig() model.Config {
 	return model.Config{
 		Name:      "dense-odd",
@@ -96,10 +97,19 @@ func sameBits(t *testing.T, what string, got, want []float32) {
 	}
 }
 
+// oddVocabConfig is TestConfig with a vocabulary of 61: the logits GEMV ends
+// in a 5-row remainder past its last whole panel.
+func oddVocabConfig() model.Config {
+	cfg := model.TestConfig()
+	cfg.Name = "micro-vocab61"
+	cfg.VocabSize = 61
+	return cfg
+}
+
 // TestDenseStagesBitIdenticalAcrossWidths pins the dense stages' split: one
-// row cut at multiples of 4 of the output rows, several rows cut into blocks
-// of whole rows, on pools wider than a matrix has quads — logits and written
-// KV rows must equal the nil executor's bit for bit.
+// row cut at multiples of 8 (whole panels) of the output rows, several rows
+// cut into blocks of whole rows, on pools wider than a matrix has panels —
+// logits and written KV rows must equal the nil executor's bit for bit.
 func TestDenseStagesBitIdenticalAcrossWidths(t *testing.T) {
 	shapes := []denseShape{
 		{decodes: 1},
@@ -107,7 +117,7 @@ func TestDenseStagesBitIdenticalAcrossWidths(t *testing.T) {
 		{decodes: 1, prefill: 2},
 		{decodes: 3, prefill: 30},
 	}
-	for _, cfg := range []model.Config{denseConfig(), model.TestConfig()} {
+	for _, cfg := range []model.Config{denseConfig(), model.TestConfig(), oddVocabConfig()} {
 		p := model.NewParams(cfg, 23)
 		for _, shape := range shapes {
 			want := denseStep(t, p, shape, nil)

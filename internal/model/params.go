@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"strconv"
+	"sync"
 
 	"tokenpicker/internal/tensor"
 )
@@ -25,12 +26,47 @@ type BlockParams struct {
 
 // Params holds all model weights. The output head is tied to the token
 // embedding (logits = TokEmb . h), halving parameter count as in GPT-2.
+//
+// The first BatchEngine built over a Params (every Decoder's first Step or
+// Prompt builds one) packs the projection, FFN and embedding matrices once
+// for tensor's panel GEMV, and every engine over the same Params reads that
+// one copy. The weights must therefore not change after a decoder has
+// stepped: training writes them before any inference runs.
 type Params struct {
 	Cfg    Config
 	TokEmb *tensor.Mat // VocabSize x DModel
 	Blocks []*BlockParams
 	LnFG   []float32 // final layernorm
 	LnFB   []float32
+
+	packOnce sync.Once
+	packed   *packedParams
+}
+
+// packedParams is the inference copy of Params' matrices in panel layout.
+type packedParams struct {
+	emb    *tensor.Panels
+	blocks []packedBlock
+}
+
+// packedBlock holds one block's packed matrices.
+type packedBlock struct {
+	wq, wk, wv, wo, w1, w2 *tensor.Panels
+}
+
+// panels returns the packed matrices, packing them on the first call.
+func (p *Params) panels() *packedParams {
+	p.packOnce.Do(func() {
+		pk := &packedParams{emb: tensor.Pack(p.TokEmb), blocks: make([]packedBlock, len(p.Blocks))}
+		for l, b := range p.Blocks {
+			pk.blocks[l] = packedBlock{
+				wq: tensor.Pack(b.Wq), wk: tensor.Pack(b.Wk), wv: tensor.Pack(b.Wv),
+				wo: tensor.Pack(b.Wo), w1: tensor.Pack(b.W1), w2: tensor.Pack(b.W2),
+			}
+		}
+		p.packed = pk
+	})
+	return p.packed
 }
 
 // NewParams allocates and initializes weights with the given seed.

@@ -1,0 +1,39 @@
+//go:build amd64 && !purego
+
+package tensor
+
+// hasAVX reports whether the CPU and the OS support AVX: CPUID.1:ECX bits
+// 27 (OSXSAVE) and 28 (AVX), and XCR0 bits 1 and 2 (the OS saves XMM and
+// YMM state). The panel kernel needs nothing newer.
+var hasAVX = detectAVX()
+
+// useAsm routes MatVecRange's whole panels through the kernel. Tests clear
+// it to force the MatVec fallback on the same packed matrices.
+var useAsm = hasAVX
+
+func detectAVX() bool {
+	if maxID, _, _, _ := cpuid(0, 0); maxID < 1 {
+		return false
+	}
+	_, _, ecx, _ := cpuid(1, 0)
+	const osxsave, avx = 1 << 27, 1 << 28
+	if ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	xcr0, _ := xgetbv()
+	return xcr0&6 == 6
+}
+
+// cpuid executes CPUID with EAX=eaxArg and ECX=ecxArg.
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv reads XCR0 (XGETBV with ECX=0).
+func xgetbv() (eax, edx uint32)
+
+// gemvPanels computes out = W·x for the whole panels packed in p:
+// len(out) is a multiple of PanelRows, len(p) = len(out)·len(x), and
+// len(x) > 0. Four panels (32 rows) per pass share each broadcast of x[j];
+// a last pass takes the remaining panels one at a time.
+//
+//go:noescape
+func gemvPanels(out, p, x []float32)

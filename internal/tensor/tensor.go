@@ -4,10 +4,13 @@
 // deterministic. The rule for the inner loops: independent sums may run side
 // by side (MatVec computes four output rows per pass), but one sum is never
 // split over several accumulators — every float32 sum adds its terms in
-// ascending index order, so results do not depend on the unroll width and a
-// faster loop leaves every downstream bit where it was. A GEMV may be split
-// across output rows only at multiples of 4: MatVec over such a block of
-// rows is then the same passes as the whole-matrix call.
+// ascending index order, rounding each product before the add, so results do
+// not depend on the unroll width and a faster loop leaves every downstream
+// bit where it was. SIMD follows the same rule: in the panel GEMV (Panels,
+// amd64 AVX assembly) a vector lane is one output's whole sum, so it writes
+// MatVec's bits. The inference engine splits a GEMV across output rows at
+// multiples of the panel height, PanelRows (8), so every block is whole
+// panels.
 package tensor
 
 import (
@@ -131,7 +134,10 @@ func MatMul(out, a, b *Mat) {
 // rows, and the four single-accumulator chains overlap in the pipeline where
 // one chain would wait out the add latency on every element. Each out[i] is
 // still the sum over j in ascending order into one accumulator, so the result
-// does not depend on the unroll width.
+// does not depend on the unroll width. Each product is rounded to float32
+// before it is added (the explicit conversions forbid a fused multiply-add,
+// which the Go spec otherwise allows on arm64 and others), so the bits are
+// the same on every GOARCH and equal Panels.MatVecRange's.
 func MatVec(out []float32, m *Mat, v []float32) {
 	if len(v) != m.Cols || len(out) != m.Rows {
 		panic(fmt.Sprintf("tensor: matvec shape mismatch (%dx%d)*%d->%d",
@@ -146,10 +152,10 @@ func MatVec(out []float32, m *Mat, v []float32) {
 		r0, r1, r2, r3 := w[:cols], w[cols:][:cols], w[2*cols:][:cols], w[3*cols:][:cols]
 		var a0, a1, a2, a3 float32
 		for j, x := range v {
-			a0 += r0[j] * x
-			a1 += r1[j] * x
-			a2 += r2[j] * x
-			a3 += r3[j] * x
+			a0 += float32(r0[j] * x)
+			a1 += float32(r1[j] * x)
+			a2 += float32(r2[j] * x)
+			a3 += float32(r3[j] * x)
 		}
 		o := out[i : i+4 : i+4]
 		o[0], o[1], o[2], o[3] = a0, a1, a2, a3
@@ -158,7 +164,7 @@ func MatVec(out []float32, m *Mat, v []float32) {
 		row := m.Data[i*cols:][:cols]
 		var acc float32
 		for j, x := range v {
-			acc += row[j] * x
+			acc += float32(row[j] * x)
 		}
 		out[i] = acc
 	}

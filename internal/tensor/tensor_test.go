@@ -241,7 +241,7 @@ func refMatVec(out []float32, m *Mat, v []float32) {
 	for i := 0; i < m.Rows; i++ {
 		var acc float32
 		for j, x := range m.Row(i) {
-			acc += x * v[j]
+			acc += float32(x * v[j])
 		}
 		out[i] = acc
 	}
@@ -314,7 +314,8 @@ func TestMatVecRowBlocksBitIdentical(t *testing.T) {
 
 // BenchmarkMatVecSet times the 13 GEMVs of one decode step of the benchmark's
 // stand-in model (2 layers, d=128, FFN 512, vocab 96) — the in-repo
-// counterpart of benchmark/'s tensor.matvec_set_us.
+// counterpart of benchmark/'s tensor.matvec_set_us — through MatVec and
+// through the packed panels the engine uses.
 func BenchmarkMatVecSet(b *testing.B) {
 	const d, f, vocab, layers = 128, 512, 96, 2
 	rng := rand.New(rand.NewSource(1))
@@ -323,27 +324,47 @@ func BenchmarkMatVecSet(b *testing.B) {
 		m.RandInit(rng, 0.08)
 		return m
 	}
-	type block struct{ wq, wk, wv, wo, w1, w2 *Mat }
-	var blocks [layers]block
-	for l := range blocks {
-		blocks[l] = block{mat(d, d), mat(d, d), mat(d, d), mat(d, d), mat(f, d), mat(d, f)}
+	var mats []*Mat // per layer Wq, Wk, Wv, Wo, W1, W2; then the embedding
+	for l := 0; l < layers; l++ {
+		mats = append(mats, mat(d, d), mat(d, d), mat(d, d), mat(d, d), mat(f, d), mat(d, f))
 	}
-	emb := mat(vocab, d)
-	x, y, h, lg := make([]float32, d), make([]float32, d), make([]float32, f), make([]float32, vocab)
+	mats = append(mats, mat(vocab, d))
+	x, h := make([]float32, d), make([]float32, f)
 	for i := range x {
 		x[i] = float32(rng.NormFloat64())
 	}
-	flops := float64(2 * (layers*(4*d*d+2*d*f) + vocab*d))
-	for b.Loop() {
-		for _, bl := range blocks {
-			MatVec(y, bl.wq, x)
-			MatVec(y, bl.wk, x)
-			MatVec(y, bl.wv, x)
-			MatVec(y, bl.wo, x)
-			MatVec(h, bl.w1, x)
-			MatVec(y, bl.w2, h)
-		}
-		MatVec(lg, emb, x)
+	for i := range h {
+		h[i] = float32(rng.NormFloat64())
 	}
-	b.ReportMetric(flops*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+	out := make([]float32, f)
+	in := func(m *Mat) []float32 { // W2 reads the FFN activations
+		if m.Cols == f {
+			return h
+		}
+		return x
+	}
+	flops := float64(2 * (layers*(4*d*d+2*d*f) + vocab*d))
+	report := func(b *testing.B) {
+		b.ReportMetric(flops*float64(b.N)/float64(b.Elapsed().Nanoseconds()), "GFLOP/s")
+	}
+	b.Run("MatVec", func(b *testing.B) {
+		for b.Loop() {
+			for _, m := range mats {
+				MatVec(out[:m.Rows], m, in(m))
+			}
+		}
+		report(b)
+	})
+	panels := make([]*Panels, len(mats))
+	for i, m := range mats {
+		panels[i] = Pack(m)
+	}
+	b.Run("Panels", func(b *testing.B) {
+		for b.Loop() {
+			for _, p := range panels {
+				p.MatVecRange(out[:p.Mat.Rows], 0, p.Mat.Rows, in(p.Mat))
+			}
+		}
+		report(b)
+	})
 }
