@@ -1,7 +1,7 @@
 GO ?= go
 NCPU ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: all vet fmt-check lint manifest build test test-full bench-smoke check bench bench-go serve-demo clean
+.PHONY: all vet fmt-check lint manifest build test test-full bench-smoke check bench-go serve-demo clean
 
 all: vet build test
 
@@ -69,21 +69,12 @@ check: fmt-check vet lint build bench-smoke
 	TOPICK_QUICK=1 $(GO) test -race -count=1 -run 'Race|Churn|Fairness|Requeue' ./internal/...
 	TOPICK_QUICK=1 $(GO) test -count=1 -run 'ZeroAlloc|Allocs' ./internal/...
 
-# Measured decode-step trajectory: writes BENCH_decode.json (ns/token,
-# tokens/s, allocs/op per kernel/context/mode, plus the shared-prefix
-# serving arm: prefix-hit rate, TTFT with sharing on/off, prefill savings)
-# for future PRs to regress against.
-bench:
-	$(GO) run ./cmd/topick-bench -out BENCH_decode.json
-	@w=$$(sed -n 's/^  "warning": "\(.*\)",$$/\1/p' BENCH_decode.json); \
-	if [ -n "$$w" ]; then echo "bench warning: $$w" >&2; fi
-
 # One-shot smoke run of every Go benchmark.
 bench-go:
 	TOPICK_QUICK=1 $(GO) test -run xxx -bench . -benchtime 1x ./...
 
 serve-demo:
-	$(GO) run ./cmd/topick-serve -compare
+	$(GO) run ./cmd/topick-serve
 
 clean:
 	$(GO) clean ./...

@@ -4,10 +4,7 @@
 // Offline demo (default): trains the demo model, fires a wave of concurrent
 // mixed-length generation requests through the scheduler with Token-Picker
 // pruned attention on every worker, and prints the fleet-wide throughput,
-// pruning, KV-pool, prefix-sharing, and preemption report. With -compare it
-// also decodes the same traffic serialized on a single decoder and runs a
-// shared-prefix fleet with sharing on vs off, printing both side-by-side
-// tables.
+// pruning, KV-pool, prefix-sharing, and preemption report.
 //
 // HTTP server (-listen): boots the engine behind the OpenAI-style HTTP API
 // (POST /v1/completions with optional SSE streaming, GET /v1/stats,
@@ -25,7 +22,7 @@
 //
 // Usage:
 //
-//	topick-serve -sessions 12 -workers 4 -max-new 48 -threshold 1e-3 -compare
+//	topick-serve -sessions 12 -workers 4 -max-new 48 -threshold 1e-3
 //	topick-serve -max-blocks 256 -max-preempts 4   # preempt under pool pressure
 //	topick-serve -listen :8080                     # HTTP/SSE front-end
 //	topick-serve -listen :8080 -trace-out trace.jsonl -pprof
@@ -48,7 +45,6 @@ import (
 	"time"
 
 	"tokenpicker"
-	"tokenpicker/internal/bench"
 )
 
 func main() {
@@ -63,7 +59,6 @@ func main() {
 		maxBatch  = flag.Int("max-batch-tokens", 0, "row budget of one scheduling iteration: token rows a worker co-schedules across sessions (0 = one session per iteration)")
 		temp      = flag.Float64("temperature", 0, "sampling temperature (0 = greedy)")
 		deadline  = flag.Duration("deadline", 0, "per-request deadline (0 = none)")
-		compare   = flag.Bool("compare", false, "also run the serialized baseline")
 		share     = flag.Bool("share-prefix", true, "share cached prompt-prefix KV blocks across sessions")
 		maxBlocks = flag.Int("max-blocks", 0, "KV pool block budget (0 = unbounded; exhaustion preempts sessions)")
 		preempts  = flag.Int("max-preempts", 0, "per-session preemption budget (0 = default, negative = reject on exhaustion)")
@@ -163,9 +158,8 @@ func main() {
 	}
 	offlineDemo(res, srv, offlineOptions{
 		sessions: *sessions, workers: *workers, maxNew: *maxNew,
-		promptLen: *promptLen, stride: *stride, threshold: *threshold,
-		blockRows: *blockRows, specK: *specK,
-		temp: *temp, deadline: *deadline, compare: *compare, share: *share,
+		promptLen: *promptLen, stride: *stride, specK: *specK,
+		temp: *temp, deadline: *deadline, share: *share,
 	})
 	flushTrace()
 }
@@ -258,11 +252,10 @@ func runHTTP(handler *tokenpicker.HTTPHandler, addr string, pprofOn bool, drainG
 }
 
 type offlineOptions struct {
-	sessions, workers, maxNew, promptLen, stride int
-	blockRows, specK                             int
-	threshold, temp                              float64
-	deadline                                     time.Duration
-	compare, share                               bool
+	sessions, workers, maxNew, promptLen, stride, specK int
+	temp                                                float64
+	deadline                                            time.Duration
+	share                                               bool
 }
 
 func offlineDemo(res *tokenpicker.TrainResult, srv *tokenpicker.Server, o offlineOptions) {
@@ -364,25 +357,4 @@ func offlineDemo(res *tokenpicker.TrainResult, srv *tokenpicker.Server, o offlin
 	eager := int64(o.sessions) * int64(cfg.MaxSeq) * int64(cfg.Layers*cfg.Heads*2)
 	fmt.Printf("  vs eager allocation  : %d rows backed instead of %d (%.1fx less)\n",
 		rep.Pool.AllocatedRows(), eager, float64(eager)/float64(rep.Pool.AllocatedRows()))
-
-	if o.compare {
-		fmt.Println()
-		cmp := bench.CompareServing(res, bench.ServingOptions{
-			Sessions: o.sessions, PromptLen: o.promptLen, Stride: o.stride,
-			MaxNew: o.maxNew, Workers: o.workers, BlockRows: o.blockRows,
-			Threshold: o.threshold,
-		})
-		fmt.Println(bench.ServingTable(cmp).String())
-
-		// The wave above uses distinct prompts; the prefix-sharing win needs
-		// repeated prefixes (system prompts, chat history), so demo it on a
-		// shared-prefix fleet.
-		po := bench.DefaultPrefixServingOptions()
-		po.Sessions = o.sessions
-		po.MaxNew = o.maxNew
-		po.Workers = o.workers
-		po.BlockRows = o.blockRows
-		po.Threshold = o.threshold
-		fmt.Println(bench.PrefixServingTable(bench.ComparePrefixServing(res, po)).String())
-	}
 }

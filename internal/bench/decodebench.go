@@ -10,10 +10,10 @@ import (
 	"tokenpicker/internal/tensor"
 )
 
-// This file is the measured-performance harness for the decode hot path. It
-// is importable (not _test.go) so cmd/topick-bench can run the exact same
-// benchmark bodies through testing.Benchmark and persist the results as the
-// repo's perf trajectory (BENCH_decode.json).
+// This file holds the decode-step benchmark bodies: one generation step per
+// kernel, context and quantization mode, with allocs/op. `go test -bench
+// DecodeStep ./internal/bench` runs them; benchmark/ measures the default
+// kernel end to end.
 
 // decodeBenchSpan is how many generation steps run between cache refills;
 // context length stays within [ctx, ctx+decodeBenchSpan] during timing.
@@ -155,62 +155,4 @@ func DecodeStepBenchSpec(b *testing.B, spec DecodeBenchSpec) {
 		}
 		dec.MustStep((i*13 + 5) % cfg.VocabSize)
 	}
-}
-
-// DecodeStepBench times decode steps at the default head count with the
-// serial executor (the pre-parallel harness entry point).
-func DecodeStepBench(b *testing.B, kernel string, ctx int, scratch bool) {
-	DecodeStepBenchSpec(b, DecodeBenchSpec{Kernel: kernel, Context: ctx, Scratch: scratch})
-}
-
-// DecodeStepResult is one row of the persisted perf trajectory.
-type DecodeStepResult struct {
-	Kernel       string  `json:"kernel"`
-	Context      int     `json:"context"`
-	Heads        int     `json:"heads"`
-	Parallel     int     `json:"parallel"` // executor width (1 = serial)
-	Mode         string  `json:"mode"`     // "incremental" or "scratch"
-	Iterations   int     `json:"iterations"`
-	NsPerToken   float64 `json:"ns_per_token"`
-	TokensPerSec float64 `json:"tokens_per_sec"`
-	AllocsPerOp  int64   `json:"allocs_per_op"`
-	BytesPerOp   int64   `json:"bytes_per_op"`
-}
-
-// RunDecodeStepSpec executes one decode-step benchmark standalone (outside
-// `go test`) and returns the measured row.
-func RunDecodeStepSpec(spec DecodeBenchSpec) DecodeStepResult {
-	r := testing.Benchmark(func(b *testing.B) {
-		DecodeStepBenchSpec(b, spec)
-	})
-	mode := "incremental"
-	if spec.Scratch {
-		mode = "scratch"
-	}
-	heads := spec.Heads
-	if heads <= 0 {
-		heads = defaultBenchHeads
-	}
-	parallel := spec.Parallel
-	if parallel <= 1 {
-		parallel = 1
-	}
-	ns := float64(r.T.Nanoseconds()) / float64(r.N)
-	return DecodeStepResult{
-		Kernel:       spec.Kernel,
-		Context:      spec.Context,
-		Heads:        heads,
-		Parallel:     parallel,
-		Mode:         mode,
-		Iterations:   r.N,
-		NsPerToken:   ns,
-		TokensPerSec: 1e9 / ns,
-		AllocsPerOp:  r.AllocsPerOp(),
-		BytesPerOp:   r.AllocedBytesPerOp(),
-	}
-}
-
-// RunDecodeStep executes the default-geometry serial benchmark.
-func RunDecodeStep(kernel string, ctx int, scratch bool) DecodeStepResult {
-	return RunDecodeStepSpec(DecodeBenchSpec{Kernel: kernel, Context: ctx, Scratch: scratch})
 }

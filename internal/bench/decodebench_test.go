@@ -7,20 +7,19 @@ import (
 )
 
 // BenchmarkDecodeStep measures one generation step per kernel at short and
-// long contexts, in both quantization modes. `make bench` persists the same
-// measurements as BENCH_decode.json via cmd/topick-bench; this entry point
-// exists so plain `go test -bench DecodeStep` works too.
+// long contexts, in both quantization modes, at the default head count on
+// the serial executor.
 func BenchmarkDecodeStep(b *testing.B) {
 	for _, kernel := range DecodeKernels() {
 		for _, ctx := range []int{128, 512} {
 			b.Run(fmt.Sprintf("%s/ctx=%d/incremental", kernel, ctx), func(b *testing.B) {
-				DecodeStepBench(b, kernel, ctx, false)
+				DecodeStepBenchSpec(b, DecodeBenchSpec{Kernel: kernel, Context: ctx})
 			})
 			if kernel == "exact" {
 				continue // no quantization: the modes are identical
 			}
 			b.Run(fmt.Sprintf("%s/ctx=%d/scratch", kernel, ctx), func(b *testing.B) {
-				DecodeStepBench(b, kernel, ctx, true)
+				DecodeStepBenchSpec(b, DecodeBenchSpec{Kernel: kernel, Context: ctx, Scratch: true})
 			})
 		}
 	}
@@ -28,7 +27,6 @@ func BenchmarkDecodeStep(b *testing.B) {
 
 // BenchmarkDecodeStepParallel measures the head-parallel pool executor
 // against serial execution at the wider head counts the executor targets.
-// cmd/topick-bench persists the same arm into BENCH_decode.json.
 func BenchmarkDecodeStepParallel(b *testing.B) {
 	width := runtime.NumCPU()
 	if width < 2 {

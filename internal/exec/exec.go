@@ -98,15 +98,6 @@ func New(width int) Executor {
 	return NewPool(width)
 }
 
-// ResolveWidth maps a -parallel flag value to an executor width: 0 means
-// one slot per CPU, anything else is taken literally.
-func ResolveWidth(flag int) int {
-	if flag == 0 {
-		return runtime.NumCPU()
-	}
-	return flag
-}
-
 // SlotStats is the execution accounting of one scratch slot (or, summed,
 // of a whole executor): tasks run, tasks stolen from another slot's span,
 // and cumulative busy time inside task batches.

@@ -144,12 +144,6 @@ func TestNewSelectsSerialForNarrowWidths(t *testing.T) {
 		t.Fatal("New(3) should be a Pool")
 	}
 	e.Close()
-	if w := ResolveWidth(0); w != runtime.NumCPU() {
-		t.Fatalf("ResolveWidth(0) = %d, want NumCPU", w)
-	}
-	if w := ResolveWidth(5); w != 5 {
-		t.Fatalf("ResolveWidth(5) = %d", w)
-	}
 }
 
 func TestSpanTakeStealMeetInMiddle(t *testing.T) {

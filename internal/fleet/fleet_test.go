@@ -3,11 +3,13 @@ package fleet
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"tokenpicker/internal/attention"
 	"tokenpicker/internal/model"
 	"tokenpicker/internal/obs"
 	"tokenpicker/internal/serve"
@@ -302,5 +304,59 @@ func TestRollupCountsSharedPoolOnce(t *testing.T) {
 	}
 	if runtime.GOMAXPROCS(0) > 1 && one.Tasks == 0 {
 		t.Fatal("a lone replica runner ran no task on the shared pool")
+	}
+}
+
+// TestFleetRoutesUnloadedTenantsByAffinity: two tenant groups, each with its
+// own 96-token system prompt, on one replica per group. Each group's leader
+// is served alone first, then the followers together; the fleet never nears
+// its spill margin, so every admission routes by affinity (each group's
+// prefix key has one stable rendezvous winner) and the router's decisions
+// sum to the session count.
+func TestFleetRoutesUnloadedTenantsByAffinity(t *testing.T) {
+	r := train.TestModel()
+	const (
+		groups    = 2
+		sessions  = 6
+		prefixLen = 96
+		suffixLen = 8
+	)
+	fl := NewFleet(r.Params, Config{
+		Replicas: groups,
+		Affinity: true,
+		Serve: serve.Config{Workers: 2, BlockRows: 32, SharePrefix: true,
+			NewKernel: func() model.Kernel { return attention.NewTokenPicker(1e-3) }},
+	})
+	defer fl.Close()
+	submit := func(i int) *serve.Stream {
+		g := i % groups
+		start := (groups*prefixLen + i*suffixLen) % (len(r.Held) - suffixLen)
+		req := Request{Tenant: fmt.Sprintf("tenant-%d", g)}
+		req.Prompt = append(append([]int(nil), r.Held[g*prefixLen:(g+1)*prefixLen]...),
+			r.Held[start:start+suffixLen]...)
+		req.MaxTokens = 8
+		st, err := fl.Submit(context.Background(), req)
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		return st
+	}
+	for i := 0; i < groups; i++ {
+		submit(i).Result()
+	}
+	var streams []*serve.Stream
+	for i := groups; i < sessions; i++ {
+		streams = append(streams, submit(i))
+	}
+	for _, st := range streams {
+		st.Result()
+	}
+
+	rt := fl.Report().Routing
+	if routed := rt.Affinity + rt.Spilled + rt.Balanced; routed != sessions {
+		t.Fatalf("router decisions %d, want %d (%+v)", routed, sessions, rt)
+	}
+	if rt.Affinity != sessions {
+		t.Fatalf("unloaded fleet should route all sessions by affinity: %+v", rt)
 	}
 }
