@@ -1,7 +1,7 @@
 GO ?= go
 NCPU ?= $(shell nproc 2>/dev/null || echo 1)
 
-.PHONY: all vet fmt-check lint manifest build test test-full bench-smoke check bench-go serve-demo clean
+.PHONY: all vet fmt-check lint manifest build test test-full bench-smoke fuzz-smoke check bench-go serve-demo clean
 
 all: vet build test
 
@@ -40,6 +40,13 @@ test-full:
 # an internal API change breaks it, not later in the benchmark pipeline.
 bench-smoke:
 	cd benchmark && $(GO) test ./...
+
+# Each native fuzz target for 5 s past its checked-in corpus (testdata/fuzz,
+# which plain `go test` already replays): completion-request lowering and
+# admission in httpapi, trace parsing in obs.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzCompletionRequest$$' -fuzztime 5s ./internal/httpapi/
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 5s ./internal/obs/
 
 # The gate: static analysis (formatting, vet, topick-lint with its
 # noalloc/metrics/trace/err discipline and manifest drift, build), the frozen

@@ -26,8 +26,7 @@ func main() {
 		seed      = flag.Int64("seed", 7, "sampling seed (with -temperature > 0)")
 		topK      = flag.Int("top-k", 0, "keep only the K most likely tokens (0 = off)")
 		topP      = flag.Float64("top-p", 0, "nucleus sampling mass (0 = off)")
-		specK     = flag.Int("speculate-k", 0, "speculative decoding draft window (0 = off; output is bit-identical either way)")
-		draftSrc  = flag.String("draft", "ngram", "draft source with -speculate-k: ngram (prompt lookup) or decoder (pruned draft model)")
+		specK     = flag.Int("speculate-k", 0, "speculative decoding draft window: verify up to K prompt-lookup draft tokens per pass (0 = off; output is bit-identical either way)")
 	)
 	flag.Parse()
 
@@ -75,7 +74,7 @@ func main() {
 	fmt.Printf("generated    : ")
 	tok := sampler.Sample(logits, history)
 	if *specK > 0 {
-		speculate(res, dec, k, sampler, &history, tok, *nTokens, *specK, *draftSrc, *threshold)
+		speculate(res, dec, k, sampler, &history, tok, *nTokens, *specK)
 	} else {
 		for i := 0; i < *nTokens; i++ {
 			fmt.Printf("%d ", tok)
@@ -122,23 +121,12 @@ func (e *genEmitter) Emit(logits []float32) (int, bool) {
 }
 
 // speculate drives draft-and-verify generation: each pass advances the
-// pending token plus up to specK draft tokens through one batched engine
-// step and keeps the longest accepted prefix. first is the token already
-// sampled from the prompt logits.
+// pending token plus up to specK prompt-lookup draft tokens through one
+// batched engine step and keeps the longest accepted prefix. first is the
+// token already sampled from the prompt logits.
 func speculate(res *tokenpicker.TrainResult, dec *tokenpicker.Decoder, k tokenpicker.Kernel,
-	sampler *tokenpicker.SamplerChain, history *[]int, first, nTokens, specK int, draftSrc string, threshold float64) {
-	var draft tokenpicker.DraftSource
-	switch draftSrc {
-	case "ngram":
-		draft = &tokenpicker.NgramDraft{}
-	case "decoder":
-		// The draft model is the same weights under aggressively pruned
-		// attention: cheap proposals, exact verification.
-		draft = &tokenpicker.DecoderDraft{Dec: tokenpicker.NewDecoder(res.Params, tokenpicker.NewKernel(threshold*100))}
-	default:
-		log.Fatalf("unknown draft source %q", draftSrc)
-	}
-	sd := tokenpicker.NewSpecDecoder(dec, draft, specK)
+	sampler *tokenpicker.SamplerChain, history *[]int, first, nTokens, specK int) {
+	sd := tokenpicker.NewSpecDecoder(dec, &tokenpicker.NgramDraft{}, specK)
 	eng := tokenpicker.NewBatchEngine(res.Params)
 	em := &genEmitter{sampler: sampler, history: history, limit: nTokens}
 
@@ -154,6 +142,6 @@ func speculate(res *tokenpicker.TrainResult, dec *tokenpicker.Decoder, k tokenpi
 	}
 	fmt.Println()
 	st := sd.Stats()
-	fmt.Printf("\nspeculation (k=%d, draft=%s): %d drafted, %d accepted (%.0f%% acceptance), %d verify passes\n",
-		specK, draftSrc, st.Drafted, st.Accepted, 100*st.AcceptanceRate(), st.Passes)
+	fmt.Printf("\nspeculation (k=%d): %d drafted, %d accepted (%.0f%% acceptance), %d verify passes\n",
+		specK, st.Drafted, st.Accepted, 100*st.AcceptanceRate(), st.Passes)
 }

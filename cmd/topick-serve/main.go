@@ -123,7 +123,7 @@ func main() {
 		MaxBlocks:      *maxBlocks,
 		SharePrefix:    *share,
 		MaxPreempts:    *preempts,
-		Speculate:      tokenpicker.SpeculateConfig{K: *specK},
+		SpeculateK:     *specK,
 		Tracer:         tracer,
 		Detokenize:     detok,
 		NewKernel:      func() tokenpicker.Kernel { return tokenpicker.NewKernel(*threshold) },

@@ -17,7 +17,7 @@ import (
 // speculation off. BenchmarkSpeculativeServing reports both.
 
 // SpeculativeOptions sizes the speculative-decoding comparison: the same
-// greedy fleet decoded without drafting and then once per draft source.
+// greedy fleet decoded without drafting and then with n-gram drafting.
 type SpeculativeOptions struct {
 	Sessions    int
 	PromptLen   int // shortest prompt; session i adds i*Stride tokens
@@ -45,19 +45,10 @@ func DefaultSpeculativeOptions() SpeculativeOptions {
 	}
 }
 
-// SpeculativeArm is one draft configuration measured against the
-// no-speculation baseline. TokensMatch is the contract, not a metric:
-// drafting changes how tokens are computed, never which tokens come out.
-type SpeculativeArm struct {
-	Draft          string  // draft source name
-	Speedup        float64 // wall clock of the baseline / of this arm
-	Drafted        int64   // tokens proposed by the draft source
-	Accepted       int64   // drafts confirmed by exact verification
-	AcceptanceRate float64 // Accepted / Drafted
-	TokensMatch    bool    // bit-identical to the baseline streams
-}
-
-// SpeculativeResult is the outcome of one speculative-decoding comparison.
+// SpeculativeResult is the outcome of one speculative-decoding comparison:
+// prompt-lookup drafting against the no-speculation baseline. TokensMatch
+// is the contract, not a metric: drafting changes how tokens are computed,
+// never which tokens come out.
 //
 // On this CPU-bound demo model the verify pass really does pay for its extra
 // rows, so wall-clock speedup tracks (acceptance × batching efficiency) and
@@ -65,8 +56,12 @@ type SpeculativeArm struct {
 // memory-bound regime tilts the other way, where k+1 rows cost roughly one
 // weight sweep.
 type SpeculativeResult struct {
-	TotalTokens int64 // generated tokens per arm
-	Arms        []SpeculativeArm
+	TotalTokens    int64   // generated tokens per arm
+	Speedup        float64 // wall clock of the baseline / of the drafting arm
+	Drafted        int64   // tokens proposed by the draft source
+	Accepted       int64   // drafts confirmed by exact verification
+	AcceptanceRate float64 // Accepted / Drafted
+	TokensMatch    bool    // bit-identical to the baseline streams
 }
 
 // servingPrompts builds synthetic mixed-length traffic: session i's prompt
@@ -139,54 +134,32 @@ func sameStreams(a, b [][]int) bool {
 }
 
 // CompareSpeculative decodes the same greedy fleet through the serving
-// engine once without speculation and once per draft source — prompt-lookup
-// n-grams and a pruned-attention decoder draft — and reports speedup,
-// acceptance, and stream equality for each arm.
+// engine once without speculation and once with prompt-lookup drafting, and
+// reports speedup, acceptance, and stream equality.
 func CompareSpeculative(r *train.Result, o SpeculativeOptions) SpeculativeResult {
 	prompts := servingPrompts(r, o.Sessions, o.PromptLen, o.Stride)
-	newKernel := func() model.Kernel { return attention.NewTokenPicker(o.Threshold) }
-	base := serve.Config{
+	cfg := serve.Config{
 		Workers:     o.Workers,
 		BlockRows:   o.BlockRows,
 		PromptChunk: o.PromptChunk,
 		SharePrefix: true,
-		NewKernel:   newKernel,
+		NewKernel:   func() model.Kernel { return attention.NewTokenPicker(o.Threshold) },
 	}
+	baseToks, baseSec, _ := runServingArm(r, cfg, prompts, o.MaxNew)
+	cfg.SpeculateK = o.K
+	toks, wall, met := runServingArm(r, cfg, prompts, o.MaxNew)
 
-	baseToks, baseSec, _ := runServingArm(r, base, prompts, o.MaxNew)
-	var total int64
-	for _, toks := range baseToks {
-		total += int64(len(toks))
+	res := SpeculativeResult{
+		Speedup:     baseSec / wall,
+		Drafted:     met.SpecDrafted.Value(),
+		Accepted:    met.SpecAccepted.Value(),
+		TokensMatch: sameStreams(toks, baseToks),
 	}
-	res := SpeculativeResult{TotalTokens: total}
-
-	drafts := []struct {
-		name string
-		mk   func() model.DraftSource
-	}{
-		{"ngram", nil}, // serving default: prompt-lookup drafting
-		{"decoder", func() model.DraftSource {
-			// The draft model is the same weights under attention pruned two
-			// orders of magnitude harder: cheap proposals, exact verification.
-			return &model.DecoderDraft{Dec: model.NewDecoder(
-				r.Params, attention.NewTokenPicker(o.Threshold*100))}
-		}},
+	for _, t := range baseToks {
+		res.TotalTokens += int64(len(t))
 	}
-	for _, d := range drafts {
-		cfg := base
-		cfg.Speculate = serve.SpeculateConfig{K: o.K, NewDraft: d.mk}
-		toks, wall, met := runServingArm(r, cfg, prompts, o.MaxNew)
-		arm := SpeculativeArm{
-			Draft:       d.name,
-			Speedup:     baseSec / wall,
-			Drafted:     met.SpecDrafted.Value(),
-			Accepted:    met.SpecAccepted.Value(),
-			TokensMatch: sameStreams(toks, baseToks),
-		}
-		if arm.Drafted > 0 {
-			arm.AcceptanceRate = float64(arm.Accepted) / float64(arm.Drafted)
-		}
-		res.Arms = append(res.Arms, arm)
+	if res.Drafted > 0 {
+		res.AcceptanceRate = float64(res.Accepted) / float64(res.Drafted)
 	}
 	return res
 }

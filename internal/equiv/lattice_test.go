@@ -25,7 +25,6 @@ const (
 	axWorkers
 	axChunk
 	axSpec
-	axDraft
 	axShare
 	axPressure
 	axReplicas
@@ -53,13 +52,13 @@ var axes = [numAxes]struct {
 	axBudget:  {"budget", []string{"0", "16", "24", "32"}},
 	axWorkers: {"workers", []string{"1", "2", "3"}},
 	axChunk:   {"chunk", []string{"default", "8"}},
-	axSpec:    {"spec", []string{"0", "2", "4", "8"}},
-	// none with spec > 0: a SpecDecoder with no draft source.
-	axDraft: {"draft", []string{"none", "ngram", "decoder"}},
+	// A speculating point drafts n-grams (model.NgramDraft).
+	axSpec: {"spec", []string{"0", "2", "4", "8"}},
 	// on: prefix sharing; the later waves adopt the first's blocks.
 	axShare: {"share", []string{"off", "on"}},
-	// tight: MaxBlocks fits one session, MaxPreempts 128.
-	axPressure: {"pressure", []string{"none", "tight"}},
+	// tight: MaxBlocks fits one session and a spare block row, MaxPreempts
+	// 128; exact: the same without the spare row.
+	axPressure: {"pressure", []string{"none", "tight", "exact"}},
 	axReplicas: {"replicas", []string{"1", "2", "4"}},
 	// seeded: the temperature/top-k/top-p/penalty chain, one seed per request.
 	axSampling: {"sampling", []string{"greedy", "seeded"}},
@@ -75,13 +74,11 @@ var rules = []struct{ when, then string }{
 	// Servers store KV in their pool, and their runners ride the shared pool.
 	{"engine=server|fleet", "store=paged4|paged5|paged8|paged16|paged32 exec=shared"},
 	{"engine=server", "replicas=1"},
-	{"spec=0", "draft=none"},
-	// A speculating server always drafts.
-	{"spec=2|4|8 draft=none", "engine=library"},
 }
 
 // regressions are the axis tuples the hand-rolled serving tests this lattice
-// replaced ran, as products (axis=a|b); unnamed axes sit at the bottom.
+// replaced ran, as products (axis=a|b), and the points that found bugs;
+// unnamed axes sit at the bottom.
 // TestIterationBatchingBitExact, TestSpeculativeServingBitExact and
 // TestSamplingDeterministicAcrossEngines still run in internal/serve too
 // (ROADMAP item 6).
@@ -100,7 +97,14 @@ var regressions = []string{
 	"engine=server kernel=exact|quantized-exact|token-picker|oracle store=paged16 exec=shared workers=2 budget=0|24 chunk=8 share=on",
 	// TestSpeculativeServingBitExact: verify entries of several sessions
 	// in one step, on every serving kernel.
-	"engine=server kernel=exact|quantized-exact|token-picker|oracle store=paged16 exec=shared workers=2 budget=0|32 chunk=8 spec=4 draft=ngram share=on",
+	"engine=server kernel=exact|quantized-exact|token-picker|oracle store=paged16 exec=shared workers=2 budget=0|32 chunk=8 spec=4 share=on",
+	// TestSpeculativeServingSeededBitExact: the seeded chain across the
+	// speculation boundary, one session per iteration and verify entries
+	// of several sessions in one step.
+	"engine=server kernel=exact store=paged16 exec=shared workers=2 budget=0|32 chunk=8 spec=4 sampling=seeded",
+	// TestSpeculativeDecodeSeededBitExact: a library verify pass consumes
+	// the sampler's RNG once per emitted token.
+	"engine=library kernel=exact exec=serial spec=4 sampling=seeded",
 	// TestSamplingDeterministicAcrossEngines: the seeded chain served from
 	// the paged pool, with and without adopted prefixes.
 	"engine=server kernel=quantized-exact store=paged16 exec=shared workers=2 share=off|on sampling=seeded",
@@ -108,7 +112,11 @@ var regressions = []string{
 	// preempted each other until both preemption budgets were spent, and
 	// one finished rejected (Server.canResume now waits for a finish).
 	"model=parallel engine=server kernel=token-picker store=paged32 exec=shared budget=32 share=on pressure=tight",
-	"engine=fleet kernel=oracle store=paged16 exec=shared budget=24 chunk=8 spec=4 draft=ngram share=on pressure=tight replicas=2",
+	"engine=fleet kernel=oracle store=paged16 exec=shared budget=24 chunk=8 spec=4 share=on pressure=tight replicas=2",
+	// Found by the lattice: a session alone in a pool sized exactly to its
+	// rows was rejected, because its first generated row needed a copy of
+	// its own published tail block (the index now lets go of the tail).
+	"model=parallel engine=fleet kernel=exact store=paged32 exec=shared workers=2 chunk=8 share=on pressure=exact replicas=1 sampling=seeded",
 }
 
 // Point is one configuration: a value index per axis (-1 = unset while a

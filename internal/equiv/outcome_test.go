@@ -180,16 +180,6 @@ func (p Point) sampling(i int) sample.Config {
 		RepetitionPenalty: 1.1, Seed: int64(42 + i)}
 }
 
-func (p Point) newDraft(params *model.Params) model.DraftSource {
-	switch p.value(axDraft) {
-	case "ngram":
-		return &model.NgramDraft{}
-	case "decoder":
-		return &model.DecoderDraft{Dec: model.NewDecoder(params, attention.NewTokenPicker(1e-1))}
-	}
-	return nil
-}
-
 // reference is the bottom point's Outcome for p's model, kernel and
 // sampling, computed once per process.
 func reference(t *testing.T, p Point) Outcome {
@@ -264,7 +254,7 @@ func driveLibrary(t *testing.T, p Point) Outcome {
 		}
 		tok, _ := em.Emit(logits)
 		if k := p.int(axSpec); k > 0 {
-			sd := model.NewSpecDecoder(dec, p.newDraft(fx.params), k)
+			sd := model.NewSpecDecoder(dec, &model.NgramDraft{}, k)
 			eng := model.NewBatchEngine(fx.params)
 			for len(em.out) < maxNew {
 				if _, err := sd.Step(eng, kernel, ex, em.hist, maxNew-len(em.out)-1, em); err != nil {
@@ -315,21 +305,23 @@ func driveServing(t *testing.T, p Point) Outcome {
 	if p.value(axChunk) != "default" {
 		sc.PromptChunk = p.int(axChunk)
 	}
-	if k := p.int(axSpec); k > 0 {
-		sc.Speculate = serve.SpeculateConfig{K: k,
-			NewDraft: func() model.DraftSource { return p.newDraft(fx.params) }}
-	}
-	if p.value(axPressure) == "tight" {
-		// Room for the longest session, its draft window and one spare
-		// block row (a session copies its own shared tail block on its
-		// first generated row): two sessions of one system prompt, which
-		// affinity routes to one replica, overflow it together.
+	sc.SpeculateK = p.int(axSpec)
+	if pressure := p.value(axPressure); pressure != "none" {
+		// Room for the longest session and its draft window, plus at tight
+		// one spare block row for the copy of a shared tail block (at
+		// exact, a lone session must unpublish its own tail instead): two
+		// sessions of one system prompt, which affinity routes to one
+		// replica, overflow it together.
 		longest := 0
 		for _, pr := range fx.prompts {
 			longest = max(longest, len(pr))
 		}
 		rows := longest + maxNew + p.int(axSpec)
-		sc.MaxBlocks = ((rows+sc.BlockRows-1)/sc.BlockRows + 1) * cfg.Layers * cfg.Heads * 2
+		blocks := (rows + sc.BlockRows - 1) / sc.BlockRows
+		if pressure == "tight" {
+			blocks++
+		}
+		sc.MaxBlocks = blocks * cfg.Layers * cfg.Heads * 2
 		sc.MaxPreempts = 128
 		// Those two must be live together, or one finishes before the
 		// other needs room: decode waits at the gate (see holdWave).
@@ -383,7 +375,7 @@ func driveServing(t *testing.T, p Point) Outcome {
 			}
 			streams[k] = st
 		}
-		if p.value(axPressure) == "tight" && len(w) > 1 {
+		if p.value(axPressure) != "none" && len(w) > 1 {
 			held.holdWave(servers, p.int(axWorkers))
 		}
 		held.Unlock()
@@ -551,17 +543,15 @@ func checkOutcome(t *testing.T, p Point, o Outcome) {
 	if p.blockRows() > 0 && rep.Pool.Recycled() == 0 {
 		t.Error("later sessions recycled no blocks")
 	}
-	if o.Spec.Drafted != o.Spec.Accepted+o.Spec.RolledBack || (spec > 0) != (o.Spec.Passes > 0) {
+	// A speculating point drafts n-grams, and the fixtures repeat enough
+	// for prompt lookup to find matches.
+	if o.Spec.Drafted != o.Spec.Accepted+o.Spec.RolledBack ||
+		(spec > 0) != (o.Spec.Passes > 0) || (spec > 0) != (o.Spec.Drafted > 0) {
 		t.Errorf("speculation stats %+v", o.Spec)
 	}
 	if p.value(axEngine) == "library" {
-		if spec > 0 {
-			if o.Spec.Emitted != int64(len(fx.prompts)*(maxNew-1)) {
-				t.Errorf("speculation emitted %d tokens, want %d", o.Spec.Emitted, len(fx.prompts)*(maxNew-1))
-			}
-			if (p.value(axDraft) == "none") != (o.Spec.Drafted == 0) {
-				t.Errorf("draft source %s drafted %d tokens", p.value(axDraft), o.Spec.Drafted)
-			}
+		if spec > 0 && o.Spec.Emitted != int64(len(fx.prompts)*(maxNew-1)) {
+			t.Errorf("speculation emitted %d tokens, want %d", o.Spec.Emitted, len(fx.prompts)*(maxNew-1))
 		}
 		return
 	}
@@ -578,14 +568,11 @@ func checkOutcome(t *testing.T, p Point, o Outcome) {
 		drafted += int64(u.DraftedTokens)
 		accepted += int64(u.AcceptedDraftTokens)
 	}
-	if spec > 0 && drafted == 0 {
-		t.Error("speculating engine drafted nothing")
-	}
 	if o.Spec.Drafted != drafted || o.Spec.Accepted != accepted {
 		t.Errorf("spec counters drafted %d / accepted %d, usage totals %d / %d",
 			o.Spec.Drafted, o.Spec.Accepted, drafted, accepted)
 	}
-	if p.value(axPressure) == "tight" {
+	if p.value(axPressure) != "none" {
 		if rep.Preempted == 0 && rep.RecomputeTokens == 0 {
 			t.Error("pool pressure produced no preemption")
 		}

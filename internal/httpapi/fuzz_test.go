@@ -1,0 +1,50 @@
+package httpapi
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"errors"
+	"testing"
+
+	"tokenpicker/internal/model"
+	"tokenpicker/internal/serve"
+)
+
+// FuzzCompletionRequest drives arbitrary bodies through the completion
+// endpoint's lowering: JSON decode, toGenerateRequest, Validate. Nothing may
+// panic, and a request Validate accepts must pass through admission's
+// vocabulary check: Submit admits it or rejects it with ErrBadToken. The
+// context is canceled up front, so an admitted session finishes canceled at
+// its first iteration without decoding. The corpus is testdata/fuzz.
+func FuzzCompletionRequest(f *testing.F) {
+	cfg := model.TestConfig()
+	cfg.MaxSeq = 64 // so a prompt past the context window stays a short input
+	srv := serve.NewServer(model.NewParams(cfg, 1), serve.Config{Workers: 1, BlockRows: 8})
+	f.Cleanup(srv.Close)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var cr completionRequest
+		if json.NewDecoder(bytes.NewReader(body)).Decode(&cr) != nil {
+			return
+		}
+		req, err := cr.toGenerateRequest()
+		if err != nil || req.Validate() != nil {
+			return
+		}
+		st, err := srv.Submit(ctx, req)
+		if err != nil {
+			if !errors.Is(err, serve.ErrBadToken) {
+				t.Fatalf("a validated request was refused by something other than the vocabulary check: %v", err)
+			}
+			return
+		}
+		for range st.Events() {
+			t.Fatal("a canceled session emitted a token")
+		}
+		if res := st.Result(); res.Reason != serve.ReasonCanceled {
+			t.Fatalf("canceled session finished %q (%v)", res.Reason, res.Err)
+		}
+	})
+}

@@ -1,9 +1,6 @@
 package model
 
-import (
-	"tokenpicker/internal/exec"
-	"tokenpicker/internal/tensor"
-)
+import "tokenpicker/internal/exec"
 
 // This file implements speculative decoding — the paper's predict-then-verify
 // idea lifted from attention rows to whole tokens. A cheap DraftSource
@@ -72,72 +69,6 @@ func (d *NgramDraft) Draft(dst, history []int, max int) int {
 		}
 	}
 	return 0
-}
-
-// DecoderDraft drafts with a separate cheap decoder — the Token-Picker
-// estimator kernel (or any approximate kernel) running greedily as the draft
-// model, while the exact kernel only verifies. The draft decoder keeps its
-// own KV state in sync with the target stream by longest-common-prefix
-// rollback: after a verify pass, the accepted prefix of its own proposals is
-// already consumed, so sync work is O(corrected tokens), not O(history).
-// Draft errors (context full, storage pressure) degrade to proposing nothing
-// and reset the internal state so the next call self-heals.
-type DecoderDraft struct {
-	// Dec is the draft decoder: same Params as the target, typically a
-	// cheap/approximate Kernel. Owned exclusively by this source.
-	Dec *Decoder
-
-	hist []int // tokens Dec has consumed, in order
-}
-
-// Draft implements DraftSource with greedy argmax proposals.
-func (d *DecoderDraft) Draft(dst, history []int, max int) int {
-	if max <= 0 || len(history) == 0 {
-		return 0
-	}
-	p := 0
-	for p < len(d.hist) && p < len(history) && d.hist[p] == history[p] {
-		p++
-	}
-	if p == len(history) {
-		// Already consumed the full history (a retried pass): step the last
-		// token again to recover its logits.
-		p--
-	}
-	if p < len(d.hist) {
-		d.Dec.Rollback(p)
-		d.hist = d.hist[:p]
-	}
-	var logits []float32
-	for _, t := range history[p:] {
-		lg, err := d.Dec.Step(t)
-		if err != nil {
-			d.reset()
-			return 0
-		}
-		logits = lg
-		d.hist = append(d.hist, t)
-	}
-	k := 0
-	for {
-		tok := tensor.Argmax(logits)
-		dst[k] = tok
-		k++
-		if k == max {
-			return k
-		}
-		lg, err := d.Dec.Step(tok)
-		if err != nil {
-			return k
-		}
-		logits = lg
-		d.hist = append(d.hist, tok)
-	}
-}
-
-func (d *DecoderDraft) reset() {
-	d.Dec.Reset()
-	d.hist = d.hist[:0]
 }
 
 // Emitter consumes the verified positions of a speculative pass in emission

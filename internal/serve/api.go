@@ -159,7 +159,7 @@ type Usage struct {
 	// replay: work redone, nothing re-emitted.
 	RecomputeTokens int
 	// DraftedTokens counts draft tokens submitted for speculative
-	// verification on this session's behalf (0 unless Config.Speculate.K
+	// verification on this session's behalf (0 unless Config.SpeculateK
 	// > 0). AcceptedDraftTokens of them were reproduced by the session's
 	// sampler and kept; the rest were rolled back. Speculation changes
 	// neither GeneratedTokens nor the emitted stream — only how many engine

@@ -271,7 +271,7 @@ func TestConfigValidateRejectsNegatives(t *testing.T) {
 		field string
 		cfg   Config
 	}{
-		{"Speculate.K", Config{Speculate: SpeculateConfig{K: -1}}},
+		{"SpeculateK", Config{SpeculateK: -1}},
 		{"PromptChunk", Config{PromptChunk: -4}},
 		{"MaxBatchTokens", Config{MaxBatchTokens: -8}},
 	}
@@ -291,7 +291,7 @@ func TestConfigValidateRejectsNegatives(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config must validate (defaults apply): %v", err)
 	}
-	if err := (Config{PromptChunk: 16, MaxBatchTokens: 32, Speculate: SpeculateConfig{K: 2}}).Validate(); err != nil {
+	if err := (Config{PromptChunk: 16, MaxBatchTokens: 32, SpeculateK: 2}).Validate(); err != nil {
 		t.Fatalf("positive config must validate: %v", err)
 	}
 

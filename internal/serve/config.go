@@ -39,8 +39,8 @@ func (c Config) Validate() error {
 	if c.MaxBatchTokens < 0 {
 		return &ConfigError{Field: "MaxBatchTokens", Reason: "must not be negative (0 means one session per iteration)"}
 	}
-	if c.Speculate.K < 0 {
-		return &ConfigError{Field: "Speculate.K", Reason: "must not be negative (0 disables speculative decoding)"}
+	if c.SpeculateK < 0 {
+		return &ConfigError{Field: "SpeculateK", Reason: "must not be negative (0 disables speculative decoding)"}
 	}
 	return nil
 }

@@ -65,7 +65,7 @@ type Metrics struct {
 	BatchRows        *obs.Histogram // rows per iteration (occupancy)
 	BatchIteration   *obs.Histogram // wall seconds per iteration
 
-	// Speculative-decoding counters, fed only when Config.Speculate.K > 0.
+	// Speculative-decoding counters, fed only when Config.SpeculateK > 0.
 	// Drafted == Accepted + RolledBack always, and the per-session split
 	// reconciles exactly with Usage.{DraftedTokens, AcceptedDraftTokens}
 	// summed over finished sessions (drafts are only counted on verify

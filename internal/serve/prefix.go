@@ -453,16 +453,58 @@ func (px *prefixIndex) drop(e *prefixEntry) int {
 	delete(px.entries, e.key)
 	px.stats.Evicted++
 	px.held -= e.snapBytes
+	return px.release(e.k) + px.release(e.v) + px.release(e.tailK) + px.release(e.tailV)
+}
+
+// release drops the index's reference to each of blocks and returns how many
+// became free. The caller holds px.mu and px.pool.mu.
+func (px *prefixIndex) release(blocks []*block) int {
+	px.held -= len(blocks) * px.blockBytes
 	freed := 0
-	for _, blocks := range [...][]*block{e.k, e.v, e.tailK, e.tailV} {
-		px.held -= len(blocks) * px.blockBytes
-		for _, b := range blocks {
-			if px.pool.releaseLocked(b) {
-				freed++
-			}
+	for _, b := range blocks {
+		if px.pool.releaseLocked(b) {
+			freed++
 		}
 	}
 	return freed
+}
+
+// dropOwnTails unpublishes every partial tail that nobody but the index and
+// dec reads, so that dec's next append writes the tail block in place
+// instead of copying it. A session alone in a pool sized exactly to its rows
+// needs that copy's block, and no rung can free one: evictOne skips entries
+// a live session reads. It reports whether a tail was dropped.
+func (px *prefixIndex) dropOwnTails(dec *model.Decoder) bool {
+	kc, vc, ok := px.pagedCaches(dec)
+	if !ok {
+		return false
+	}
+	px.mu.Lock()
+	defer px.mu.Unlock()
+	px.pool.mu.Lock()
+	defer px.pool.mu.Unlock()
+	dropped := false
+	for _, e := range px.entries {
+		if e.tailK != nil && onlyReader(e.tailK, kc, e.depth) && onlyReader(e.tailV, vc, e.depth) {
+			px.release(e.tailK)
+			px.release(e.tailV)
+			e.tailK, e.tailV, e.tailTokens = nil, nil, nil
+			dropped = true
+		}
+	}
+	return dropped
+}
+
+// onlyReader reports whether the index's reference to each tail block
+// tail[i] is its only one apart from caches[i], which holds it at block
+// index at.
+func onlyReader(tail []*block, caches []*pagedCache, at int) bool {
+	for i, b := range tail {
+		if b.refs > 2 || b.refs == 2 && (len(caches[i].blocks) <= at || caches[i].blocks[at] != b) {
+			return false
+		}
+	}
+	return true
 }
 
 // trim evicts least-recently-used freeable entries until the index holds no

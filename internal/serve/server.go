@@ -143,25 +143,14 @@ type Config struct {
 	// instance per generation). Kernels exposing Stats/ResetStats feed
 	// the fleet-wide transfer report.
 	NewKernel func() model.Kernel
-	// Speculate enables speculative decoding (Speculate.K > 0): each
-	// generation step becomes a draft-and-verify pass that can emit several
-	// tokens per model sweep. Composes with every row budget, prefix
-	// sharing, and the preemption ladder; emitted tokens are bit-identical
-	// to non-speculative decoding for greedy and seeded sampling alike.
-	Speculate SpeculateConfig
-}
-
-// SpeculateConfig configures draft-and-verify speculative decoding.
-type SpeculateConfig struct {
-	// K is the maximum draft tokens verified per pass (the adaptive window's
-	// ceiling; per-session k walks [1, K] with recent acceptance). 0 disables
-	// speculation; negative is rejected by Validate.
-	K int
-	// NewDraft builds one draft source per session; nil means the model-free
-	// prompt-lookup n-gram draft (model.NgramDraft). A model.DecoderDraft
-	// over a cheap estimator kernel plugs in here. Each source is owned by
-	// exactly one session, so it may carry mutable state.
-	NewDraft func() model.DraftSource
+	// SpeculateK enables speculative decoding when > 0: each generation
+	// step becomes a draft-and-verify pass that verifies up to SpeculateK
+	// prompt-lookup draft tokens (model.NgramDraft) in one model sweep; the
+	// per-session window walks [1, SpeculateK] with recent acceptance.
+	// Composes with every row budget, prefix sharing, and the preemption
+	// ladder; emitted tokens are bit-identical to non-speculative decoding
+	// for greedy and seeded sampling alike. Negative is rejected by Validate.
+	SpeculateK int
 }
 
 // defaultBlockRows is the KV pool block granularity when Config.BlockRows is
@@ -251,7 +240,7 @@ type session struct {
 	replayEnd int
 	preempts  int // times this session has been preempted
 
-	// Speculative decoding (Config.Speculate.K > 0): spec drives the
+	// Speculative decoding (Config.SpeculateK > 0): spec drives the
 	// session's draft-and-verify passes; specEmit is the reusable emitter
 	// one pass borrows (a value field so the steady-state pass allocates
 	// nothing). drafted/acceptedDrafts accumulate into Usage.
@@ -285,6 +274,10 @@ type Server struct {
 	tracer   *obs.Tracer    // nil unless Config.Tracer
 	wg       sync.WaitGroup // runners
 	sessWG   sync.WaitGroup // in-flight sessions
+
+	// newDraft builds a speculating session's draft source in place of
+	// the n-gram draft; nil outside tests, which script drafts through it.
+	newDraft func() model.DraftSource
 
 	closeOnce sync.Once
 	finishes  atomic.Int64 // sessions finished so far (see canResume)
@@ -518,14 +511,12 @@ func (s *Server) Submit(ctx context.Context, req GenerateRequest) (*Stream, erro
 		penCtx:    append(make([]int, 0, len(req.Prompt)+buf), req.Prompt...),
 	}
 	sess.stream = &Stream{events: events, done: make(chan struct{}), cancel: cancel}
-	if s.cfg.Speculate.K > 0 {
-		var draft model.DraftSource
-		if s.cfg.Speculate.NewDraft != nil {
-			draft = s.cfg.Speculate.NewDraft()
-		} else {
-			draft = &model.NgramDraft{}
+	if s.cfg.SpeculateK > 0 {
+		var draft model.DraftSource = &model.NgramDraft{}
+		if s.newDraft != nil {
+			draft = s.newDraft()
 		}
-		sess.spec = model.NewSpecDecoder(sess.dec, draft, s.cfg.Speculate.K)
+		sess.spec = model.NewSpecDecoder(sess.dec, draft, s.cfg.SpeculateK)
 	}
 	s.trace(sess, obs.KindSubmit, 0, 0, 0, 0)
 	if s.prefixes != nil {
@@ -646,7 +637,8 @@ func (e *specEmitter) Emit(logits []float32) (int, bool) {
 }
 
 // storageErr handles a decoder error mid-session. Pool exhaustion walks a
-// reclamation ladder — evict an idle cached prefix, preempt the least-
+// reclamation ladder — evict an idle cached prefix (or unpublish a tail
+// block only this session still reads, sparing its copy), preempt the least-
 // progressed waiting session, preempt this session behind the pool's other
 // holders — and finishes the session ReasonRejected only when every rung
 // fails and the pool is still full. Any other error finishes the session
@@ -660,9 +652,9 @@ func (s *Server) storageErr(sess *session, err error) bool {
 	// Cached-but-idle prefix blocks must never starve live sessions. This
 	// rung is cache reclamation, not preemption, so it runs even when
 	// MaxPreempts < 0 disables the preemption rungs below.
-	if s.prefixes != nil && s.prefixes.evictOne() {
+	if s.prefixes != nil && (s.prefixes.evictOne() || s.prefixes.dropOwnTails(sess.dec)) {
 		s.met.LadderEvict.Inc()
-		return false // retry on the reclaimed blocks
+		return false // retry on the reclaimed blocks, or without a tail copy
 	}
 	if s.cfg.MaxPreempts < 0 {
 		s.met.LadderReject.Inc()

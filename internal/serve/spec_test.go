@@ -3,11 +3,11 @@ package serve
 import (
 	"bytes"
 	"context"
+	"slices"
 	"testing"
 
 	"tokenpicker/internal/model"
 	"tokenpicker/internal/obs"
-	"tokenpicker/internal/sample"
 	"tokenpicker/internal/train"
 )
 
@@ -22,19 +22,13 @@ var specServeBudgets = []struct {
 	{"budget=32", 32},
 }
 
-// collectStreams submits every prompt and drains the streams in order.
-func collectStreams(t *testing.T, srv *Server, prompts [][]int, maxNew int,
-	sampling sample.Config) ([][]int, []Result) {
+// collectStreams submits every prompt greedily and drains the streams in
+// order.
+func collectStreams(t *testing.T, srv *Server, prompts [][]int, maxNew int) ([][]int, []Result) {
 	t.Helper()
 	streams := make([]*Stream, len(prompts))
 	for i, p := range prompts {
-		cfg := sampling
-		if cfg.Temperature > 0 {
-			cfg.Seed = int64(i + 1)
-		}
-		st, err := srv.Submit(context.Background(), GenerateRequest{
-			Prompt: p, MaxTokens: maxNew, Sampling: cfg,
-		})
+		st, err := srv.Submit(context.Background(), GenerateRequest{Prompt: p, MaxTokens: maxNew})
 		if err != nil {
 			t.Fatalf("submit %d: %v", i, err)
 		}
@@ -83,11 +77,11 @@ func TestSpeculativeServingBitExact(t *testing.T) {
 					PromptChunk:    8,
 					MaxBatchTokens: mode.batch,
 					SharePrefix:    true,
-					Speculate:      SpeculateConfig{K: 4},
+					SpeculateK:     4,
 					Tracer:         tracer,
 					NewKernel:      newKernel,
 				})
-				got, res := collectStreams(t, srv, prompts, maxNew, sample.Config{})
+				got, res := collectStreams(t, srv, prompts, maxNew)
 				met := srv.Metrics()
 				srv.Close()
 
@@ -168,57 +162,27 @@ func TestSpeculativeServingBitExact(t *testing.T) {
 	}
 }
 
-// TestSpeculativeServingSeededBitExact pins seeded sampling across the
-// speculation boundary: per-session seeded streams from a speculating server
-// must match a non-speculating server bit for bit at both row budgets
-// (the acceptance rule consumes sampler RNG exactly once per emitted token).
-func TestSpeculativeServingSeededBitExact(t *testing.T) {
-	r := train.TestModel()
-	const (
-		sessions = 5
-		maxNew   = 20
-	)
-	prompts := testPrompts(r, sessions)
-	sampling := sample.Config{Temperature: 0.85, TopK: 16}
+// scriptedDraft proposes the continuation of a known token stream: a
+// perfect draft when full is the prompt plus the model's own greedy output.
+type scriptedDraft struct{ full []int }
 
-	for _, mode := range specServeBudgets {
-		t.Run(mode.name, func(t *testing.T) {
-			run := func(specK int) [][]int {
-				srv := NewServer(r.Params, Config{
-					Workers:        2,
-					BlockRows:      16,
-					PromptChunk:    8,
-					MaxBatchTokens: mode.batch,
-					Speculate:      SpeculateConfig{K: specK},
-				})
-				got, res := collectStreams(t, srv, prompts, maxNew, sampling)
-				srv.Close()
-				for i := range res {
-					if res[i].Err != nil {
-						t.Fatalf("session %d: %v", i, res[i].Err)
-					}
-				}
-				return got
-			}
-			plain := run(0)
-			spec := run(4)
-			for i := range plain {
-				if len(spec[i]) != len(plain[i]) {
-					t.Fatalf("session %d emitted %d tokens speculating, %d plain", i, len(spec[i]), len(plain[i]))
-				}
-				for j := range plain[i] {
-					if spec[i][j] != plain[i][j] {
-						t.Fatalf("session %d token %d: speculative %d != plain %d", i, j, spec[i][j], plain[i][j])
-					}
-				}
-			}
-		})
+func (d *scriptedDraft) Draft(dst, history []int, max int) int {
+	n := 0
+	for n < max && len(history)+n < len(d.full) {
+		dst[n] = d.full[len(history)+n]
+		n++
 	}
+	return n
+}
+
+// scriptDrafts makes every session srv admits draft from full.
+func scriptDrafts(srv *Server, full []int) {
+	srv.newDraft = func() model.DraftSource { return &scriptedDraft{full: full} }
 }
 
 // TestSpeculativeStopInsideDraftWindow pins the stop-sequence boundary when
 // the match lands inside an accepted draft window: a perfect draft source
-// (the same model decoded greedily) accepts everything, so the verify pass
+// (the serial greedy stream, scripted) accepts everything, so the verify pass
 // that crosses the stop boundary has live drafts beyond it — emission must
 // truncate exactly at the match, finish with ReasonStop, and never emit a
 // token past the boundary at either row budget.
@@ -255,13 +219,9 @@ func TestSpeculativeStopInsideDraftWindow(t *testing.T) {
 				Workers:        1,
 				BlockRows:      16,
 				MaxBatchTokens: mode.batch,
-				Speculate: SpeculateConfig{
-					K: 8,
-					NewDraft: func() model.DraftSource {
-						return &model.DecoderDraft{Dec: model.NewDecoder(r.Params, nil)}
-					},
-				},
+				SpeculateK:     8,
 			})
+			scriptDrafts(srv, slices.Concat(prompt, want))
 			st, err := srv.Submit(context.Background(), GenerateRequest{
 				Prompt: prompt, MaxTokens: maxNew, Stop: stop,
 			})
@@ -303,22 +263,15 @@ func TestSpeculativeStopInsideDraftWindow(t *testing.T) {
 }
 
 // TestSpeculativeLengthBoundary pins the other emission boundary: drafting
-// never pushes a session past MaxTokens even when the draft window is larger
-// than the remaining budget.
+// never pushes a session past MaxTokens even when a perfect draft offers
+// more tokens than the remaining budget.
 func TestSpeculativeLengthBoundary(t *testing.T) {
 	r := train.TestModel()
 	prompt := testPrompts(r, 1)[0]
-	want := decodeSerial(t, r.Params, nil, prompt, 3)
+	want := decodeSerial(t, r.Params, nil, prompt, 16)
 
-	srv := NewServer(r.Params, Config{
-		Workers: 1,
-		Speculate: SpeculateConfig{
-			K: 8,
-			NewDraft: func() model.DraftSource {
-				return &model.DecoderDraft{Dec: model.NewDecoder(r.Params, nil)}
-			},
-		},
-	})
+	srv := NewServer(r.Params, Config{Workers: 1, SpeculateK: 8})
+	scriptDrafts(srv, slices.Concat(prompt, want))
 	st, err := srv.Submit(context.Background(), GenerateRequest{Prompt: prompt, MaxTokens: 3})
 	if err != nil {
 		t.Fatalf("submit: %v", err)
@@ -332,7 +285,7 @@ func TestSpeculativeLengthBoundary(t *testing.T) {
 	if res.Reason != ReasonLength || len(got) != 3 {
 		t.Fatalf("finished %q with %d tokens, want length/3", res.Reason, len(got))
 	}
-	for j := range want {
+	for j := range got {
 		if got[j] != want[j] {
 			t.Fatalf("token %d: %d != serial %d", j, got[j], want[j])
 		}

@@ -84,14 +84,8 @@ type (
 	// TokenPickerKernel applies the paper's pruning inside the decoder and
 	// accounts the off-chip traffic it would generate (Stats).
 	TokenPickerKernel = attention.TokenPicker
-	// DraftSource proposes draft tokens for speculative decoding.
-	DraftSource = model.DraftSource
 	// NgramDraft is the model-free prompt-lookup draft source (default).
 	NgramDraft = model.NgramDraft
-	// DecoderDraft drafts with a separate cheap decoder (e.g. the
-	// Token-Picker estimator kernel) that the verify loop keeps in sync by
-	// longest-common-prefix rollback.
-	DecoderDraft = model.DecoderDraft
 	// SamplingConfig is the pluggable sampling configuration (temperature,
 	// top-k, top-p, min-p, repetition penalty, logit bias, seed); the zero
 	// value is greedy argmax.
@@ -129,10 +123,11 @@ func Perplexity(p *model.Params, tokens []int, k Kernel, warm int) float64 {
 func NewBatchEngine(p *model.Params) *model.BatchEngine { return model.NewBatchEngine(p) }
 
 // NewSpecDecoder builds a speculative decoder over dec with draft window
-// maxK: draft may be nil (every pass degenerates to a plain decode step) or
-// an NgramDraft/DecoderDraft. Emitted tokens are bit-identical to plain
-// decoding for any deterministic sampler fed the same logits.
-func NewSpecDecoder(dec *Decoder, draft DraftSource, maxK int) *model.SpecDecoder {
+// maxK: draft may be nil (every pass degenerates to a plain decode step),
+// the prompt-lookup NgramDraft, or any deterministic draft source. Emitted
+// tokens are bit-identical to plain decoding for any deterministic sampler
+// fed the same logits.
+func NewSpecDecoder(dec *Decoder, draft model.DraftSource, maxK int) *model.SpecDecoder {
 	return model.NewSpecDecoder(dec, draft, maxK)
 }
 
@@ -151,10 +146,6 @@ type (
 	Server = serve.Server
 	// ServeConfig sizes a Server (workers, row budget, pool geometry).
 	ServeConfig = serve.Config
-	// SpeculateConfig turns on speculative decoding in the serving engine
-	// (ServeConfig.Speculate): drafts are verified in one batched engine
-	// pass and the emitted stream stays bit-identical to plain decoding.
-	SpeculateConfig = serve.SpeculateConfig
 	// GenerateRequest is one generation job: prompt, token budget, full
 	// sampling configuration, stop sequences. Validate reports typed
 	// validation errors that match ErrInvalidRequest.
