@@ -110,6 +110,8 @@ type quantScratch struct {
 	qk, qv fixed.QuantCache
 	qq     fixed.Vector
 	bias   []float32
+	dots   []int64 // quantScores' integer dots
+	all    []int   // 0, 1, 2, …: quantScores' index list, every key
 }
 
 // query quantizes q reusing the slot-owned buffer.
@@ -143,22 +145,17 @@ func accumulate(out []float32, p, vScale float64, v fixed.Vector) {
 // quantScores writes every key's full-precision score, scores[i] =
 // float32(c·(q·k_i)) - slope·float32(n-1-i) with n = len(scores), for the
 // kernels that score every key (QuantizedExact and Oracle). The integer dots
-// run four keys per pass through fixed.MaskedDot4 and the tail through
-// fixed.Dot; integer sums are exact in any order, so every score keeps its
-// bits.
-func quantScores(scores []float32, q fixed.Vector, kRows []fixed.Vector, c float64, slope float32) {
+// of all n keys come from one fixed.MaskedDots call with mask -1; integer
+// sums are exact in any order, so every score keeps its bits.
+func (qs *quantScratch) quantScores(scores []float32, q fixed.Vector, kRows []fixed.Vector, c float64, slope float32, bits uint) {
 	n := len(scores)
-	kRows = kRows[:n]
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		d0, d1, d2, d3 := fixed.MaskedDot4(q, kRows[i], kRows[i+1], kRows[i+2], kRows[i+3], -1)
-		scores[i] = float32(c*float64(d0)) - slope*float32(n-1-i)
-		scores[i+1] = float32(c*float64(d1)) - slope*float32(n-2-i)
-		scores[i+2] = float32(c*float64(d2)) - slope*float32(n-3-i)
-		scores[i+3] = float32(c*float64(d3)) - slope*float32(n-4-i)
+	for len(qs.all) < n {
+		qs.all = append(qs.all, len(qs.all))
 	}
-	for ; i < n; i++ {
-		scores[i] = float32(c*float64(fixed.Dot(q, kRows[i]))) - slope*float32(n-1-i)
+	qs.dots = tensor.Grow(qs.dots, n)
+	fixed.MaskedDots(qs.dots, q, kRows, qs.all[:n], -1, bits)
+	for i, d := range qs.dots {
+		scores[i] = float32(c*float64(d)) - slope*float32(n-1-i)
 	}
 }
 
@@ -184,7 +181,7 @@ func (s *slot) scoreAll(b *model.AttendBatch, t int, bits uint) (probs []float32
 	kRows, kScale := s.qs.keys(b.Keys[t], n, dim, bits)
 	vRows, vScale = s.qs.values(b.Vals[t], n, dim, bits)
 	qq := s.qs.query(b.TaskQ(t), bits)
-	quantScores(s.scores, qq.Data, kRows, float64(b.Scale)*qq.Scale*kScale, b.TaskSlope(t))
+	s.qs.quantScores(s.scores, qq.Data, kRows, float64(b.Scale)*qq.Scale*kScale, b.TaskSlope(t), bits)
 	tensor.Softmax(s.probs, s.scores)
 	return s.probs, vRows, vScale
 }

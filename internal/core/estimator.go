@@ -13,7 +13,7 @@ import (
 // across tokens (in hardware the KV cache is stored pre-quantized).
 type Inputs struct {
 	Q      fixed.Quantized // quantized query (fully on-chip)
-	K      []fixed.Vector  // n quantized key vectors
+	K      []fixed.Vector  // n key vectors quantized at Config.Chunks.TotalBits
 	KScale float64         // shared key scale
 	Scale  float64         // score scale, typically 1/sqrt(headDim)
 	// KPlanes is ignored: chunk b of a key is read from K as
@@ -87,6 +87,7 @@ type Estimator struct {
 
 	// reusable scratch
 	partial []int64
+	dots    []int64 // one wave's chunk partials, in visiting order
 	expMin  []float64
 	fxExp   []uint64
 	order   []int
@@ -190,37 +191,21 @@ func (e *Estimator) RunInto(rep *Report, in Inputs) {
 			}
 		}
 	} else {
-		// Wave: chunk b of every surviving token before any chunk b+1. The
-		// survivors are compacted in place, in visiting order. A token's
-		// partial never depends on D, only its decision does, so the
-		// partials of four survivors are computed in one pass and then
-		// decided in visiting order: the decisions are the one-at-a-time
-		// ones. Compaction writes at most four entries behind the four just
-		// read.
+		// Wave: chunk b of every surviving token before any chunk b+1. A
+		// token's partial never depends on D, only its decision does, so
+		// one call scores chunk b of every survivor and decide then runs
+		// over them in visiting order: the decisions are the one-at-a-time
+		// ones. The survivors are compacted in place, in visiting order.
+		bits := max(e.cfg.Chunks.TotalBits, in.Q.Bits)
+		e.dots = tensor.Grow(e.dots, n)
 		live := e.order
 		for b := 0; b < numChunks; b++ {
 			rep.ChunkFetches[b] = int64(len(live))
+			dots := e.dots[:len(live)]
+			fixed.MaskedDots(dots, r.q, r.k, live, r.masks[b], bits)
 			next := live[:0]
-			k, mask := r.k, r.masks[b]
-			j := 0
-			for ; j+4 <= len(live); j += 4 {
-				i0, i1, i2, i3 := live[j], live[j+1], live[j+2], live[j+3]
-				d0, d1, d2, d3 := fixed.MaskedDot4(r.q, k[i0], k[i1], k[i2], k[i3], mask)
-				if r.decide(i0, b, d0) {
-					next = append(next, i0)
-				}
-				if r.decide(i1, b, d1) {
-					next = append(next, i1)
-				}
-				if r.decide(i2, b, d2) {
-					next = append(next, i2)
-				}
-				if r.decide(i3, b, d3) {
-					next = append(next, i3)
-				}
-			}
-			for _, i := range live[j:] {
-				if r.step(i, b) {
+			for x, i := range live {
+				if r.decide(i, b, dots[x]) {
 					next = append(next, i)
 				}
 			}
@@ -460,9 +445,9 @@ type run struct {
 	d       denom
 }
 
-// step advances token i by chunk b on its own: the depth-first schedule and
-// the wave remainder. The wave computes four partials per pass instead and
-// calls decide on each.
+// step advances token i by chunk b on its own: the depth-first schedule.
+// The wave scores all of its survivors in one call instead and calls decide
+// on each.
 func (r *run) step(i, b int) bool {
 	return r.decide(i, b, fixed.MaskedDot(r.q, r.k[i], r.masks[b]))
 }

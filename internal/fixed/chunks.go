@@ -207,6 +207,61 @@ func MaskedDot4(q, k0, k1, k2, k3 Vector, mask int16) (d0, d1, d2, d3 int64) {
 	return d0, d1, d2, d3
 }
 
+// MaskedDots writes out[x] = MaskedDot(q, rows[idx[x]], mask) for every
+// entry of idx, which must be as long as out: one call scores a whole list,
+// the chunk-b partials of an estimator wave's survivors or (mask -1, idx
+// every row) the full dots of a scoring pass. Every listed row must be at
+// least as long as q. The sums are exact integers, so each out[x] is
+// MaskedDot's, bit for bit, on either path.
+//
+// On amd64 with AVX2 the whole 16-element blocks of q run through one
+// assembly call, four rows per pass: VPAND with the mask, VPMADDWD into
+// int32 lanes, VPADDD. A tail of q shorter than 16 is added by MaskedDot.
+// The one proof obligation is int32 overflow, and bits carries it: every
+// q[j] and every rows[i][j]&mask must lie in [-2^(bits-1), 2^(bits-1)-1].
+// Values quantized at ChunkSpec.TotalBits = bits stay there under any
+// ChunkMask and under -1. A product is then at most 2^(2·bits-2) in
+// magnitude and a VPMADDWD pair sum at most 2^(2·bits-1), so a lane that
+// has added m blocks is at most m·2^(2·bits-1) and the VPHADDD of two such
+// lanes at most m·2^(2·bits). The kernel folds its lanes into int64 every
+// m = 2^(31-2·bits) - 1 blocks (127 at the default 12 bits, 1 at 15), which
+// keeps every int32 sum below 2^31 at any row width. The Go loop, MaskedDot4
+// four entries at a time, runs instead outside 1 <= bits <= 15, for q
+// shorter than 16, without AVX2, on other GOARCHes and under the purego tag.
+//
+//topick:noalloc
+func MaskedDots(out []int64, q Vector, rows []Vector, idx []int, mask int16, bits uint) {
+	if len(idx) != len(out) {
+		panic(fmt.Sprintf("fixed: %d indices for %d dots", len(idx), len(out)))
+	}
+	n16 := len(q) &^ 15
+	if !useAsm || n16 == 0 || bits < 1 || bits > 15 {
+		maskedDotsGo(out, q, rows, idx, mask)
+		return
+	}
+	if !maskedDotsAVX2(out, q, rows, idx, mask, 1<<(31-2*bits)-1) {
+		maskedDotsGo(out, q, rows, idx, mask) // panics at the bad entry
+		return
+	}
+	if n16 < len(q) {
+		for x, i := range idx {
+			out[x] += MaskedDot(q[n16:], rows[i][n16:], mask)
+		}
+	}
+}
+
+// maskedDotsGo is MaskedDots without the kernel.
+func maskedDotsGo(out []int64, q Vector, rows []Vector, idx []int, mask int16) {
+	x := 0
+	for ; x+4 <= len(idx); x += 4 {
+		out[x], out[x+1], out[x+2], out[x+3] = MaskedDot4(q,
+			rows[idx[x]], rows[idx[x+1]], rows[idx[x+2]], rows[idx[x+3]], mask)
+	}
+	for ; x < len(idx); x++ {
+		out[x] = MaskedDot(q, rows[idx[x]], mask)
+	}
+}
+
 // ExtractAll splits every element of k into chunks; result[b][i] is chunk b
 // of element i. This mirrors the DRAM layout: chunk b of the whole vector is
 // stored contiguously so it can be fetched as one burst.

@@ -33,6 +33,9 @@ func FuzzCompletionRequest(f *testing.F) {
 		if err != nil || req.Validate() != nil {
 			return
 		}
+		if len(req.Sampling.LogitBias) != len(cr.LogitBias) {
+			t.Fatalf("logit_bias keys %v lowered onto %d token ids: two keys name one token", cr.LogitBias, len(req.Sampling.LogitBias))
+		}
 		st, err := srv.Submit(ctx, req)
 		if err != nil {
 			if !errors.Is(err, serve.ErrBadToken) {

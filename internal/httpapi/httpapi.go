@@ -271,8 +271,10 @@ func (cr *completionRequest) toGenerateRequest() (serve.GenerateRequest, error) 
 	if len(cr.LogitBias) > 0 {
 		req.Sampling.LogitBias = make(map[int]float32, len(cr.LogitBias))
 		for k, v := range cr.LogitBias {
+			// Only the canonical spelling is a token id: "1" and "01" would
+			// both parse to 1, and which bias won would depend on map order.
 			tok, err := strconv.Atoi(k)
-			if err != nil {
+			if err != nil || strconv.Itoa(tok) != k {
 				return req, fmt.Errorf("logit_bias key %q is not a token id", k)
 			}
 			req.Sampling.LogitBias[tok] = v

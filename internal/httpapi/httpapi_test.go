@@ -217,6 +217,8 @@ func TestValidationErrorsMapTo400(t *testing.T) {
 		{"out of vocab", `{"prompt": [1, 1000000]}`, "prompt"},
 		{"empty stop seq", `{"prompt": [1,2], "stop": [[]]}`, "stop"},
 		{"bad bias key", `{"prompt": [1,2], "temperature": 1, "logit_bias": {"x": 1}}`, "logit_bias"},
+		{"bias key spelled two ways", `{"prompt": [1,2], "temperature": 1, "logit_bias": {"1": 5, "01": -5}}`, "logit_bias"},
+		{"non-canonical bias key", `{"prompt": [1,2], "temperature": 1, "logit_bias": {"+1": 5}}`, "logit_bias"},
 		{"malformed json", `{"prompt": [1,2]`, ""},
 	}
 	for _, tc := range cases {

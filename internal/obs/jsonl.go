@@ -152,6 +152,9 @@ func ParseTrace(r io.Reader) ([]Event, error) {
 		if err := dec.Decode(&we); err != nil {
 			return nil, fmt.Errorf("obs: trace line %d: %w", line, err)
 		}
+		if dec.InputOffset() != int64(len(raw)) {
+			return nil, fmt.Errorf("obs: trace line %d: data after the event", line)
+		}
 		kind := KindFromString(we.Kind)
 		if kind == KindInvalid {
 			return nil, fmt.Errorf("obs: trace line %d: unknown kind %q", line, we.Kind)

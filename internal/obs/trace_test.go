@@ -102,6 +102,9 @@ func TestParseTraceRejectsSchemaDrift(t *testing.T) {
 		"unknown kind":   `{"sid":1,"kind":"teleport","t_ns":0,"step":0,"tokens":0,"rows":0,"batch":0,"queue":0,"stalled":0,"pool_inuse":0,"pool_free":0,"detail":0,"rid":0}`,
 		"future schema":  `{"trace_schema":999}`,
 		"malformed line": `{"sid":`,
+		// A second value on one line used to be dropped without an error.
+		"two values on one line": `{"sid":1,"kind":"submit","t_ns":1} {"sid":2,"kind":"submit","t_ns":2}`,
+		"data after the event":   `{"sid":1,"kind":"submit","t_ns":1}}`,
 	}
 	for name, line := range cases {
 		if _, err := ParseTrace(strings.NewReader(line + "\n")); err == nil {

@@ -7,6 +7,14 @@ package tensor
 // YMM state). The panel kernel needs nothing newer.
 var hasAVX = detectAVX()
 
+// hasAVX2 adds CPUID.7.0:EBX bit 5 (AVX2, the 256-bit integer forms) to
+// hasAVX.
+var hasAVX2 = hasAVX && detectAVX2()
+
+// HasAVX2 reports whether the CPU and the OS support AVX2. Packages with
+// integer AVX2 kernels read it, so the CPUID gate lives in this one place.
+func HasAVX2() bool { return hasAVX2 }
+
 // useAsm routes MatVecRange's whole panels through the kernel. Tests clear
 // it to force the MatVec fallback on the same packed matrices.
 var useAsm = hasAVX
@@ -22,6 +30,15 @@ func detectAVX() bool {
 	}
 	xcr0, _ := xgetbv()
 	return xcr0&6 == 6
+}
+
+func detectAVX2() bool {
+	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
+		return false
+	}
+	_, ebx, _, _ := cpuid(7, 0)
+	const avx2 = 1 << 5
+	return ebx&avx2 != 0
 }
 
 // cpuid executes CPUID with EAX=eaxArg and ECX=ecxArg.
