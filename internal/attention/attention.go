@@ -111,7 +111,7 @@ type quantScratch struct {
 	qq     fixed.Vector
 	bias   []float32
 	dots   []int64 // quantScores' integer dots
-	all    []int   // 0, 1, 2, …: quantScores' index list, every key
+	iota   []int   // 0, 1, 2, …: all's backing
 }
 
 // query quantizes q reusing the slot-owned buffer.
@@ -142,20 +142,26 @@ func accumulate(out []float32, p, vScale float64, v fixed.Vector) {
 	}
 }
 
-// quantScores writes every key's full-precision score, scores[i] =
-// float32(c·(q·k_i)) - slope·float32(n-1-i) with n = len(scores), for the
-// kernels that score every key (QuantizedExact and Oracle). The integer dots
-// of all n keys come from one fixed.MaskedDots call with mask -1; integer
-// sums are exact in any order, so every score keeps its bits.
-func (qs *quantScratch) quantScores(scores []float32, q fixed.Vector, kRows []fixed.Vector, c float64, slope float32, bits uint) {
-	n := len(scores)
-	for len(qs.all) < n {
-		qs.all = append(qs.all, len(qs.all))
+// all returns the index list 0, 1, …, n-1: every key of an n-row context.
+func (qs *quantScratch) all(n int) []int {
+	for len(qs.iota) < n {
+		qs.iota = append(qs.iota, len(qs.iota))
 	}
-	qs.dots = tensor.Grow(qs.dots, n)
-	fixed.MaskedDots(qs.dots, q, kRows, qs.all[:n], -1, bits)
-	for i, d := range qs.dots {
-		scores[i] = float32(c*float64(d)) - slope*float32(n-1-i)
+	return qs.iota[:n]
+}
+
+// quantScores writes the full-precision score of every listed key: with
+// i = keys[x] and n = len(kRows), scores[x] = float32(c·(q·k_i)) -
+// slope·float32(n-1-i). QuantizedExact and Oracle list every key, SpAtten
+// its active rows. The integer dots come from one fixed.MaskedDots call
+// with mask -1; integer sums are exact in any order, so every score keeps
+// its bits.
+func (qs *quantScratch) quantScores(scores []float32, q fixed.Vector, kRows []fixed.Vector, keys []int, c float64, slope float32, bits uint) {
+	n := len(kRows)
+	qs.dots = tensor.Grow(qs.dots, len(keys))
+	fixed.MaskedDots(qs.dots, q, kRows, keys, -1, bits)
+	for x, i := range keys {
+		scores[x] = float32(c*float64(qs.dots[x])) - slope*float32(n-1-i)
 	}
 }
 
@@ -181,7 +187,7 @@ func (s *slot) scoreAll(b *model.AttendBatch, t int, bits uint) (probs []float32
 	kRows, kScale := s.qs.keys(b.Keys[t], n, dim, bits)
 	vRows, vScale = s.qs.values(b.Vals[t], n, dim, bits)
 	qq := s.qs.query(b.TaskQ(t), bits)
-	s.qs.quantScores(s.scores, qq.Data, kRows, float64(b.Scale)*qq.Scale*kScale, b.TaskSlope(t), bits)
+	s.qs.quantScores(s.scores, qq.Data, kRows, s.qs.all(n), float64(b.Scale)*qq.Scale*kScale, b.TaskSlope(t), bits)
 	tensor.Softmax(s.probs, s.scores)
 	return s.probs, vRows, vScale
 }

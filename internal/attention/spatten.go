@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"tokenpicker/internal/fixed"
 	"tokenpicker/internal/model"
 	"tokenpicker/internal/tensor"
 )
@@ -183,11 +182,7 @@ func (k *SpAtten) attendTask(b *model.AttendBatch, h int, s *slot) {
 	kRows, kScale := s.qs.keys(b.Keys[h], n, dim, k.cfg.Bits)
 	vRows, vScale := s.qs.values(b.Vals[h], n, dim, k.cfg.Bits)
 	qq := s.qs.query(q, k.cfg.Bits)
-	c := float64(b.Scale) * qq.Scale * kScale
-	for ai, row := range act {
-		scores[ai] = float32(c*float64(fixed.Dot(qq.Data, kRows[row]))) -
-			slope*float32(n-1-row)
-	}
+	s.qs.quantScores(scores, qq.Data, kRows, act, float64(b.Scale)*qq.Scale*kScale, slope, k.cfg.Bits)
 	tensor.Softmax(probs, scores)
 
 	// Output only; the importance merge happens after the whole batch.

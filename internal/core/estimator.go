@@ -185,7 +185,7 @@ func (e *Estimator) RunInto(rep *Report, in Inputs) {
 		for _, i := range e.order {
 			for b := 0; b < numChunks; b++ {
 				rep.ChunkFetches[b]++
-				if !r.step(i, b) {
+				if !r.decide(i, b, fixed.MaskedDot(r.q, r.k[i], r.masks[b])) {
 					break
 				}
 			}
@@ -196,6 +196,7 @@ func (e *Estimator) RunInto(rep *Report, in Inputs) {
 		// one call scores chunk b of every survivor and decide then runs
 		// over them in visiting order: the decisions are the one-at-a-time
 		// ones. The survivors are compacted in place, in visiting order.
+		// The kernel's overflow bound needs the widest operand's width.
 		bits := max(e.cfg.Chunks.TotalBits, in.Q.Bits)
 		e.dots = tensor.Grow(e.dots, n)
 		live := e.order
@@ -443,13 +444,6 @@ type run struct {
 	prune   bool // threshold > 0
 	keep    bool // KeepPrunedInDenominator
 	d       denom
-}
-
-// step advances token i by chunk b on its own: the depth-first schedule.
-// The wave scores all of its survivors in one call instead and calls decide
-// on each.
-func (r *run) step(i, b int) bool {
-	return r.decide(i, b, fixed.MaskedDot(r.q, r.k[i], r.masks[b]))
 }
 
 // decide advances token i by chunk b, whose chunk-b partial dot is dp — the

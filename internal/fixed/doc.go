@@ -14,4 +14,16 @@
 // maximum possible score, and the converse yields the minimum. Both margins
 // depend only on the query and the number of unknown bits, so they are
 // computed once per query by the Margin Generator and reused for every key.
+//
+// The estimator's integer work is MaskedDots: one query against a list of
+// stored rows, each row masked to one chunk. On amd64 with AVX2 it is an
+// assembly kernel whose products and pair sums live in int32 lanes, so its
+// one proof obligation is int32 overflow. With every operand a TotalBits-wide
+// two's-complement value (ChunkSpec.TotalBits <= 15, as every quantizer and
+// chunk mask here yields) a product is at most 2^(2·TotalBits-2) in
+// magnitude. The kernel widens its lanes to int64 every 2^(31-2·TotalBits)-1
+// sixteen-element blocks (127 at 12 bits, 1 at 15), so no int32 sum reaches
+// 2^31 at any row width, and every result equals the Go loop's int64 sum bit
+// for bit. Outside that bound, without AVX2, on other GOARCHes and under the
+// purego tag the Go loop runs.
 package fixed
