@@ -240,7 +240,7 @@ func MaskedDots(out []int64, q Vector, rows []Vector, idx []int, mask int16, bit
 		return
 	}
 	if !maskedDotsAVX2(out, q, rows, idx, mask, 1<<(31-2*bits)-1) {
-		maskedDotsGo(out, q, rows, idx, mask) // panics at the bad entry
+		maskedDotsGo(out, q, rows, idx, mask) // the bad entry fails as in MaskedDot
 		return
 	}
 	if n16 < len(q) {
