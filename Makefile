@@ -63,14 +63,17 @@ fuzz-smoke:
 #   - concurrency (Race|Churn|Fairness|Requeue): under -race, uncached;
 #   - allocation guards (ZeroAlloc|Allocs): without -race (race
 #     instrumentation skews alloc counts, so the guards skip themselves there).
-# The portable half of the assembly kernels comes first: the panel GEMV's
-# packages and the masked-dot list kernel's (fixed, and core and attention,
-# which call it) under the purego tag (Go loops everywhere, no assembly), and
+# The portable half of the assembly kernels comes first: the panel GEMV's and
+# the exact-attention row kernels' packages and the masked-dot list kernel's
+# (fixed, and core and attention, which call it) under the purego tag (Go
+# loops everywhere, no assembly), serve's bit-exactness tests there too (the
+# Go span loops over paged blocks against the dense cache), and
 # the packages with assembly vetted for arm64, a cross-compile that needs no
 # download.
 EXACT_TESTS = BitExact|BitIdentical|MatchesSequential|Equivalence|Deterministic
 check: fmt-check vet lint build bench-smoke
 	$(GO) test -count=1 -tags purego ./internal/tensor/ ./internal/model/ ./internal/fixed/ ./internal/core/ ./internal/attention/
+	$(GO) test -count=1 -tags purego -run '$(EXACT_TESTS)' ./internal/serve/
 	GOARCH=arm64 $(GO) vet ./internal/tensor/ ./internal/model/ ./internal/fixed/
 	TOPICK_QUICK=1 $(GO) test -race ./internal/fixed/ ./internal/core/ ./internal/attention/ ./internal/exec/ ./internal/model/ ./internal/obs/ ./internal/sample/ ./internal/serve/ ./internal/fleet/ ./internal/httpapi/ ./internal/bench/ ./internal/equiv/
 	GOMAXPROCS=1 TOPICK_QUICK=1 $(GO) test -count=1 -run '$(EXACT_TESTS)' ./internal/...

@@ -7,12 +7,13 @@ import (
 	"tokenpicker/internal/tensor"
 )
 
-// opaqueSource hides every method of the wrapped RowSource except Row, so
-// kernels cannot see the quantized side-car and fall back to from-scratch
-// quantization on every call — the pre-incremental behaviour.
+// opaqueSource hides every method of the wrapped cache except Row and Span,
+// so kernels cannot see the quantized side-car and fall back to
+// from-scratch quantization on every call — the pre-incremental behaviour.
 type opaqueSource struct{ src tensor.RowSource }
 
-func (o opaqueSource) Row(r int) []float32 { return o.src.Row(r) }
+func (o opaqueSource) Row(r int) []float32  { return o.src.Row(r) }
+func (o opaqueSource) Span(r int) []float32 { return o.src.Span(r) }
 
 // stripQuant wraps a kernel so its K/V sources lose the side-car.
 type stripQuant struct{ inner model.Kernel }

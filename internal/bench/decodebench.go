@@ -22,10 +22,12 @@ const decodeBenchSpan = 256
 // defaultBenchHeads matches the pre-parallel harness geometry.
 const defaultBenchHeads = 4
 
-// opaqueRows hides everything but Row, in particular the quantized side-car.
+// opaqueRows hides everything but the RowSource methods, in particular the
+// quantized side-car.
 type opaqueRows struct{ src tensor.RowSource }
 
-func (o *opaqueRows) Row(r int) []float32 { return o.src.Row(r) }
+func (o *opaqueRows) Row(r int) []float32  { return o.src.Row(r) }
+func (o *opaqueRows) Span(r int) []float32 { return o.src.Span(r) }
 
 // scratchQuantKernel strips the side-car from the K/V sources before
 // delegating, forcing from-scratch O(context·dim) quantization on every

@@ -171,6 +171,9 @@ func (cs ChunkSpec) ChunkDot(q, k Vector, b int) int64 {
 // directly from stored int16 rows (mask -1 gives the full dot), which is the
 // estimator's inner loop: unrolled four ways, one bounds check per call.
 func MaskedDot(q, k Vector, mask int16) int64 {
+	if len(k) < len(q) {
+		panic(fmt.Sprintf("fixed: masked dot of %d elements over a row of %d", len(q), len(k)))
+	}
 	k = k[:len(q)]
 	var a0, a1, a2, a3 int64
 	for len(q) >= 4 && len(k) >= 4 {
@@ -195,6 +198,10 @@ func MaskedDot(q, k Vector, mask int16) int64 {
 // separate extend.
 func MaskedDot4(q, k0, k1, k2, k3 Vector, mask int16) (d0, d1, d2, d3 int64) {
 	n := len(q)
+	if min(len(k0), len(k1), len(k2), len(k3)) < n {
+		panic(fmt.Sprintf("fixed: masked dot of %d elements over rows of %d, %d, %d and %d",
+			n, len(k0), len(k1), len(k2), len(k3)))
+	}
 	k0, k1, k2, k3 = k0[:n], k1[:n], k2[:n], k3[:n]
 	m := int64(mask)
 	for j, x := range q {

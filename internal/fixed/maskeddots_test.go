@@ -145,13 +145,15 @@ func TestMaskedDotsLongList(t *testing.T) {
 }
 
 // TestMaskedDotsPanicsOnBadEntry checks that an index outside rows and a
-// row shorter than q panic on both paths, as MaskedDot's slicing does,
-// instead of reading past a row.
+// row shorter than q panic on both paths, as MaskedDot's length check does,
+// instead of reading past a row: row 5 is short with no capacity to spare,
+// row 6 is short with its last element still within its capacity.
 func TestMaskedDotsPanicsOnBadEntry(t *testing.T) {
 	bothPaths(t, func(t *testing.T) {
-		q, rows := randRows(rand.New(rand.NewSource(1)), 12, 6, 32)
+		q, rows := randRows(rand.New(rand.NewSource(1)), 12, 7, 32)
 		rows[5] = rows[5][:31:31]
-		for _, idx := range [][]int{{0, 1, 6}, {0, -1}, {2, 3, 4, 0, 5}, {5}} {
+		rows[6] = rows[6][:31]
+		for _, idx := range [][]int{{0, 1, 7}, {0, -1}, {2, 3, 4, 0, 5}, {5}, {2, 3, 4, 0, 6}, {6}} {
 			func() {
 				defer func() {
 					if recover() == nil {

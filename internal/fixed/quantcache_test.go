@@ -31,6 +31,10 @@ func (b *blockSource) Row(r int) []float32 {
 	return b.blocks[r/b.blockRows][off : off+b.dim]
 }
 
+func (b *blockSource) Span(r int) []float32 {
+	return b.blocks[r/b.blockRows][(r%b.blockRows)*b.dim:]
+}
+
 // scratchQuantize is the from-scratch reference: shared scale over rows
 // [0, n), every row quantized with the shared helper — exactly what the
 // pre-incremental kernels did per Attend call.

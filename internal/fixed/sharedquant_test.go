@@ -8,7 +8,8 @@ import (
 
 type sqRows struct{ data [][]float32 }
 
-func (s *sqRows) Row(i int) []float32 { return s.data[i] }
+func (s *sqRows) Row(i int) []float32  { return s.data[i] }
+func (s *sqRows) Span(i int) []float32 { return s.data[i] }
 
 func sqSource(rows, dim, seed int) *sqRows {
 	src := &sqRows{data: make([][]float32, rows)}

@@ -227,59 +227,44 @@ func (k *ExactKernel) attendTask(b *AttendBatch, t, slot int) {
 }
 
 // exactScores writes the raw attention score of every key in [0, len(scores)):
-// scores[i] = scale*(q·keys.Row(i)) - slope*(n-1-i). Four keys are scored per
-// pass — four independent single-accumulator dot products overlap where one
-// would wait out the add latency — and each dot product still sums its
-// elements in ascending order, so the bits equal the one-key-at-a-time loop.
+// scores[i] = scale*(q·keys.Row(i)) - slope*(n-1-i). The dots run through
+// tensor.DotRows one contiguous span of keys at a time; each sums its
+// products in ascending order, so the bits equal the one-key-at-a-time loop.
 func exactScores(scores, q []float32, keys tensor.RowSource, scale, slope float32) {
 	n := len(scores)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		k0, k1 := keys.Row(i)[:len(q)], keys.Row(i + 1)[:len(q)]
-		k2, k3 := keys.Row(i + 2)[:len(q)], keys.Row(i + 3)[:len(q)]
-		var a0, a1, a2, a3 float32
-		for j, x := range q {
-			a0 += x * k0[j]
-			a1 += x * k1[j]
-			a2 += x * k2[j]
-			a3 += x * k3[j]
-		}
-		sc := scores[i : i+4 : i+4]
-		sc[0] = scale*a0 - slope*float32(n-1-i)
-		sc[1] = scale*a1 - slope*float32(n-2-i)
-		sc[2] = scale*a2 - slope*float32(n-3-i)
-		sc[3] = scale*a3 - slope*float32(n-4-i)
+	for i := 0; i < n; {
+		span, m := spanAt(keys, i, n, len(q))
+		tensor.DotRows(scores[i:i+m], q, span)
+		i += m
 	}
-	for ; i < n; i++ {
-		scores[i] = scale*tensor.Dot(q, keys.Row(i)[:len(q)]) - slope*float32(n-1-i)
+	for i, a := range scores {
+		scores[i] = float32(scale*a) - float32(slope*float32(n-1-i))
 	}
 }
 
-// weightedSum computes out = sum_i probs[i]*vals.Row(i). Four value rows are
-// folded per pass over out, in ascending i, so out[j] is loaded and stored
-// once per four rows and accumulates in the order of a row-at-a-time Axpy.
+// weightedSum computes out = sum_i probs[i]*vals.Row(i) through
+// tensor.AxpyRows, one contiguous span of values at a time. Each out[j]
+// accumulates in ascending i, in the order of a row-at-a-time Axpy.
 func weightedSum(out, probs []float32, vals tensor.RowSource) {
-	for j := range out {
-		out[j] = 0
-	}
+	clear(out)
 	n := len(probs)
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		v0, v1 := vals.Row(i)[:len(out)], vals.Row(i + 1)[:len(out)]
-		v2, v3 := vals.Row(i + 2)[:len(out)], vals.Row(i + 3)[:len(out)]
-		pr := probs[i : i+4 : i+4]
-		p0, p1, p2, p3 := pr[0], pr[1], pr[2], pr[3]
-		for j, o := range out {
-			o += p0 * v0[j]
-			o += p1 * v1[j]
-			o += p2 * v2[j]
-			o += p3 * v3[j]
-			out[j] = o
-		}
+	for i := 0; i < n; {
+		span, m := spanAt(vals, i, n, len(out))
+		tensor.AxpyRows(out, probs[i:i+m], span)
+		i += m
 	}
-	for ; i < n; i++ {
-		tensor.Axpy(probs[i], vals.Row(i)[:len(out)], out)
+}
+
+// spanAt returns rows [i, i+m) of src, width d each, as one slice: m is the
+// most rows, up to n-i, that src.Span(i) holds. A span shorter than one row
+// panics, since the caller's loop would not advance.
+func spanAt(src tensor.RowSource, i, n, d int) ([]float32, int) {
+	span := src.Span(i)
+	m := min(n-i, len(span)/d)
+	if m < 1 {
+		panic(fmt.Sprintf("model: span at row %d holds %d floats, under one row of %d", i, len(span), d))
 	}
+	return span[:m*d], m
 }
 
 // Scores computes the raw attention scores without the softmax; experiment
@@ -344,6 +329,10 @@ const denseInitRows = 64
 
 func (c *denseCache) Row(r int) []float32 {
 	return c.data[r*c.headDim : (r+1)*c.headDim]
+}
+
+func (c *denseCache) Span(r int) []float32 {
+	return c.data[r*c.headDim : c.rows*c.headDim]
 }
 
 func (c *denseCache) EnsureLen(n int) error {

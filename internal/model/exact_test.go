@@ -94,6 +94,106 @@ func TestExactKernelBitIdenticalToScalar(t *testing.T) {
 	}
 }
 
+// blockRows is a paged RowSource for the span tests: rows in blocks of
+// rows rows each, Span the rest of a block.
+type blockRows struct {
+	blocks  [][]float32
+	rows, d int
+}
+
+func newBlockRows(m *tensor.Mat, rows int) *blockRows {
+	b := &blockRows{rows: rows, d: m.Cols}
+	for r := 0; r < m.Rows; r += rows {
+		blk := make([]float32, rows*m.Cols)
+		copy(blk, m.Data[r*m.Cols:])
+		b.blocks = append(b.blocks, blk)
+	}
+	return b
+}
+
+func (b *blockRows) Row(r int) []float32  { return b.Span(r)[:b.d] }
+func (b *blockRows) Span(r int) []float32 { return b.blocks[r/b.rows][(r%b.rows)*b.d:] }
+
+// shortSpan cuts every span to one float under a row, leaving the row's
+// last float within the slice's capacity.
+type shortSpan struct{ *tensor.Mat }
+
+func (s shortSpan) Span(r int) []float32 { return s.Mat.Span(r)[:s.Cols-1] }
+
+// TestExactKernelSpansBitIdenticalToScalar runs ExactKernel and Scores over
+// dense and paged sources, with 5- and 32-row blocks so spans end inside a
+// group of eight keys and on one, at head widths 6 (the Go loops only), 8,
+// 32 and 40, for every context length up to 70 and at 1,025: on the tensor
+// kernels and on their forced Go loops, every output must equal the scalar
+// oracle's over the dense rows, bit for bit.
+func TestExactKernelSpansBitIdenticalToScalar(t *testing.T) {
+	for _, path := range []string{"kernel", "fallback"} {
+		t.Run(path, func(t *testing.T) {
+			useKernels(t, path == "kernel")
+			ns := []int{1025}
+			for n := 1; n <= 70; n++ {
+				ns = append(ns, n)
+			}
+			rng := rand.New(rand.NewSource(44))
+			for _, hd := range []int{6, 8, 32, 40} {
+				keys, vals := tensor.NewMat(1025, hd), tensor.NewMat(1025, hd)
+				keys.RandInit(rng, 1)
+				vals.RandInit(rng, 1)
+				srcs := [][2]tensor.RowSource{{keys, vals}}
+				for _, rows := range []int{5, 32} {
+					srcs = append(srcs, [2]tensor.RowSource{newBlockRows(keys, rows), newBlockRows(vals, rows)})
+				}
+				q, got, want := make([]float32, hd), make([]float32, hd), make([]float32, hd)
+				scale := float32(1 / math.Sqrt(float64(hd)))
+				for _, n := range ns {
+					for j := range q {
+						q[j] = float32(rng.NormFloat64())
+					}
+					refExactAttend(want, q, keys, vals, n, scale, 0.125)
+					wantScores := refScores(q, keys, n, scale, 0.125)
+					for s, src := range srcs {
+						var k ExactKernel
+						AttendOne(&k, got, q, src[0], src[1], n, scale, 0.125, 0)
+						if j := sameBits(got, want); j >= 0 {
+							t.Fatalf("hd %d source %d n=%d out[%d]: %g != scalar %g", hd, s, n, j, got[j], want[j])
+						}
+						if i := sameBits(Scores(q, src[0], n, scale, 0.125), wantScores); i >= 0 {
+							t.Fatalf("hd %d source %d n=%d: Scores[%d] differs from scalar", hd, s, n, i)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestExactKernelPanicsOnShortSpan checks that a key or value source whose
+// span holds less than one row panics on both paths instead of reading the
+// row's last float from beyond the span's length or looping without end.
+func TestExactKernelPanicsOnShortSpan(t *testing.T) {
+	for _, path := range []string{"kernel", "fallback"} {
+		t.Run(path, func(t *testing.T) {
+			useKernels(t, path == "kernel")
+			for _, hd := range []int{6, 32} {
+				m := tensor.NewMat(16, hd)
+				short := shortSpan{m}
+				q, out := make([]float32, hd), make([]float32, hd)
+				for side, src := range [][2]tensor.RowSource{{short, m}, {m, short}} {
+					func() {
+						defer func() {
+							if recover() == nil {
+								t.Errorf("hd %d: a short span in the %s did not panic", hd, []string{"keys", "values"}[side])
+							}
+						}()
+						var k ExactKernel
+						AttendOne(&k, out, q, src[0], src[1], 16, 1, 0, 0)
+					}()
+				}
+			}
+		})
+	}
+}
+
 // goldenLogitsHash is the FNV-64a of every logit bit of the run below, recorded
 // at the commit before the dense loops went four-wide (b6086bd).
 const goldenLogitsHash = 0xe3a80e69acc2450b
@@ -133,13 +233,17 @@ func TestGoldenLogitsBitIdentical(t *testing.T) {
 	}
 }
 
-// BenchmarkPrefill256 times a 256-token library prefill of the stand-in model
-// (eight 32-row engine steps, exact attention) — the in-repo counterpart of
-// benchmark/'s model.prefill_us_per_token.
-func BenchmarkPrefill256(b *testing.B) {
+// BenchmarkPrefill256 and BenchmarkPrefill1024 time a library prefill of
+// the stand-in model (32-row engine steps, exact attention); the 1,024-token
+// one is the in-repo counterpart of benchmark/'s decode_long TTFT, and both
+// report benchmark/'s model.prefill_us_per_token.
+func BenchmarkPrefill256(b *testing.B)  { benchPrefill(b, 256) }
+func BenchmarkPrefill1024(b *testing.B) { benchPrefill(b, 1024) }
+
+func benchPrefill(b *testing.B, n int) {
 	cfg := Family()[4].StandIn
 	dec := NewDecoder(NewParams(cfg, 1), nil)
-	prompt := make([]int, 256)
+	prompt := make([]int, n)
 	for i := range prompt {
 		prompt[i] = (i*13 + 5) % cfg.VocabSize
 	}
@@ -151,7 +255,8 @@ func BenchmarkPrefill256(b *testing.B) {
 }
 
 // BenchmarkExactAttend512 times one exact attention instance (one head, 512
-// keys of width 32): the score pass, the softmax and the value pass.
+// keys of width 32): the score pass, the softmax and the value pass, on the
+// tensor package's Go loops and on its kernels.
 func BenchmarkExactAttend512(b *testing.B) {
 	const n, hd = 512, 32
 	rng := rand.New(rand.NewSource(1))
@@ -168,8 +273,23 @@ func BenchmarkExactAttend512(b *testing.B) {
 		Q: q, Out: out,
 		Keys: []tensor.RowSource{keys}, Vals: []tensor.RowSource{vals},
 	}
-	var k ExactKernel
-	for b.Loop() {
-		k.AttendLayer(batch)
+	for _, path := range []string{"go", "kernel"} {
+		b.Run(path, func(b *testing.B) {
+			if !useKernels(b, path == "kernel") {
+				b.Skip("no kernel on this CPU or build")
+			}
+			var k ExactKernel
+			for b.Loop() {
+				k.AttendLayer(batch)
+			}
+		})
 	}
+}
+
+// useKernels switches the tensor kernels on or off until the test ends and
+// reports whether the requested setting took: on fails without them.
+func useKernels(tb testing.TB, on bool) bool {
+	was := tensor.UseKernels(on)
+	tb.Cleanup(func() { tensor.UseKernels(was) })
+	return tensor.UseKernels(on) == on
 }

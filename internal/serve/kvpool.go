@@ -288,6 +288,11 @@ func (c *pagedCache) Row(i int) []float32 {
 	return c.blocks[i/c.pool.blockRows].data[off : off+hd]
 }
 
+// Span returns the rest of the block that holds row i.
+func (c *pagedCache) Span(i int) []float32 {
+	return c.blocks[i/c.pool.blockRows].data[(i%c.pool.blockRows)*c.pool.headDim:]
+}
+
 func (c *pagedCache) EnsureLen(n int) error {
 	if n > c.maxSeq {
 		return model.ErrContextFull

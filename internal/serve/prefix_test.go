@@ -93,10 +93,11 @@ func TestPrefixSharingLogitsBitExact(t *testing.T) {
 
 // TestExactKernelPagedBitIdenticalToDense is the paged half of the exact
 // kernel's bit-identity statement (internal/model pins the dense half to the
-// scalar oracle): ExactKernel scores keys and folds value rows four at a time,
-// and on a paged cache those four rows may come from two blocks, from adopted
-// shared blocks, or from a shared partial tail. With 6-row blocks every other
-// group of four straddles a block boundary. For every context length the
+// scalar oracle): ExactKernel reads keys and values one contiguous span at a
+// time, and on a paged cache a span is the rest of one block, which may be an
+// adopted shared block or a shared partial tail. With 6-row blocks no span
+// holds a whole group of eight keys, so the paged scores take DotRows' Go
+// loop where the dense cache's take its kernel. For every context length the
 // output must equal the same call on a dense cache holding the same rows —
 // first while the adopted tail is still shared, then after the adopter has
 // copied it and prefilled on.

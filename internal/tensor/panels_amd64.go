@@ -15,8 +15,9 @@ var hasAVX2 = hasAVX && detectAVX2()
 // integer AVX2 kernels read it, so the CPUID gate lives in this one place.
 func HasAVX2() bool { return hasAVX2 }
 
-// useAsm routes MatVecRange's whole panels through the kernel. Tests clear
-// it to force the MatVec fallback on the same packed matrices.
+// useAsm routes MatVecRange's whole panels, AxpyRows and DotRows through
+// their kernels. Tests clear it (UseKernels(false) from other packages) to
+// force the Go fallbacks on the same inputs.
 var useAsm = hasAVX
 
 func detectAVX() bool {
@@ -54,3 +55,16 @@ func xgetbv() (eax, edx uint32)
 //
 //go:noescape
 func gemvPanels(out, p, x []float32)
+
+// axpyRowsAVX is AxpyRows' kernel: len(out) is a positive multiple of 8,
+// len(w) > 0 and len(span) >= len(w)·len(out). See rows_amd64.s.
+//
+//go:noescape
+func axpyRowsAVX(out, w, span []float32)
+
+// dotRowsAVX is DotRows' kernel over whole groups of eight rows: len(out)
+// and len(q) are positive multiples of 8 and len(span) = len(out)·len(q).
+// See rows_amd64.s.
+//
+//go:noescape
+func dotRowsAVX(out, q, span []float32)

@@ -2,7 +2,8 @@
 
 package tensor
 
-// Without the amd64 kernel Pack packs nothing and MatVecRange is MatVec.
+// Without the amd64 kernels Pack packs nothing, MatVecRange is MatVec, and
+// AxpyRows and DotRows run their Go loops.
 const hasAVX = false
 
 var useAsm = false
@@ -12,4 +13,12 @@ func HasAVX2() bool { return false }
 
 func gemvPanels(out, p, x []float32) {
 	panic("tensor: panel kernel called without amd64 AVX")
+}
+
+func axpyRowsAVX(out, w, span []float32) {
+	panic("tensor: row kernel called without amd64 AVX")
+}
+
+func dotRowsAVX(out, q, span []float32) {
+	panic("tensor: row kernel called without amd64 AVX")
 }

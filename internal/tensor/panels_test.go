@@ -35,31 +35,34 @@ func panelValue(rng *rand.Rand, kind int) float32 {
 	return x
 }
 
-// samePanelBits requires got to equal want bit for bit, except that a NaN
-// only has to stay a NaN: its payload depends on the operand order the
-// hardware picks.
-func samePanelBits(t *testing.T, what string, got, want []float32) {
+// sameBits requires got to equal want bit for bit, except that a NaN only
+// has to stay a NaN: when both operands of an add or a multiply are NaNs,
+// x86 returns the first one, and the Go compiler picks that order per
+// statement (the same loop may put the product first in one add and the
+// sum first in the next), so a NaN's sign and payload are not a property
+// of the Go loops a kernel is compared with.
+func sameBits(t *testing.T, what string, got, want []float32) {
 	t.Helper()
 	for i := range want {
 		g, w := got[i], want[i]
 		if w != w {
 			if g == g {
-				t.Fatalf("%s row %d: %g, MatVec NaN", what, i, g)
+				t.Fatalf("%s [%d]: %g, want NaN", what, i, g)
 			}
 			continue
 		}
 		if math.Float32bits(g) != math.Float32bits(w) {
-			t.Fatalf("%s row %d: %x (%g), MatVec %x (%g)", what, i,
+			t.Fatalf("%s [%d]: %#08x (%g), want %#08x (%g)", what, i,
 				math.Float32bits(g), g, math.Float32bits(w), w)
 		}
 	}
 }
 
-// forceFallback routes MatVecRange through MatVec until the test ends.
-func forceFallback(t *testing.T) {
-	old := useAsm
-	useAsm = false
-	t.Cleanup(func() { useAsm = old })
+// forceFallback routes every kernel through its Go fallback (MatVecRange
+// through MatVec) until the test ends.
+func forceFallback(t testing.TB) {
+	was := UseKernels(false)
+	t.Cleanup(func() { UseKernels(was) })
 }
 
 // TestPanelsBitIdenticalToMatVec pins the panel GEMV to MatVec on raw bits,
@@ -101,7 +104,7 @@ func TestPanelsBitIdenticalToMatVec(t *testing.T) {
 						for _, o1 := range ends[a:] {
 							got := make([]float32, o1-o0)
 							p.MatVecRange(got, o0, o1, v)
-							samePanelBits(t, fmt.Sprintf("%dx%d kind %d [%d,%d)", rows, cols, kind, o0, o1),
+							sameBits(t, fmt.Sprintf("%dx%d kind %d [%d,%d)", rows, cols, kind, o0, o1),
 								got, want[o0:o1])
 						}
 					}

@@ -6,11 +6,20 @@
 // split over several accumulators — every float32 sum adds its terms in
 // ascending index order, rounding each product before the add, so results do
 // not depend on the unroll width and a faster loop leaves every downstream
-// bit where it was. SIMD follows the same rule: in the panel GEMV (Panels,
-// amd64 AVX assembly) a vector lane is one output's whole sum, so it writes
-// MatVec's bits. The inference engine splits a GEMV across output rows at
-// multiples of the panel height, PanelRows (8), so every block is whole
-// panels.
+// bit where it was. SIMD follows the same rule: a vector lane is one
+// output's whole sum, so each amd64 AVX kernel writes its Go loop's bits:
+//   - the panel GEMV (Panels): a lane per output row, so it writes MatVec's
+//     bits. The inference engine splits a GEMV across output rows at
+//     multiples of the panel height, PanelRows (8), so every block is whole
+//     panels;
+//   - AxpyRows, exact attention's value pass: a lane per output column,
+//     summed over the rows in ascending order;
+//   - DotRows, exact attention's score pass: a lane per key row, summed over
+//     the columns in ascending order.
+//
+// The two row kernels take rows stored back to back, as RowSource.Span
+// hands them out. UseKernels switches every kernel off for tests, and the
+// purego build tag compiles none of them.
 package tensor
 
 import (
@@ -24,7 +33,13 @@ import (
 // block-paged KV cache is a non-contiguous one. Attention kernels read K/V
 // through this interface so both storage layouts share one code path.
 type RowSource interface {
+	// Row returns row r.
 	Row(r int) []float32
+	// Span returns rows r, r+1, … as they lie back to back in storage: the
+	// rest of a dense matrix, or the rest of the block that holds row r.
+	// Its length is a positive multiple of the row width, and it may run
+	// past the rows the caller reads. AxpyRows and DotRows take spans.
+	Span(r int) []float32
 }
 
 // Grow returns buf resized to n elements. When capacity is short it
@@ -72,6 +87,11 @@ func FromSlice(rows, cols int, data []float32) *Mat {
 // Row returns a view of row r.
 func (m *Mat) Row(r int) []float32 {
 	return m.Data[r*m.Cols : (r+1)*m.Cols]
+}
+
+// Span returns rows [r, Rows).
+func (m *Mat) Span(r int) []float32 {
+	return m.Data[r*m.Cols : m.Rows*m.Cols]
 }
 
 // At returns element (r, c).
