@@ -43,9 +43,10 @@ bench-smoke:
 
 # Each native fuzz target for 5 s past its checked-in corpus (testdata/fuzz,
 # which plain `go test` already replays): completion-request lowering and
-# admission in httpapi, trace parsing in obs.
+# admission and the X-Request-ID bound in httpapi, trace parsing in obs.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzCompletionRequest$$' -fuzztime 5s ./internal/httpapi/
+	$(GO) test -run '^$$' -fuzz '^FuzzRequestID$$' -fuzztime 5s ./internal/httpapi/
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTrace$$' -fuzztime 5s ./internal/obs/
 
 # The gate: static analysis (formatting, vet, topick-lint with its

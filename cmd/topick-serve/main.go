@@ -56,7 +56,6 @@ func main() {
 		stride    = flag.Int("stride", 6, "extra prompt tokens per session index")
 		threshold = flag.Float64("threshold", 1e-3, "Token-Picker pruning threshold")
 		blockRows = flag.Int("block-rows", 32, "KV pool block granularity (rows)")
-		maxBatch  = flag.Int("max-batch-tokens", 0, "row budget of one scheduling iteration: token rows a worker co-schedules across sessions (0 = one session per iteration)")
 		temp      = flag.Float64("temperature", 0, "sampling temperature (0 = greedy)")
 		deadline  = flag.Duration("deadline", 0, "per-request deadline (0 = none)")
 		share     = flag.Bool("share-prefix", true, "share cached prompt-prefix KV blocks across sessions")
@@ -117,16 +116,15 @@ func main() {
 		cfg.Name, cfg.Layers, cfg.Heads, cfg.HeadDim, cfg.MaxSeq)
 
 	engineCfg := tokenpicker.ServeConfig{
-		Workers:        *workers,
-		MaxBatchTokens: *maxBatch,
-		BlockRows:      *blockRows,
-		MaxBlocks:      *maxBlocks,
-		SharePrefix:    *share,
-		MaxPreempts:    *preempts,
-		SpeculateK:     *specK,
-		Tracer:         tracer,
-		Detokenize:     detok,
-		NewKernel:      func() tokenpicker.Kernel { return tokenpicker.NewKernel(*threshold) },
+		Workers:     *workers,
+		BlockRows:   *blockRows,
+		MaxBlocks:   *maxBlocks,
+		SharePrefix: *share,
+		MaxPreempts: *preempts,
+		SpeculateK:  *specK,
+		Tracer:      tracer,
+		Detokenize:  detok,
+		NewKernel:   func() tokenpicker.Kernel { return tokenpicker.NewKernel(*threshold) },
 	}
 
 	if *replicas > 1 {

@@ -14,10 +14,10 @@
 // statistics — lives in one per-slot struct, so tasks running concurrently
 // never share memory; statistics are merged across slots when read. Task
 // outputs are computed independently with no cross-task reduction, so pool
-// execution is bit-identical to serial, and multi-row batches may mix rows
-// from different sessions (the iteration-batched serving path): every kernel
-// but SpAtten keeps no per-sequence state beyond the cache-owned
-// quantization side-cars.
+// execution is bit-identical to serial, and a multi-row batch may mix rows
+// of different sequences (a verify pass's positions, or several decoders'
+// rows in one BatchEngine step): every kernel but SpAtten keeps no
+// per-sequence state beyond the cache-owned quantization side-cars.
 package attention
 
 import (

@@ -21,7 +21,6 @@ const (
 	axKernel
 	axStore
 	axExec
-	axBudget
 	axWorkers
 	axChunk
 	axSpec
@@ -49,7 +48,6 @@ var axes = [numAxes]struct {
 	// own: it steps on the shared pool when it is the process's only runner
 	// mid-iteration and serially otherwise, written shared.
 	axExec:    {"exec", []string{"serial", "shared", "pool2", "pool3", "pool8"}},
-	axBudget:  {"budget", []string{"0", "16", "24", "32"}},
 	axWorkers: {"workers", []string{"1", "2", "3"}},
 	axChunk:   {"chunk", []string{"default", "8"}},
 	// A speculating point drafts n-grams (model.NgramDraft).
@@ -70,7 +68,7 @@ var rules = []struct{ when, then string }{
 	// SpAtten accumulates per-sequence state: library only, never drafted.
 	{"kernel=spatten", "engine=library spec=0"},
 	// Scheduling axes exist only behind the serving loop.
-	{"engine=library", "budget=0 workers=1 chunk=default share=off pressure=none replicas=1"},
+	{"engine=library", "workers=1 chunk=default share=off pressure=none replicas=1"},
 	// Servers store KV in their pool, and their runners ride the shared pool.
 	{"engine=server|fleet", "store=paged4|paged5|paged8|paged16|paged32 exec=shared"},
 	{"engine=server", "replicas=1"},
@@ -87,21 +85,20 @@ var regressions = []string{
 	// shared pool and serial steps.
 	"engine=server kernel=token-picker store=paged16 exec=shared workers=3",
 	// TestIterationBatchingPreemptionChurnBitExact: churn mid-batch.
-	"engine=server kernel=token-picker store=paged8 exec=shared workers=2 budget=16 chunk=8 share=on pressure=tight",
+	"engine=server kernel=token-picker store=paged8 exec=shared workers=2 chunk=8 share=on pressure=tight",
 	// The head-parallel pool-recycling test: recycled blocks, quantized side-car.
 	"engine=server kernel=quantized-exact store=paged4 exec=shared workers=3 pressure=tight",
 	// TestServerPrefixSharingMatchesUnshared: publisher wave, then adopters.
 	"engine=server kernel=token-picker store=paged32 exec=shared workers=2 share=off|on",
-	// TestIterationBatchingBitExact: every serving kernel, one session per
-	// iteration or cross-session rows, chunked prefill, adopters mid-batch.
-	"engine=server kernel=exact|quantized-exact|token-picker|oracle store=paged16 exec=shared workers=2 budget=0|24 chunk=8 share=on",
-	// TestSpeculativeServingBitExact: verify entries of several sessions
-	// in one step, on every serving kernel.
-	"engine=server kernel=exact|quantized-exact|token-picker|oracle store=paged16 exec=shared workers=2 budget=0|32 chunk=8 spec=4 share=on",
+	// TestIterationBatchingBitExact: every serving kernel, two or three
+	// runners, chunked prefill, adopters mid-wave.
+	"engine=server kernel=exact|quantized-exact|token-picker|oracle store=paged16 exec=shared workers=2|3 chunk=8 share=on",
+	// TestSpeculativeServingBitExact: verify entries on every serving
+	// kernel, with rollbacks inside a block and across 4-row blocks.
+	"engine=server kernel=exact|quantized-exact|token-picker|oracle store=paged16|paged4 exec=shared workers=2 chunk=8 spec=4 share=on",
 	// TestSpeculativeServingSeededBitExact: the seeded chain across the
-	// speculation boundary, one session per iteration and verify entries
-	// of several sessions in one step.
-	"engine=server kernel=exact store=paged16 exec=shared workers=2 budget=0|32 chunk=8 spec=4 sampling=seeded",
+	// speculation boundary.
+	"engine=server kernel=exact store=paged16|paged4 exec=shared workers=2 chunk=8 spec=4 sampling=seeded",
 	// TestSpeculativeDecodeSeededBitExact: a library verify pass consumes
 	// the sampler's RNG once per emitted token.
 	"engine=library kernel=exact exec=serial spec=4 sampling=seeded",
@@ -111,8 +108,8 @@ var regressions = []string{
 	// Found by the lattice: two sessions that resumed into each other's room
 	// preempted each other until both preemption budgets were spent, and
 	// one finished rejected (Server.canResume now waits for a finish).
-	"model=parallel engine=server kernel=token-picker store=paged32 exec=shared budget=32 share=on pressure=tight",
-	"engine=fleet kernel=oracle store=paged16 exec=shared budget=24 chunk=8 spec=4 share=on pressure=tight replicas=2",
+	"model=parallel engine=server kernel=token-picker store=paged32 exec=shared share=on pressure=tight",
+	"engine=fleet kernel=oracle store=paged16 exec=shared chunk=8 spec=4 share=on pressure=tight replicas=2",
 	// Found by the lattice: a session alone in a pool sized exactly to its
 	// rows was rejected, because its first generated row needed a copy of
 	// its own published tail block (the index now lets go of the tail).

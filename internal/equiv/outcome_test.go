@@ -294,10 +294,9 @@ func driveServing(t *testing.T, p Point) Outcome {
 	fx := fixtureFor(p.value(axModel))
 	cfg := fx.params.Cfg
 	sc := serve.Config{
-		Workers:        p.int(axWorkers),
-		BlockRows:      p.blockRows(),
-		MaxBatchTokens: p.int(axBudget),
-		SharePrefix:    p.value(axShare) == "on",
+		Workers:     p.int(axWorkers),
+		BlockRows:   p.blockRows(),
+		SharePrefix: p.value(axShare) == "on",
 	}
 	if p.value(axKernel) != "exact" {
 		sc.NewKernel = func() model.Kernel { return p.newKernel(cfg) }

@@ -48,9 +48,9 @@ func fleetTestRequests(r *train.Result, sessions, prefixLen int) []Request {
 // TestFleetServingBitExact is the fleet half of the repo's core invariant,
 // gated in make check on one core and on every core: for every serving
 // kernel, a fleet of 2 and of 4 replicas with affinity routing — its engines
-// at iteration row budget 0 and 16 — must produce token streams bit-identical
-// to a single budget-0 engine given the same seeded requests. Routing places
-// sessions and the budget groups their rows; neither may touch generation.
+// running 2 runners and 1 — must produce token streams bit-identical to a
+// single 2-runner engine given the same seeded requests. Routing places
+// sessions and the runners interleave them; neither may touch generation.
 func TestFleetServingBitExact(t *testing.T) {
 	r := train.TestModel()
 	const sessions = 8
@@ -71,11 +71,11 @@ func TestFleetServingBitExact(t *testing.T) {
 		}, reqs)
 		single.Close()
 
-		for _, shape := range [][2]int{{2, 0}, {2, 16}, {4, 0}, {4, 16}} {
-			replicas, budget := shape[0], shape[1]
-			t.Run(fmt.Sprintf("%s/replicas=%d/budget=%d", kc.name, replicas, budget), func(t *testing.T) {
+		for _, shape := range [][2]int{{2, 2}, {2, 1}, {4, 2}, {4, 1}} {
+			replicas, workers := shape[0], shape[1]
+			t.Run(fmt.Sprintf("%s/replicas=%d/workers=%d", kc.name, replicas, workers), func(t *testing.T) {
 				engineCfg := engineCfg
-				engineCfg.MaxBatchTokens = budget
+				engineCfg.Workers = workers
 				fl := NewFleet(r.Params, Config{
 					Replicas: replicas,
 					Affinity: true,

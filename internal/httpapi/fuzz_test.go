@@ -5,7 +5,9 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"tokenpicker/internal/model"
 	"tokenpicker/internal/serve"
@@ -48,6 +50,28 @@ func FuzzCompletionRequest(f *testing.F) {
 		}
 		if res := st.Result(); res.Reason != serve.ReasonCanceled {
 			t.Fatalf("canceled session finished %q (%v)", res.Reason, res.Err)
+		}
+	})
+}
+
+// FuzzRequestID checks clipRequestID, the X-Request-ID bound: the result
+// is at most maxRequestIDLen bytes, a prefix of the input, valid UTF-8
+// whenever the input is, and empty only when the input is. The corpus is
+// testdata/fuzz.
+func FuzzRequestID(f *testing.F) {
+	f.Fuzz(func(t *testing.T, id string) {
+		got := clipRequestID(id)
+		if len(got) > maxRequestIDLen {
+			t.Fatalf("clipped to %d bytes, bound %d", len(got), maxRequestIDLen)
+		}
+		if !strings.HasPrefix(id, got) {
+			t.Fatalf("%q is not a prefix of %q", got, id)
+		}
+		if utf8.ValidString(id) && !utf8.ValidString(got) {
+			t.Fatalf("valid id %q clipped to invalid UTF-8 %q", id, got)
+		}
+		if (got == "") != (id == "") {
+			t.Fatalf("id %q clipped to %q", id, got)
 		}
 	})
 }

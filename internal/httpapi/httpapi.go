@@ -54,6 +54,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+	"unicode/utf8"
 
 	"tokenpicker/internal/fleet"
 	"tokenpicker/internal/sample"
@@ -345,16 +346,28 @@ func (h *Handler) completions(w http.ResponseWriter, r *http.Request) {
 // without letting a client grow trace events without bound.
 const maxRequestIDLen = 128
 
-// requestID returns the client's X-Request-ID, truncated to
-// maxRequestIDLen, or generates one.
+// requestID returns the client's X-Request-ID, clipped by clipRequestID,
+// or generates one.
 func (h *Handler) requestID(r *http.Request) string {
 	if rid := r.Header.Get("X-Request-ID"); rid != "" {
-		if len(rid) > maxRequestIDLen {
-			rid = rid[:maxRequestIDLen]
-		}
-		return rid
+		return clipRequestID(rid)
 	}
 	return fmt.Sprintf("req-%d-%d", h.start.UnixNano(), h.nextID.Add(1))
+}
+
+// clipRequestID cuts id to at most maxRequestIDLen bytes, backing off at
+// most three bytes to a rune start so a multi-byte UTF-8 character is never
+// split. A split one would end the echoed header in a stray byte that the
+// JSON body's request_id, re-encoded by encoding/json, spells as U+FFFD.
+func clipRequestID(id string) string {
+	if len(id) <= maxRequestIDLen {
+		return id
+	}
+	n := maxRequestIDLen
+	for i := 1; i < utf8.UTFMax && !utf8.RuneStart(id[n]); i++ {
+		n--
+	}
+	return id[:n]
 }
 
 // submit dispatches to the fronted engine or fleet.

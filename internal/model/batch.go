@@ -8,11 +8,10 @@ import (
 	"tokenpicker/internal/tensor"
 )
 
-// BatchEntry is one session's contribution to a batched iteration step: a
-// decode row (one generation or replay token) or a prefill chunk (several
-// consecutive prompt tokens advanced in layer lockstep). The iteration
-// scheduler in internal/serve assembles one entry per runnable session and
-// hands the whole set to BatchEngine.Step.
+// BatchEntry is one decoder's contribution to a BatchEngine step: a decode
+// row (one generation or replay token), a verify pass, or a prefill chunk
+// (several consecutive prompt tokens advanced in layer lockstep). A serving
+// runner hands one entry per iteration to BatchEngine.Step.
 type BatchEntry struct {
 	// Dec is the session's decoder; its KV caches receive the new rows and
 	// its consumed-token count advances by len(Tokens) on success. A decoder
@@ -22,9 +21,9 @@ type BatchEntry struct {
 	// carry exactly one token; prefill entries carry a chunk of the prompt.
 	Tokens []int
 	// Prefill marks prompt-phase entries: their rows attend with the exact
-	// kernel (the paper prunes only the memory-bound generation phase), may
-	// number more than one, and must come after every decode entry so the
-	// engine can split the layer batch into two contiguous row ranges.
+	// kernel (the paper prunes only the memory-bound generation phase) and
+	// may number more than one. A step's entries are all prefill or all
+	// generation-phase.
 	Prefill bool
 	// NeedLogits requests next-token logits after the entry's last token
 	// (decode rows sampling a token; the prefill chunk that completes a
@@ -52,7 +51,7 @@ type BatchEntry struct {
 	LogitsAll []float32
 	// Err reports a per-entry storage failure (ErrContextFull, or a pool
 	// allocation error): the entry consumed nothing and took no part in the
-	// step, while the rest of the batch proceeded. The caller retries,
+	// step, while the rest of the step proceeded. The caller retries,
 	// preempts, or finishes that session by its own policy.
 	Err error
 }
@@ -60,18 +59,18 @@ type BatchEntry struct {
 // BatchEngine is the transformer forward pass: one Step advances every
 // entry's rows through the layers together, and every stage of a layer runs
 // on the step's executor. Attention is submitted as one multi-row AttendBatch
-// per layer per phase kernel, so the executor sees rows×heads tasks. The
-// dense stages — Q/K/V (one Run for all three), Wo, W1 with its GELU, and W2
-// — run on the Params' packed panels (tensor.Panels) and split by the step's
-// row count: a single row cuts each matrix's output rows into blocks at
-// multiples of tensor.PanelRows (8), several rows go out as contiguous blocks
-// of whole rows. Either way each output element is the same sum tensor.MatVec
+// per layer through the phase's kernel, so the executor sees rows×heads
+// tasks. The dense stages — Q/K/V (one Run for all three), Wo, W1 with its
+// GELU, and W2 — run on the Params' packed panels (tensor.Panels) and split
+// by the step's row count: a single row cuts each matrix's output rows into
+// blocks at multiples of tensor.PanelRows (8), several rows go out as
+// contiguous blocks of whole rows. Either way each output element is the same sum tensor.MatVec
 // computes in a whole-matrix, row-at-a-time pass; LayerNorm, one reduction per
 // row, stays on the caller. A row's arithmetic does not depend
 // on which other rows share its step or on the executor's width, so logits
 // and KV rows are bit-identical however a token sequence is split into steps
-// and entries — one row at a time (Decoder.Step), a prompt chunk, or many
-// sessions' rows at once.
+// and entries — one row at a time (Decoder.Step), a prompt chunk, a verify
+// pass, or several decoders' rows at once.
 //
 // The engine owns the forward-pass scratch; it is not goroutine-safe and must
 // not be shared between concurrent Steps. Steady-state Step calls allocate
@@ -97,8 +96,8 @@ type BatchEngine struct {
 	keys, vals []tensor.RowSource
 
 	// Row-group scheduling for multi-token (verify) entries: one run length
-	// per decode entry, handed to the generation-phase AttendBatch only when
-	// some entry carries more than one row (see AttendBatch.Groups).
+	// per generation-phase entry that advances, handed to AttendBatch only
+	// when some entry carries more than one row (see AttendBatch.Groups).
 	groups   []int
 	groupRun groupedTasks
 }
@@ -120,19 +119,19 @@ func NewBatchEngine(p *Params) *BatchEngine {
 	return e
 }
 
-// Step advances every entry by its tokens in one batched iteration. gen is
-// the generation-phase attention kernel shared by all decode rows (nil means
-// exact); prefill rows always use exact attention. ex schedules the
-// rows×heads attention tasks and the dense stages' blocks (nil = serial).
-// Decode entries must precede prefill entries. Per-entry storage failures
-// land in BatchEntry.Err; the rest of the batch is unaffected.
+// Step advances every entry by its tokens in one batched iteration. The
+// entries are all generation-phase (decode or verify), attending through gen
+// (nil means exact), or all prefill, attending exactly; a step mixing the two
+// panics. ex schedules the rows×heads attention tasks and the dense stages'
+// blocks (nil = serial). Per-entry storage failures land in BatchEntry.Err;
+// the rest of the step is unaffected.
 //
 //topick:noalloc
 func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 	cfg := e.p.Cfg
 	e.rows = e.rows[:0]
-	decodeRows := 0
-	sawPrefill := false
+	e.groups = e.groups[:0]
+	grouped := false
 	for i := range entries {
 		ent := &entries[i]
 		ent.Logits, ent.LogitsAll, ent.Err = nil, nil, nil
@@ -142,18 +141,14 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 		if ent.Dec.P != e.p {
 			panic("model: batch entry decoder built from different params")
 		}
-		if ent.Prefill {
-			if ent.Verify {
-				panic("model: a verify entry cannot be prefill")
-			}
-			sawPrefill = true
-		} else {
-			if sawPrefill {
-				panic("model: decode entries must precede prefill entries")
-			}
-			if len(ent.Tokens) != 1 && !ent.Verify {
-				panic(fmt.Sprintf("model: decode entry carries %d tokens, want 1", len(ent.Tokens)))
-			}
+		if ent.Prefill != entries[0].Prefill {
+			panic("model: a step mixes decode and prefill entries")
+		}
+		if ent.Prefill && ent.Verify {
+			panic("model: a verify entry cannot be prefill")
+		}
+		if !ent.Prefill && !ent.Verify && len(ent.Tokens) != 1 {
+			panic(fmt.Sprintf("model: decode entry carries %d tokens, want 1", len(ent.Tokens)))
 		}
 		for _, t := range ent.Tokens {
 			if t < 0 || t >= cfg.VocabSize {
@@ -174,7 +169,8 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 			e.rows = append(e.rows, batchRow{entry: i, pos: n + j, token: t})
 		}
 		if !ent.Prefill {
-			decodeRows += len(ent.Tokens)
+			e.groups = append(e.groups, len(ent.Tokens))
+			grouped = grouped || len(ent.Tokens) > 1
 		}
 	}
 	R := len(e.rows)
@@ -205,28 +201,16 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 		copy(e.x[r*d:(r+1)*d], e.p.TokEmb.Row(row.token))
 		e.ns[r] = row.pos + 1
 	}
-	genKernel := gen
-	if genKernel == nil {
-		genKernel = &e.exact
+	kernel := gen
+	if kernel == nil || entries[0].Prefill {
+		kernel = &e.exact
 	}
 
 	// Multi-token verify entries put several rows of one session — one KV
 	// cache, one quantized side-car — into the generation-phase batch; group
 	// those rows so same-head tasks of one session never run concurrently.
-	// With no such entry (the common case) groups stays nil and scheduling
-	// is exactly the per-(row, head) layout of plain iteration batching.
-	e.groups = e.groups[:0]
-	grouped := false
-	for i := range entries {
-		ent := &entries[i]
-		if ent.Prefill || ent.Err != nil {
-			continue
-		}
-		e.groups = append(e.groups, len(ent.Tokens))
-		if len(ent.Tokens) > 1 {
-			grouped = true
-		}
-	}
+	// With no such entry (the common case) and for every prefill step,
+	// groups stays nil and scheduling is the plain per-(row, head) layout.
 	var groups []int
 	if grouped {
 		groups = e.groups
@@ -235,7 +219,7 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 	for l, b := range e.p.Blocks {
 		w := &e.w.blocks[l]
 		// Attention sublayer: QKV projections, KV rows appended to each
-		// row's own caches, then one multi-row AttendBatch per phase.
+		// row's own caches, then one multi-row AttendBatch.
 		for r := 0; r < R; r++ {
 			tensor.LayerNorm(e.h[r*d:(r+1)*d], e.x[r*d:(r+1)*d], b.Ln1G, b.Ln1B, cfg.Eps)
 		}
@@ -249,8 +233,22 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 			copy(e.keys[r*H:(r+1)*H], dec.keySrc[l])
 			copy(e.vals[r*H:(r+1)*H], dec.valSrc[l])
 		}
-		e.attend(l, 0, decodeRows, scale, genKernel, ex, groups)
-		e.attend(l, decodeRows, R, scale, &e.exact, ex, nil)
+		kernel.AttendLayer(AttendBatch{
+			Layer:    l,
+			Rows:     R,
+			Ns:       e.ns,
+			Heads:    H,
+			HeadDim:  hd,
+			Scale:    scale,
+			Slopes:   e.slopes,
+			Q:        e.q[:R*d],
+			Out:      e.attnOut[:R*d],
+			Keys:     e.keys[:R*H],
+			Vals:     e.vals[:R*H],
+			Exec:     ex,
+			Groups:   groups,
+			groupRun: &e.groupRun,
+		})
 		e.dense(ex, R, e.attnOut, false, gemv{w.wo, b.Bo, e.tmp})
 		tensor.Add(e.x, e.x, e.tmp)
 
@@ -381,29 +379,4 @@ func (e *BatchEngine) dense(ex exec.Executor, rows int, src []float32, gelu bool
 	} else {
 		ex.Run(n*s.parts, s)
 	}
-}
-
-// attend submits rows [lo, hi) as one multi-row AttendBatch through kernel.
-func (e *BatchEngine) attend(layer, lo, hi int, scale float32, kernel Kernel, ex exec.Executor, groups []int) {
-	if hi <= lo {
-		return
-	}
-	cfg := e.p.Cfg
-	d := cfg.DModel()
-	kernel.AttendLayer(AttendBatch{
-		Layer:    layer,
-		Rows:     hi - lo,
-		Ns:       e.ns[lo:hi],
-		Heads:    cfg.Heads,
-		HeadDim:  cfg.HeadDim,
-		Scale:    scale,
-		Slopes:   e.slopes,
-		Q:        e.q[lo*d : hi*d],
-		Out:      e.attnOut[lo*d : hi*d],
-		Keys:     e.keys[lo*cfg.Heads : hi*cfg.Heads],
-		Vals:     e.vals[lo*cfg.Heads : hi*cfg.Heads],
-		Exec:     ex,
-		Groups:   groups,
-		groupRun: &e.groupRun,
-	})
 }

@@ -72,9 +72,9 @@ func decodeSeq(t *testing.T, p *model.Params, k model.Kernel, prompt []int, maxN
 }
 
 // TestBatchEngineMatchesSequential is the model-level row-count invariance
-// gate: chunked prefill interleaved with decode rows across sessions must
-// reproduce the one-row-per-step walk of each session alone bit-exactly, for
-// every kernel and executor width.
+// gate: chunked prefill steps interleaved with decode steps that carry rows of
+// several sessions must reproduce the one-row-per-step walk of each session
+// alone bit-exactly, for every kernel and executor width.
 func TestBatchEngineMatchesSequential(t *testing.T) {
 	cfg := model.TestConfig()
 	p := model.NewParams(cfg, 11)
@@ -112,26 +112,14 @@ func TestBatchEngineMatchesSequential(t *testing.T) {
 				gen := kc.mk()
 				var entries []model.BatchEntry
 				var owners []*sess
-				for {
+				// step runs one single-phase step: every session's decode row,
+				// or every pending prompt's next chunk. It reports whether
+				// any session took part.
+				step := func(prefill bool) bool {
 					entries, owners = entries[:0], owners[:0]
-					// Decode rows first, then prefill chunks: the layout the
-					// engine requires and the serving scheduler produces.
 					for _, s := range sessions {
-						if s.promptPos == len(s.prompt) && len(s.toks) > 0 && len(s.toks) < maxNew {
-							entries = append(entries, model.BatchEntry{
-								Dec:        s.dec,
-								Tokens:     s.toks[len(s.toks)-1:],
-								NeedLogits: true,
-							})
-							owners = append(owners, s)
-						}
-					}
-					for _, s := range sessions {
-						if s.promptPos < len(s.prompt) {
-							end := s.promptPos + chunk
-							if end > len(s.prompt) {
-								end = len(s.prompt)
-							}
+						if prefill && s.promptPos < len(s.prompt) {
+							end := min(s.promptPos+chunk, len(s.prompt))
 							entries = append(entries, model.BatchEntry{
 								Dec:        s.dec,
 								Tokens:     s.prompt[s.promptPos:end],
@@ -140,9 +128,14 @@ func TestBatchEngineMatchesSequential(t *testing.T) {
 							})
 							owners = append(owners, s)
 						}
-					}
-					if len(entries) == 0 {
-						break
+						if !prefill && s.promptPos == len(s.prompt) && len(s.toks) > 0 && len(s.toks) < maxNew {
+							entries = append(entries, model.BatchEntry{
+								Dec:        s.dec,
+								Tokens:     s.toks[len(s.toks)-1:],
+								NeedLogits: true,
+							})
+							owners = append(owners, s)
+						}
 					}
 					eng.Step(entries, gen, ex)
 					for i := range entries {
@@ -158,6 +151,13 @@ func TestBatchEngineMatchesSequential(t *testing.T) {
 							s.logits = append(s.logits, l)
 							s.toks = append(s.toks, argmax32(l))
 						}
+					}
+					return len(entries) > 0
+				}
+				for {
+					decoded := step(false)
+					if prefilled := step(true); !decoded && !prefilled {
+						break
 					}
 				}
 
@@ -230,8 +230,8 @@ func TestBatchEngineIsolatesStorageErrors(t *testing.T) {
 	}
 }
 
-// TestBatchEngineOrderingPanics pins the layout contract: decode entries
-// precede prefill entries, and decode entries carry exactly one token.
+// TestBatchEngineOrderingPanics pins the layout contract: a step's entries
+// are all decode or all prefill, and decode entries carry exactly one token.
 func TestBatchEngineOrderingPanics(t *testing.T) {
 	p := model.NewParams(model.TestConfig(), 17)
 	eng := model.NewBatchEngine(p)
@@ -247,6 +247,10 @@ func TestBatchEngineOrderingPanics(t *testing.T) {
 	mustPanic("decode after prefill", []model.BatchEntry{
 		{Dec: model.NewDecoder(p, nil), Tokens: []int{1, 2}, Prefill: true},
 		{Dec: model.NewDecoder(p, nil), Tokens: []int{1}},
+	})
+	mustPanic("prefill after decode", []model.BatchEntry{
+		{Dec: model.NewDecoder(p, nil), Tokens: []int{1}},
+		{Dec: model.NewDecoder(p, nil), Tokens: []int{1, 2}, Prefill: true},
 	})
 	mustPanic("multi-token decode", []model.BatchEntry{
 		{Dec: model.NewDecoder(p, nil), Tokens: []int{1, 2}},

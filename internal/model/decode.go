@@ -17,9 +17,9 @@ var ErrContextFull = errors.New("model: context full")
 // AttendBatch is one batched slab of attention work for a single layer: one
 // or more query rows, each carrying every head's query/output slice plus its
 // own KV row sources and context length. A row is one (sequence, position)
-// attention instance — a library decode step is one row; a serving iteration
-// may span the decode rows of several sessions or the rows of a prefill
-// chunk.
+// attention instance — a library decode step is one row; a prefill chunk or
+// a verify pass is several rows of one sequence, and a multi-entry decode
+// step one row per decoder.
 //
 // Tasks are (row, head) pairs, indexed row-major: task t = row*Heads + head.
 // Tasks are independent — task t reads TaskQ(t)/Keys[t]/Vals[t] and writes
@@ -156,9 +156,10 @@ func (g *groupedTasks) Do(t, slot int) {
 // spread rows×heads over cores, per-slot scratch keeps concurrent tasks from
 // sharing mutable state, and any cross-task accumulation (statistics,
 // SpAtten importance) is sharded per slot or merged in deterministic task
-// order. Multi-row batches may mix rows from different sequences (the
-// iteration-batched serving path does), so kernels eligible for serving must
-// not keep per-sequence state across calls beyond cache-owned side-cars.
+// order. Multi-row batches may mix rows from different sequences, and a
+// serving runner's kernel attends a different session from one iteration to
+// the next, so kernels eligible for serving must not keep per-sequence state
+// across calls beyond cache-owned side-cars.
 type Kernel interface {
 	AttendLayer(batch AttendBatch)
 }

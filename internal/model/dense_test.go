@@ -26,8 +26,8 @@ func denseConfig() model.Config {
 	}
 }
 
-// denseShape is one step layout: decode rows (one session each) followed by
-// an optional prefill chunk.
+// denseShape is a step layout: decode rows (one session each) in one step,
+// then an optional prefill chunk in a second (a step is one phase).
 type denseShape struct {
 	decodes, prefill int
 }
@@ -40,8 +40,8 @@ type denseStepResult struct {
 	logits, kv []float32
 }
 
-// denseStep builds the shape's sessions with serial prompts, runs one engine
-// step on ex, and returns its outputs.
+// denseStep builds the shape's sessions with serial prompts, runs the decode
+// step and the prefill step on ex, and returns their outputs.
 func denseStep(t *testing.T, p *model.Params, shape denseShape, ex exec.Executor) denseStepResult {
 	t.Helper()
 	cfg := p.Cfg
@@ -64,7 +64,10 @@ func denseStep(t *testing.T, p *model.Params, shape denseShape, ex exec.Executor
 	for i := range entries {
 		starts[i] = entries[i].Dec.Len()
 	}
-	model.NewBatchEngine(p).Step(entries, nil, ex)
+	// One engine per step: an entry's logits are a view valid until the
+	// engine's next Step.
+	model.NewBatchEngine(p).Step(entries[:shape.decodes], nil, ex)
+	model.NewBatchEngine(p).Step(entries[shape.decodes:], nil, ex)
 	var res denseStepResult
 	for i := range entries {
 		ent := &entries[i]

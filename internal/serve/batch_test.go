@@ -26,11 +26,11 @@ var batchTestKernels = []struct {
 	{"oracle", func() model.Kernel { return attention.NewOracle(1e-3) }},
 }
 
-// TestIterationBatchingBitExact is the serving row-budget invariance gate:
-// for every serving kernel and iteration budget — 0 (one session per
-// iteration) and 24 (cross-session rows) — with two runners, chunked
-// prefill and prefix sharing on, tokens must equal the single-tenant serial
-// reference bit for bit, whichever executor each iteration stepped on.
+// TestIterationBatchingBitExact is the serving invariance gate: for every
+// serving kernel and two prompt chunks — 8, and 5, whose chunks straddle
+// the 16-row blocks — with two runners and prefix sharing on, tokens must
+// equal the single-tenant serial reference bit for bit, whichever executor
+// each iteration stepped on.
 func TestIterationBatchingBitExact(t *testing.T) {
 	r := train.TestModel()
 	const (
@@ -40,19 +40,18 @@ func TestIterationBatchingBitExact(t *testing.T) {
 	prompts := testPrompts(r, sessions)
 
 	for _, kc := range batchTestKernels {
-		for _, budget := range []int{0, 24} {
-			t.Run(fmt.Sprintf("%s/budget=%d", kc.name, budget), func(t *testing.T) {
+		for _, chunk := range []int{8, 5} {
+			t.Run(fmt.Sprintf("%s/chunk=%d", kc.name, chunk), func(t *testing.T) {
 				var newKernel func() model.Kernel
 				if kc.mk != nil {
 					newKernel = kc.mk
 				}
 				srv := NewServer(r.Params, Config{
-					Workers:        2,
-					BlockRows:      16,
-					PromptChunk:    8,
-					MaxBatchTokens: budget,
-					SharePrefix:    true,
-					NewKernel:      newKernel,
+					Workers:     2,
+					BlockRows:   16,
+					PromptChunk: chunk,
+					SharePrefix: true,
+					NewKernel:   newKernel,
 				})
 				streams := make([]*Stream, sessions)
 				for i, p := range prompts {
@@ -77,7 +76,7 @@ func TestIterationBatchingBitExact(t *testing.T) {
 				}
 
 				// Second wave: resubmitting a now-published prompt makes the
-				// prefix index and CoW tail blocks participate mid-batch, and
+				// prefix index and CoW tail blocks participate, and
 				// adopted sessions must stay bit-exact too.
 				st2, err := srv.Submit(context.Background(), GenerateRequest{Prompt: prompts[0], MaxTokens: maxNew})
 				if err != nil {
@@ -91,10 +90,6 @@ func TestIterationBatchingBitExact(t *testing.T) {
 					t.Fatal("second-wave session adopted no prefix rows under batching")
 				}
 
-				// Close first: a runner books an iteration's row counters
-				// after it has finished the iteration's sessions, so reading
-				// them while a runner may still be mid-iteration can see the
-				// token counters ahead of the row counters.
 				srv.Close()
 				met := srv.Metrics()
 				rep := srv.Report()
@@ -170,15 +165,14 @@ func TestIterationBatchingSchedulerFairness(t *testing.T) {
 	tracer.SetSink(sink)
 
 	srv := NewServer(r.Params, Config{
-		Workers:        2,
-		BlockRows:      8,
-		MaxBlocks:      40 * cfg.Layers * cfg.Heads,
-		MaxPreempts:    128,
-		PromptChunk:    8,
-		MaxBatchTokens: 16,
-		SharePrefix:    true,
-		Tracer:         tracer,
-		NewKernel:      func() model.Kernel { return attention.NewTokenPicker(1e-3) },
+		Workers:     2,
+		BlockRows:   8,
+		MaxBlocks:   40 * cfg.Layers * cfg.Heads,
+		MaxPreempts: 128,
+		PromptChunk: 8,
+		SharePrefix: true,
+		Tracer:      tracer,
+		NewKernel:   func() model.Kernel { return attention.NewTokenPicker(1e-3) },
 	})
 
 	type job struct {
@@ -212,7 +206,7 @@ func TestIterationBatchingSchedulerFairness(t *testing.T) {
 		}(j)
 	}
 	wg.Wait()
-	srv.Close() // before reading: a runner books its row counters after the iteration
+	srv.Close()
 	met := srv.Metrics()
 	rep := srv.Report()
 
@@ -273,7 +267,6 @@ func TestConfigValidateRejectsNegatives(t *testing.T) {
 	}{
 		{"SpeculateK", Config{SpeculateK: -1}},
 		{"PromptChunk", Config{PromptChunk: -4}},
-		{"MaxBatchTokens", Config{MaxBatchTokens: -8}},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -291,7 +284,7 @@ func TestConfigValidateRejectsNegatives(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config must validate (defaults apply): %v", err)
 	}
-	if err := (Config{PromptChunk: 16, MaxBatchTokens: 32, SpeculateK: 2}).Validate(); err != nil {
+	if err := (Config{PromptChunk: 16, SpeculateK: 2}).Validate(); err != nil {
 		t.Fatalf("positive config must validate: %v", err)
 	}
 

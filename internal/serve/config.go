@@ -26,18 +26,15 @@ func (e *ConfigError) Error() string {
 func (e *ConfigError) Is(target error) bool { return target == ErrBadConfig }
 
 // Validate checks the knobs whose zero value means "use the default" but
-// whose negative values used to be silently coerced (PromptChunk) or would
-// corrupt scheduling arithmetic (MaxBatchTokens). It returns the
-// first violation as a *ConfigError; NewServer panics with it, so programs
-// building configs from external input should call Validate first.
+// whose negative values used to be silently coerced (PromptChunk) or have
+// no meaning (SpeculateK). It returns the first violation as a
+// *ConfigError; NewServer panics with it, so programs building configs from
+// external input should call Validate first.
 // MaxPreempts is exempt: negative there is the documented way to disable
 // preemption.
 func (c Config) Validate() error {
 	if c.PromptChunk < 0 {
 		return &ConfigError{Field: "PromptChunk", Reason: "must not be negative (0 means the default)"}
-	}
-	if c.MaxBatchTokens < 0 {
-		return &ConfigError{Field: "MaxBatchTokens", Reason: "must not be negative (0 means one session per iteration)"}
 	}
 	if c.SpeculateK < 0 {
 		return &ConfigError{Field: "SpeculateK", Reason: "must not be negative (0 disables speculative decoding)"}

@@ -78,16 +78,6 @@ func TestSubmitCloseRace(t *testing.T) {
 // session's pointer must not stay reachable from the scheduler's backing
 // array, or finished sessions' decoders and KV side-cars survive GC under
 // sustained load.
-// popOne pops the way a budget-0 runner does: exactly one session.
-func popOne(t *testing.T, sc *scheduler) *session {
-	t.Helper()
-	batch := sc.popBatch(nil, 0, 32)
-	if len(batch) != 1 {
-		t.Fatalf("budget-0 popBatch returned %d sessions, want 1", len(batch))
-	}
-	return batch[0]
-}
-
 func TestSchedulerReleasesPoppedSlots(t *testing.T) {
 	sc := &scheduler{}
 	sc.cond = sync.NewCond(&sc.mu)
@@ -95,7 +85,7 @@ func TestSchedulerReleasesPoppedSlots(t *testing.T) {
 	sc.push(a)
 	sc.push(b)
 	sc.push(c)
-	if got := popOne(t, sc); got != a {
+	if got := sc.pop(); got != a {
 		t.Fatalf("pop = %v, want first session", got)
 	}
 	live := 0
@@ -113,7 +103,7 @@ func TestSchedulerReleasesPoppedSlots(t *testing.T) {
 	sc.stall(d)
 	want := []*session{b, c, d}
 	for i, w := range want {
-		if got := popOne(t, sc); got != w {
+		if got := sc.pop(); got != w {
 			t.Fatalf("pop %d = %v, want %v", i, got, w)
 		}
 	}
@@ -157,10 +147,10 @@ func TestSchedulerStealPicksLeastProgressed(t *testing.T) {
 	if v := sc.steal(20, 3); v != c {
 		t.Fatalf("steal returned %v, want c (b2 over budget)", v)
 	}
-	if got := popOne(t, sc); got != a {
+	if got := sc.pop(); got != a {
 		t.Fatalf("pop after steals = %v, want FIFO head", got)
 	}
-	if got := popOne(t, sc); got != b2 {
+	if got := sc.pop(); got != b2 {
 		t.Fatalf("pop after steals = %v, want b2", got)
 	}
 }

@@ -39,13 +39,10 @@ type Metrics struct {
 	LadderSelf   *obs.Counter
 	LadderReject *obs.Counter
 
-	// Latency histograms (seconds). PrefillChunk and DecodeStep get one
-	// observation per entry an iteration advanced: the iteration's engine-step
-	// wall time split among its entries by the rows each contributed. At row
-	// budget 0 an iteration is one entry, so an observation is exactly that
-	// decode, replay or verify step, or that prompt chunk; at larger budgets
-	// the counts still equal steps and chunks and the sums still add up to
-	// the runners' busy time, while BatchIteration holds the unsplit latency.
+	// Latency histograms (seconds). An iteration advances one session, so
+	// PrefillChunk and DecodeStep get one observation per iteration that
+	// advanced: the engine-step wall time of that prompt chunk, or of that
+	// decode, replay or verify step.
 	TTFT         *obs.Histogram // Submit → first emitted token
 	InterToken   *obs.Histogram // gap between consecutive emissions
 	QueueWait    *obs.Histogram // Submit → first iteration
@@ -53,9 +50,9 @@ type Metrics struct {
 	DecodeStep   *obs.Histogram // one generation, replay or verify step
 
 	// Iteration-shape families. BatchRows observes the token rows each
-	// iteration actually advanced (entries that failed their block lease are
-	// excluded, so these reconcile exactly with the usage counters) — its
-	// Mean() is the average occupancy, also exported as the
+	// iteration actually advanced (an iteration whose entry failed its block
+	// lease is excluded, so these reconcile exactly with the usage
+	// counters) — its Mean() is the average occupancy, also exported as the
 	// topick_batch_occupancy_rows gauge — while the row counters split the
 	// same totals by phase, so
 	// batch_decode_rows + batch_prefill_rows == sum(batch_rows).
@@ -119,8 +116,8 @@ func newMetrics(s *Server) *Metrics {
 		TTFT:         reg.Histogram("topick_ttft_seconds", "Time from Submit to first emitted token.", "", nil),
 		InterToken:   reg.Histogram("topick_inter_token_seconds", "Gap between consecutive token emissions of one session.", "", nil),
 		QueueWait:    reg.Histogram("topick_queue_wait_seconds", "Time from Submit to the session's first scheduling iteration.", "", nil),
-		PrefillChunk: reg.Histogram("topick_prefill_chunk_seconds", "Wall time of one prompt-chunk prefill; an iteration that advanced several entries splits its wall time among them by rows.", "", nil),
-		DecodeStep:   reg.Histogram("topick_decode_step_seconds", "Wall time of one generation, replay or verify step; an iteration that advanced several entries splits its wall time among them by rows.", "", nil),
+		PrefillChunk: reg.Histogram("topick_prefill_chunk_seconds", "Wall time of one prompt-chunk prefill.", "", nil),
+		DecodeStep:   reg.Histogram("topick_decode_step_seconds", "Wall time of one generation, replay or verify step.", "", nil),
 
 		BatchIterations:  reg.Counter("topick_batch_iterations_total", "Scheduling iterations executed.", ""),
 		BatchDecodeRows:  reg.Counter("topick_batch_rows_total", "Token rows advanced by scheduling iterations, by phase.", `phase="decode"`),

@@ -251,24 +251,24 @@ func TestPromptLongerThanWindowAccountsConsumedTokens(t *testing.T) {
 	cfg := model.TestConfig()
 	cfg.MaxSeq = 24
 	params := model.NewParams(cfg, 9)
-	for _, budget := range []int{0, 16} {
-		srv := NewServer(params, Config{Workers: 1, BlockRows: 8, PromptChunk: 10, MaxBatchTokens: budget})
+	for _, chunk := range []int{10, 7} {
+		srv := NewServer(params, Config{Workers: 1, BlockRows: 8, PromptChunk: chunk})
 
-		long := make([]int, 40) // 4 chunks; the window fills mid-third-chunk
+		long := make([]int, 40) // the window fills mid-chunk at either size
 		st, err := srv.Submit(context.Background(), GenerateRequest{Prompt: long, MaxTokens: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res := st.Result()
 		if res.Reason != ReasonContextFull || res.Usage.GeneratedTokens != 0 {
-			t.Fatalf("budget %d: result %+v, want context_full with no generated tokens", budget, res)
+			t.Fatalf("chunk %d: result %+v, want context_full with no generated tokens", chunk, res)
 		}
 		if res.Usage.PromptTokens != cfg.MaxSeq {
-			t.Fatalf("budget %d: PromptLen %d, want the %d tokens the decoder consumed", budget, res.Usage.PromptTokens, cfg.MaxSeq)
+			t.Fatalf("chunk %d: PromptLen %d, want the %d tokens the decoder consumed", chunk, res.Usage.PromptTokens, cfg.MaxSeq)
 		}
 		srv.Close()
 		if rep := srv.Report(); rep.PromptTokens != int64(cfg.MaxSeq) {
-			t.Fatalf("budget %d: fleet PromptTokens %d, want %d", budget, rep.PromptTokens, cfg.MaxSeq)
+			t.Fatalf("chunk %d: fleet PromptTokens %d, want %d", chunk, rep.PromptTokens, cfg.MaxSeq)
 		}
 	}
 }

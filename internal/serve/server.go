@@ -5,14 +5,11 @@
 //
 // One scheduling loop drives everything. Each of Config.Workers runner
 // goroutines owns an attention kernel, a head executor and a
-// model.BatchEngine, and repeats: pop runnable sessions from the FIFO run
-// queue up to the iteration's row budget (Config.MaxBatchTokens), advance
-// them together in one engine step — a decode, replay or speculative-verify
-// session contributes its token rows, a pending prompt its next PromptChunk
-// rows — then sample, emit, and requeue. At the default budget of zero an
-// iteration is exactly one session's step or prompt chunk; a larger budget
-// lets one iteration span several sessions. Generated tokens are bit-identical
-// for every budget and worker count.
+// model.BatchEngine, and repeats: pop the front session of the FIFO run
+// queue, advance it by one engine step — a decode, replay or
+// speculative-verify step, or its next PromptChunk prompt rows — then
+// sample, emit, and requeue. Generated tokens are bit-identical for every
+// worker count.
 //
 // Every session owns a decoder whose KV caches are leased block-by-block
 // from a shared Pool and recycled on completion. Per-session transfer
@@ -77,20 +74,8 @@ type Config struct {
 	MaxSessions int
 	// PromptChunk caps the prompt tokens one session prefills per
 	// iteration, so long prompts cannot starve running generations
-	// (default 32; negative is rejected by Validate). It composes with
-	// MaxBatchTokens: that bounds the whole iteration's rows, this bounds
-	// any one prompt's share of them.
+	// (default 32; negative is rejected by Validate).
 	PromptChunk int
-	// MaxBatchTokens is the row budget of one scheduling iteration: a
-	// runner admits queued sessions in FIFO order — a decode or replay
-	// session costs one row, a speculating one its draft window, a pending
-	// prompt its next chunk — until the next session would exceed the
-	// budget, and advances them in one engine step. The first session is
-	// always admitted, so at the default of zero every iteration advances
-	// exactly one session, and a prompt chunk longer than the budget still
-	// makes progress. Generated tokens are bit-identical for every value;
-	// negative is rejected by Validate.
-	MaxBatchTokens int
 	// BlockRows is the KV pool block granularity in rows (default 32).
 	BlockRows int
 	// MaxBlocks bounds live pool blocks; 0 = unbounded.
@@ -147,7 +132,7 @@ type Config struct {
 	// step becomes a draft-and-verify pass that verifies up to SpeculateK
 	// prompt-lookup draft tokens (model.NgramDraft) in one model sweep; the
 	// per-session window walks [1, SpeculateK] with recent acceptance.
-	// Composes with every row budget, prefix sharing, and the preemption
+	// Composes with every worker count, prefix sharing, and the preemption
 	// ladder; emitted tokens are bit-identical to non-speculative decoding
 	// for greedy and seeded sampling alike. Negative is rejected by Validate.
 	SpeculateK int
@@ -939,26 +924,10 @@ func (sc *scheduler) promoteStalledLocked() {
 	}
 }
 
-// popLocked removes the queue's front session and counts it as running.
-// Callers hold the lock and have checked count > 0.
-func (sc *scheduler) popLocked() *session {
-	sess := sc.buf[sc.head]
-	sc.buf[sc.head] = nil // release the slot: popped sessions must be collectable
-	sc.head = (sc.head + 1) % len(sc.buf)
-	sc.count--
-	sc.running++
-	return sess
-}
-
-// popBatch blocks for at least one runnable session, then drains the run
-// queue in FIFO order into dst until the iteration's token budget is spent:
-// a decode or replay session costs one row, a pending prompt costs its next
-// prefill chunk (at most chunk rows). The first session is admitted
-// regardless of cost, so budget 0 yields exactly one session and an oversized
-// prompt chunk still makes progress. It returns nil once the scheduler is
-// closed and drained (stalled sessions included); otherwise every returned
-// session counts as running until the caller's endBatch(len(batch)).
-func (sc *scheduler) popBatch(dst []*session, budget, chunk int) []*session {
+// pop blocks for a runnable session, removes the run queue's front one and
+// counts it as running until the caller's end. It returns nil once the
+// scheduler is closed and drained (stalled sessions included).
+func (sc *scheduler) pop() *session {
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	for {
@@ -971,35 +940,20 @@ func (sc *scheduler) popBatch(dst []*session, budget, chunk int) []*session {
 		}
 		sc.cond.Wait()
 	}
-	spent := 0
-	for sc.count > 0 {
-		sess := sc.buf[sc.head]
-		cost := 1
-		if rem := len(sess.req.Prompt) - sess.promptPos; rem > 0 {
-			cost = rem
-			if cost > chunk {
-				cost = chunk
-			}
-		} else if sess.spec != nil && sess.replayPos >= sess.replayEnd {
-			// A speculating decode session submits a verify entry of up to
-			// 1+k rows, so it bids its full window against the token budget.
-			cost = 1 + sess.spec.CurK()
-		}
-		if len(dst) > 0 && spent+cost > budget {
-			break
-		}
-		dst = append(dst, sc.popLocked())
-		spent += cost
-	}
-	return dst
+	sess := sc.buf[sc.head]
+	sc.buf[sc.head] = nil // release the slot: popped sessions must be collectable
+	sc.head = (sc.head + 1) % len(sc.buf)
+	sc.count--
+	sc.running++
+	return sess
 }
 
-// endBatch ends the iteration popBatch opened over n sessions. When nothing is
-// left running, waiting runners re-check the stalled list: a parked session is
-// then the only way forward.
-func (sc *scheduler) endBatch(n int) {
+// end ends the iteration pop opened. When nothing is left running, waiting
+// runners re-check the stalled list: a parked session is then the only way
+// forward.
+func (sc *scheduler) end() {
 	sc.mu.Lock()
-	sc.running -= n
+	sc.running--
 	wake := sc.running == 0 && len(sc.stalled) > 0
 	sc.mu.Unlock()
 	if wake {

@@ -11,15 +11,15 @@ import (
 	"tokenpicker/internal/train"
 )
 
-// specServeBudgets are the iteration row budgets (Config.MaxBatchTokens)
-// speculation must be invariant to: one session per iteration, and verify
-// entries of several sessions sharing one engine step.
-var specServeBudgets = []struct {
-	name  string
-	batch int
+// specServeBlockRows are the pool block sizes speculation must be invariant
+// to: 16-row blocks, and 4-row blocks that a verify window and its rollback
+// cross.
+var specServeBlockRows = []struct {
+	name string
+	rows int
 }{
-	{"budget=0", 0},
-	{"budget=32", 32},
+	{"block-rows=16", 16},
+	{"block-rows=4", 4},
 }
 
 // collectStreams submits every prompt greedily and drains the streams in
@@ -46,7 +46,7 @@ func collectStreams(t *testing.T, srv *Server, prompts [][]int, maxNew int) ([][
 }
 
 // TestSpeculativeServingBitExact is the serving half of the speculation
-// gate: with drafting on, every serving kernel and row budget must emit
+// gate: with drafting on, every serving kernel and block size must emit
 // exactly the non-speculative serial reference over the paged KV pool — and
 // the speculation accounting must reconcile: the topick_spec_* counters
 // against the per-request Usage totals, accepted plus rolled-back against
@@ -61,8 +61,8 @@ func TestSpeculativeServingBitExact(t *testing.T) {
 	prompts := testPrompts(r, sessions)
 
 	for _, kc := range batchTestKernels {
-		for _, mode := range specServeBudgets {
-			t.Run(kc.name+"/"+mode.name, func(t *testing.T) {
+		for _, blocks := range specServeBlockRows {
+			t.Run(kc.name+"/"+blocks.name, func(t *testing.T) {
 				var newKernel func() model.Kernel
 				if kc.mk != nil {
 					newKernel = kc.mk
@@ -72,14 +72,13 @@ func TestSpeculativeServingBitExact(t *testing.T) {
 				sink := obs.NewJSONLWriter(&traceBuf)
 				tracer.SetSink(sink)
 				srv := NewServer(r.Params, Config{
-					Workers:        2,
-					BlockRows:      16,
-					PromptChunk:    8,
-					MaxBatchTokens: mode.batch,
-					SharePrefix:    true,
-					SpeculateK:     4,
-					Tracer:         tracer,
-					NewKernel:      newKernel,
+					Workers:     2,
+					BlockRows:   blocks.rows,
+					PromptChunk: 8,
+					SharePrefix: true,
+					SpeculateK:  4,
+					Tracer:      tracer,
+					NewKernel:   newKernel,
 				})
 				got, res := collectStreams(t, srv, prompts, maxNew)
 				met := srv.Metrics()
@@ -185,7 +184,7 @@ func scriptDrafts(srv *Server, full []int) {
 // (the serial greedy stream, scripted) accepts everything, so the verify pass
 // that crosses the stop boundary has live drafts beyond it — emission must
 // truncate exactly at the match, finish with ReasonStop, and never emit a
-// token past the boundary at either row budget.
+// token past the boundary at either block size.
 func TestSpeculativeStopInsideDraftWindow(t *testing.T) {
 	r := train.TestModel()
 	prompt := testPrompts(r, 1)[0]
@@ -213,13 +212,12 @@ func TestSpeculativeStopInsideDraftWindow(t *testing.T) {
 	}
 	stop := [][]int{stopPair}
 
-	for _, mode := range specServeBudgets {
-		t.Run(mode.name, func(t *testing.T) {
+	for _, blocks := range specServeBlockRows {
+		t.Run(blocks.name, func(t *testing.T) {
 			srv := NewServer(r.Params, Config{
-				Workers:        1,
-				BlockRows:      16,
-				MaxBatchTokens: mode.batch,
-				SpeculateK:     8,
+				Workers:    1,
+				BlockRows:  blocks.rows,
+				SpeculateK: 8,
 			})
 			scriptDrafts(srv, slices.Concat(prompt, want))
 			st, err := srv.Submit(context.Background(), GenerateRequest{

@@ -74,52 +74,48 @@ func TestLoneRunnerRoundRobinFairness(t *testing.T) {
 	}
 }
 
-// TestIterationBatchingCoSchedulesRows: the same mixed-length traffic at a
-// row budget above zero must put more token rows into the mean iteration
-// than at budget zero (one session per iteration), where only prefill
-// chunks carry more than one row. A budget that degenerated to one session
-// per iteration would read the same occupancy twice.
-func TestIterationBatchingCoSchedulesRows(t *testing.T) {
+// TestIterationAdvancesOneSession pins the scheduling unit: with eight
+// mixed-length sessions queued behind one runner, every iteration advances
+// exactly one session, so the iteration count equals the decode steps (every
+// generated token past the first, which the last prompt chunk samples) plus
+// the prompt chunks each session's Usage implies. An iteration that stepped
+// several queued sessions would read fewer.
+func TestIterationAdvancesOneSession(t *testing.T) {
 	r := train.TestModel()
 	const (
 		sessions = 8
 		maxNew   = 12
+		chunk    = 16
 	)
-	occupancy := func(budget int) float64 {
-		hold := make(chan struct{})
-		srv := NewServer(r.Params, Config{
-			Workers:        1,
-			BlockRows:      32,
-			PromptChunk:    16,
-			MaxBatchTokens: budget,
-			NewKernel:      func() model.Kernel { return heldKernel{attention.NewTokenPicker(1e-3), hold} },
-		})
-		var streams []*Stream
-		for i, p := range testPrompts(r, sessions) {
-			st, err := srv.Submit(context.Background(), GenerateRequest{Prompt: p, MaxTokens: maxNew})
-			if err != nil {
-				t.Fatalf("submit %d: %v", i, err)
-			}
-			streams = append(streams, st)
+	hold := make(chan struct{})
+	srv := NewServer(r.Params, Config{
+		Workers:     1,
+		BlockRows:   32,
+		PromptChunk: chunk,
+		NewKernel:   func() model.Kernel { return heldKernel{attention.NewTokenPicker(1e-3), hold} },
+	})
+	var streams []*Stream
+	for i, p := range testPrompts(r, sessions) {
+		st, err := srv.Submit(context.Background(), GenerateRequest{Prompt: p, MaxTokens: maxNew})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
 		}
-		close(hold)
-		for i, st := range streams {
-			if res := st.Result(); res.Usage.GeneratedTokens != maxNew {
-				t.Fatalf("budget %d: session %d generated %d of %d tokens",
-					budget, i, res.Usage.GeneratedTokens, maxNew)
-			}
-		}
-		srv.Close() // a runner books its row counters after the iteration
-		met := srv.Metrics()
-		if met.BatchIterations.Value() == 0 {
-			t.Fatalf("budget %d: no iterations recorded", budget)
-		}
-		return met.BatchRows.Mean()
+		streams = append(streams, st)
 	}
-	single, batched := occupancy(0), occupancy(48)
-	if !(batched > single) || batched <= 1 {
-		t.Fatalf("mean batch occupancy %.2f rows at budget 48, %.2f at budget 0; expected cross-session batching",
-			batched, single)
+	close(hold)
+	var want int64
+	for i, st := range streams {
+		res := st.Result()
+		u := res.Usage
+		if res.Reason != ReasonLength || u.GeneratedTokens != maxNew {
+			t.Fatalf("session %d finished %q with %d of %d tokens", i, res.Reason, u.GeneratedTokens, maxNew)
+		}
+		prefilled := u.PromptTokens - u.PrefixHitRows
+		want += int64(u.GeneratedTokens-1) + int64(u.RecomputeTokens) + int64((prefilled+chunk-1)/chunk)
+	}
+	srv.Close()
+	if got := srv.Metrics().BatchIterations.Value(); got != want {
+		t.Fatalf("%d iterations, want %d: one per decode step and prompt chunk", got, want)
 	}
 }
 
