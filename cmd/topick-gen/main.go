@@ -12,6 +12,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"tokenpicker"
 )
@@ -29,8 +30,16 @@ func main() {
 		specK     = flag.Int("speculate-k", 0, "speculative decoding draft window: verify up to K prompt-lookup draft tokens per pass (0 = off; output is bit-identical either way)")
 	)
 	flag.Parse()
+	if *promptLen < 1 {
+		fmt.Fprintf(os.Stderr, "-prompt %d: need at least one prompt token\n", *promptLen)
+		os.Exit(2)
+	}
 
 	res := tokenpicker.TrainDemoModel()
+	if *promptLen > len(res.Held) {
+		fmt.Fprintf(os.Stderr, "-prompt %d: the held-out stream has %d tokens\n", *promptLen, len(res.Held))
+		os.Exit(2)
+	}
 	var k tokenpicker.Kernel
 	var tp *tokenpicker.TokenPickerKernel
 	switch *kernel {
@@ -70,7 +79,7 @@ func main() {
 		log.Fatalf("sampling config: %v", err)
 	}
 	history := append([]int(nil), prompt...)
-	fmt.Printf("prompt tokens: %v\n", prompt[len(prompt)-16:])
+	fmt.Printf("prompt tokens: %v\n", prompt[max(0, len(prompt)-16):])
 	fmt.Printf("generated    : ")
 	tok := sampler.Sample(logits, history)
 	if *specK > 0 {
@@ -134,7 +143,7 @@ func speculate(res *tokenpicker.TrainResult, dec *tokenpicker.Decoder, k tokenpi
 	*history = append(*history, first)
 	em.printed = 1
 	for em.printed < nTokens {
-		if _, err := sd.Step(eng, k, nil, *history, nTokens-em.printed-1, em); err != nil {
+		if _, err := sd.Step(eng, k, dec.Exec, *history, nTokens-em.printed-1, em); err != nil {
 			// ErrContextFull: the window is exhausted; stop cleanly.
 			fmt.Printf("\n(stopped early: %v)", err)
 			break

@@ -48,30 +48,14 @@ import (
 )
 
 func main() {
-	var (
-		sessions  = flag.Int("sessions", 12, "concurrent generation requests (offline demo)")
-		workers   = flag.Int("workers", 4, "decode workers")
-		maxNew    = flag.Int("max-new", 48, "tokens to generate per session")
-		promptLen = flag.Int("prompt", 24, "shortest prompt length")
-		stride    = flag.Int("stride", 6, "extra prompt tokens per session index")
-		threshold = flag.Float64("threshold", 1e-3, "Token-Picker pruning threshold")
-		blockRows = flag.Int("block-rows", 32, "KV pool block granularity (rows)")
-		temp      = flag.Float64("temperature", 0, "sampling temperature (0 = greedy)")
-		deadline  = flag.Duration("deadline", 0, "per-request deadline (0 = none)")
-		share     = flag.Bool("share-prefix", true, "share cached prompt-prefix KV blocks across sessions")
-		maxBlocks = flag.Int("max-blocks", 0, "KV pool block budget (0 = unbounded; exhaustion preempts sessions)")
-		preempts  = flag.Int("max-preempts", 0, "per-session preemption budget (0 = default, negative = reject on exhaustion)")
-		specK     = flag.Int("speculate-k", 0, "speculative decoding draft window: verify up to K prompt-lookup draft tokens per engine pass (0 = off; output is bit-identical either way)")
-		replicas  = flag.Int("replicas", 1, "engine replicas behind a prefix-affinity router (>1 = fleet mode; token streams stay bit-identical to -replicas 1)")
-		affinity  = flag.Bool("affinity", true, "with -replicas >1, route by rendezvous hash of the leading prompt chunks so shared prefixes stay replica-local (false = least-loaded only)")
-		listen    = flag.String("listen", "", "serve the HTTP API on this address (e.g. :8080) instead of the offline demo")
-
-		traceOut   = flag.String("trace-out", "", "record the lifecycle trace to this JSONL file (replayable by topick-sim -trace)")
-		traceBuf   = flag.Int("trace-buf", 0, "lifecycle tracer ring capacity for GET /v1/trace (0 = off unless -trace-out is set)")
-		pprofOn    = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (with -listen)")
-		drainGrace = flag.Duration("drain-grace", 0, "after SIGTERM, keep answering with /readyz=503 this long before closing the listener")
-	)
-	flag.Parse()
+	o, err := parseFlags(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "topick-serve: %v\n", err)
+		os.Exit(2)
+	}
 
 	// The tracer must exist before the engine: ServeConfig.Tracer is wired at
 	// construction. A -trace-out file implies a ring even when -trace-buf is
@@ -79,15 +63,15 @@ func main() {
 	var tracer *tokenpicker.Tracer
 	var traceFile *os.File
 	var traceSink *tokenpicker.TraceJSONLWriter
-	if *traceBuf > 0 || *traceOut != "" {
-		n := *traceBuf
+	if o.traceBuf > 0 || o.traceOut != "" {
+		n := o.traceBuf
 		if n <= 0 {
 			n = 4096
 		}
 		tracer = tokenpicker.NewTracer(n)
 	}
-	if *traceOut != "" {
-		f, err := os.Create(*traceOut)
+	if o.traceOut != "" {
+		f, err := os.Create(o.traceOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
 			os.Exit(1)
@@ -106,7 +90,7 @@ func main() {
 		if err := traceFile.Close(); err != nil {
 			fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
 		}
-		fmt.Printf("lifecycle trace written to %s\n", *traceOut)
+		fmt.Printf("lifecycle trace written to %s\n", o.traceOut)
 	}
 
 	fmt.Println("training demo model (cached per process)...")
@@ -115,51 +99,96 @@ func main() {
 	fmt.Printf("model %s: %d layers x %d heads, head dim %d, context %d\n\n",
 		cfg.Name, cfg.Layers, cfg.Heads, cfg.HeadDim, cfg.MaxSeq)
 
-	engineCfg := tokenpicker.ServeConfig{
-		Workers:     *workers,
-		BlockRows:   *blockRows,
-		MaxBlocks:   *maxBlocks,
-		SharePrefix: *share,
-		MaxPreempts: *preempts,
-		SpeculateK:  *specK,
-		Tracer:      tracer,
-		Detokenize:  detok,
-		NewKernel:   func() tokenpicker.Kernel { return tokenpicker.NewKernel(*threshold) },
-	}
-
-	if *replicas > 1 {
-		if *listen == "" {
-			fmt.Fprintln(os.Stderr, "-replicas >1 needs -listen: fleet mode serves the HTTP API")
-			os.Exit(2)
-		}
+	if o.fleet.Replicas > 1 {
 		if tracer != nil {
 			// Replica session ids would collide in one shared ring; requests
 			// are correlated across replicas via X-Request-ID instead.
 			fmt.Fprintln(os.Stderr, "fleet mode ignores -trace-buf/-trace-out (tracing is per-replica); correlate with X-Request-ID")
-			engineCfg.Tracer = nil
 		}
-		fl := tokenpicker.NewFleet(res.Params, tokenpicker.FleetConfig{
-			Replicas: *replicas,
-			Affinity: *affinity,
-			Serve:    engineCfg,
-		})
-		serveFleetHTTP(fl, *listen, *pprofOn, *drainGrace)
+		fl := tokenpicker.NewFleet(res.Params, o.fleet)
+		serveFleetHTTP(fl, o.listen, o.pprof, o.drainGrace)
 		return
 	}
 
+	engineCfg := o.fleet.Serve
+	engineCfg.Tracer = tracer
 	srv := tokenpicker.NewServer(res.Params, engineCfg)
 
-	if *listen != "" {
-		serveHTTP(srv, *listen, *pprofOn, *drainGrace)
+	if o.listen != "" {
+		serveHTTP(srv, o.listen, o.pprof, o.drainGrace)
 		flushTrace()
 		return
 	}
-	offlineDemo(res, srv, offlineOptions{
-		sessions: *sessions, workers: *workers, maxNew: *maxNew,
-		promptLen: *promptLen, stride: *stride, specK: *specK,
-		temp: *temp, deadline: *deadline, share: *share,
-	})
+	offlineDemo(res, srv, o.offlineOptions)
 	flushTrace()
+}
+
+// options is the parsed command line: the offline demo's knobs, the HTTP
+// and tracing settings, and the engine and fleet configs the flags describe
+// (fleet.Serve is the engine config, its Tracer still unset).
+type options struct {
+	offlineOptions
+	listen, traceOut string
+	traceBuf         int
+	pprof            bool
+	drainGrace       time.Duration
+	fleet            tokenpicker.FleetConfig
+}
+
+// parseFlags turns the command line into options and validates the engine
+// and fleet configs before anything is trained, so a bad value is reported
+// as the *ConfigError that names its field instead of panicking NewServer or
+// NewFleet later. It returns flag.ErrHelp for -h.
+func parseFlags(args []string) (options, error) {
+	fs := flag.NewFlagSet("topick-serve", flag.ContinueOnError)
+	var (
+		o         options
+		threshold float64
+		blockRows int
+		maxBlocks int
+		preempts  int
+	)
+	fs.IntVar(&o.sessions, "sessions", 12, "concurrent generation requests (offline demo)")
+	fs.IntVar(&o.workers, "workers", 4, "decode workers")
+	fs.IntVar(&o.maxNew, "max-new", 48, "tokens to generate per session")
+	fs.IntVar(&o.promptLen, "prompt", 24, "shortest prompt length")
+	fs.IntVar(&o.stride, "stride", 6, "extra prompt tokens per session index")
+	fs.Float64Var(&threshold, "threshold", 1e-3, "Token-Picker pruning threshold")
+	fs.IntVar(&blockRows, "block-rows", 32, "KV pool block granularity (rows)")
+	fs.Float64Var(&o.temp, "temperature", 0, "sampling temperature (0 = greedy)")
+	fs.DurationVar(&o.deadline, "deadline", 0, "per-request deadline (0 = none)")
+	fs.BoolVar(&o.share, "share-prefix", true, "share cached prompt-prefix KV blocks across sessions")
+	fs.IntVar(&maxBlocks, "max-blocks", 0, "KV pool block budget (0 = unbounded; exhaustion preempts sessions)")
+	fs.IntVar(&preempts, "max-preempts", 0, "per-session preemption budget (0 = default, negative = reject on exhaustion)")
+	fs.IntVar(&o.specK, "speculate-k", 0, "speculative decoding draft window: verify up to K prompt-lookup draft tokens per engine pass (0 = off; output is bit-identical either way)")
+	fs.IntVar(&o.fleet.Replicas, "replicas", 1, "engine replicas behind a prefix-affinity router (>1 = fleet mode; token streams stay bit-identical to -replicas 1)")
+	fs.BoolVar(&o.fleet.Affinity, "affinity", true, "with -replicas >1, route by rendezvous hash of the leading prompt chunks so shared prefixes stay replica-local (false = least-loaded only)")
+	fs.StringVar(&o.listen, "listen", "", "serve the HTTP API on this address (e.g. :8080) instead of the offline demo")
+	fs.StringVar(&o.traceOut, "trace-out", "", "record the lifecycle trace to this JSONL file (replayable by topick-sim -trace)")
+	fs.IntVar(&o.traceBuf, "trace-buf", 0, "lifecycle tracer ring capacity for GET /v1/trace (0 = off unless -trace-out is set)")
+	fs.BoolVar(&o.pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/ (with -listen)")
+	fs.DurationVar(&o.drainGrace, "drain-grace", 0, "after SIGTERM, keep answering with /readyz=503 this long before closing the listener")
+	if err := fs.Parse(args); err != nil {
+		return options{}, err
+	}
+
+	o.fleet.Serve = tokenpicker.ServeConfig{
+		Workers:     o.workers,
+		BlockRows:   blockRows,
+		MaxBlocks:   maxBlocks,
+		SharePrefix: o.share,
+		MaxPreempts: preempts,
+		SpeculateK:  o.specK,
+		Detokenize:  detok,
+		NewKernel:   func() tokenpicker.Kernel { return tokenpicker.NewKernel(threshold) },
+	}
+	if o.fleet.Replicas > 1 && o.listen == "" {
+		return options{}, errors.New("-replicas >1 needs -listen: fleet mode serves the HTTP API")
+	}
+	if err := o.fleet.Validate(); err != nil {
+		return options{}, err
+	}
+	return o, nil
 }
 
 // detok renders a synthetic-vocabulary token for the HTTP text fields.

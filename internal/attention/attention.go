@@ -220,7 +220,7 @@ func (k *slotted) AttendLayer(batch model.AttendBatch) {
 		k.slots = append(k.slots, s)
 	}
 	k.batch = batch
-	batch.Run((*slotTasks)(k))
+	k.batch.Run((*slotTasks)(k))
 }
 
 // Stats returns the transfer statistics merged across executor slots. The

@@ -64,8 +64,7 @@ func AblationChunkWidth(opts Options) (*Table, []AblationRow) {
 
 // AblationOrdering compares token-visit orders. The paper's order (newest
 // first, first token promoted) exploits attention locality so the
-// denominator grows fast; forward order is the natural worst case; oracle
-// order bounds what any ordering could achieve.
+// denominator grows fast; forward order is the natural worst case.
 func AblationOrdering(opts Options) (*Table, []AblationRow) {
 	r := trainFirst(opts)
 	base := attention.NewQuantizedExact()

@@ -19,29 +19,27 @@ import (
 // SpeculativeOptions sizes the speculative-decoding comparison: the same
 // greedy fleet decoded without drafting and then with n-gram drafting.
 type SpeculativeOptions struct {
-	Sessions    int
-	PromptLen   int // shortest prompt; session i adds i*Stride tokens
-	Stride      int
-	MaxNew      int     // tokens generated per session
-	Workers     int     // server decode workers
-	BlockRows   int     // KV pool granularity
-	PromptChunk int     // prefill chunk
-	K           int     // draft window ceiling (per-session adaptive below it)
-	Threshold   float64 // Token-Picker pruning threshold of the target model
+	Sessions  int
+	PromptLen int // shortest prompt; session i adds i*Stride tokens
+	Stride    int
+	MaxNew    int     // tokens generated per session
+	Workers   int     // server decode workers
+	BlockRows int     // KV pool granularity
+	K         int     // draft window ceiling (per-session adaptive below it)
+	Threshold float64 // Token-Picker pruning threshold of the target model
 }
 
 // DefaultSpeculativeOptions is the profile BenchmarkSpeculativeServing runs.
 func DefaultSpeculativeOptions() SpeculativeOptions {
 	return SpeculativeOptions{
-		Sessions:    8,
-		PromptLen:   24,
-		Stride:      5,
-		MaxNew:      32,
-		Workers:     4,
-		BlockRows:   32,
-		PromptChunk: 16,
-		K:           4,
-		Threshold:   1e-3,
+		Sessions:  8,
+		PromptLen: 24,
+		Stride:    5,
+		MaxNew:    32,
+		Workers:   4,
+		BlockRows: 32,
+		K:         4,
+		Threshold: 1e-3,
 	}
 }
 
@@ -141,7 +139,6 @@ func CompareSpeculative(r *train.Result, o SpeculativeOptions) SpeculativeResult
 	cfg := serve.Config{
 		Workers:     o.Workers,
 		BlockRows:   o.BlockRows,
-		PromptChunk: o.PromptChunk,
 		SharePrefix: true,
 		NewKernel:   func() model.Kernel { return attention.NewTokenPicker(o.Threshold) },
 	}

@@ -41,9 +41,6 @@ const (
 	// OrderReverse visits tokens strictly newest-to-oldest without
 	// promoting the first token (ablation).
 	OrderReverse
-	// OrderOracle visits tokens by descending true score (requires the
-	// caller to supply exact scores; upper-bounds what ordering can gain).
-	OrderOracle
 )
 
 func (o OrderPolicy) String() string {
@@ -54,8 +51,6 @@ func (o OrderPolicy) String() string {
 		return "forward"
 	case OrderReverse:
 		return "reverse"
-	case OrderOracle:
-		return "oracle"
 	default:
 		return fmt.Sprintf("order(%d)", int(o))
 	}
@@ -115,6 +110,9 @@ func (c Config) Validate() error {
 	}
 	if c.Threshold >= 1 {
 		return fmt.Errorf("core: threshold %g must be < 1", c.Threshold)
+	}
+	if c.Order < OrderPaper || c.Order > OrderReverse {
+		return fmt.Errorf("core: unknown %v", c.Order)
 	}
 	return nil
 }

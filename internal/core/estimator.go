@@ -26,8 +26,6 @@ type Inputs struct {
 	// arrive (e.g. ALiBi recency bias); nil means zero. It shifts both
 	// interval ends equally so margins remain sound.
 	Bias []float32
-	// TrueScores is required only for OrderOracle.
-	TrueScores []float64
 }
 
 // Report is the outcome of one estimator run.
@@ -178,7 +176,7 @@ func (e *Estimator) RunInto(rep *Report, in Inputs) {
 		e.expMin = tensor.Grow(e.expMin, n)
 		r.d.exp = e.expMin
 	}
-	e.buildOrder(n, in.TrueScores)
+	e.buildOrder(n)
 
 	if e.cfg.Schedule == ScheduleDepthFirst {
 		// Stream each token's chunks to completion before the next token.
@@ -237,7 +235,7 @@ func (e *Estimator) RunInto(rep *Report, in Inputs) {
 }
 
 // buildOrder fills e.order according to the policy.
-func (e *Estimator) buildOrder(n int, trueScores []float64) {
+func (e *Estimator) buildOrder(n int) {
 	e.order = tensor.Grow(e.order, n)[:0]
 	switch e.cfg.Order {
 	case OrderForward:
@@ -247,22 +245,6 @@ func (e *Estimator) buildOrder(n int, trueScores []float64) {
 	case OrderReverse:
 		for i := n - 1; i >= 0; i-- {
 			e.order = append(e.order, i)
-		}
-	case OrderOracle:
-		if trueScores == nil {
-			panic("core: OrderOracle requires Inputs.TrueScores")
-		}
-		for i := 0; i < n; i++ {
-			e.order = append(e.order, i)
-		}
-		// Insertion sort by descending true score (n is modest and this
-		// path is ablation-only).
-		for i := 1; i < n; i++ {
-			j := i
-			for j > 0 && trueScores[e.order[j-1]] < trueScores[e.order[j]] {
-				e.order[j-1], e.order[j] = e.order[j], e.order[j-1]
-				j--
-			}
 		}
 	default: // OrderPaper
 		e.order = append(e.order, n-1)

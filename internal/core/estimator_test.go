@@ -298,18 +298,16 @@ func TestKeepPrunedInDenominatorStillSound(t *testing.T) {
 	}
 }
 
-func TestOracleOrderNeedsScores(t *testing.T) {
-	cfg := DefaultConfig(1e-3)
-	cfg.Order = OrderOracle
-	est := MustNewEstimator(cfg)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("oracle order without scores should panic")
+// TestUnknownOrderRejected pins that an order outside the three policies
+// fails validation instead of running as OrderPaper.
+func TestUnknownOrderRejected(t *testing.T) {
+	for _, order := range []OrderPolicy{-1, OrderReverse + 1} {
+		cfg := DefaultConfig(1e-3)
+		cfg.Order = order
+		if _, err := NewEstimator(cfg); err == nil {
+			t.Fatalf("order %v validated", order)
 		}
-	}()
-	rng := rand.New(rand.NewSource(40))
-	in := randInstance(rng, 32, 16, false)
-	est.Run(in)
+	}
 }
 
 func TestOrderPoliciesCoverAllTokens(t *testing.T) {
@@ -346,7 +344,7 @@ func TestEmptyAndSingleToken(t *testing.T) {
 
 func TestPaperOrderVisitsNewestAndFirstEarly(t *testing.T) {
 	e := MustNewEstimator(DefaultConfig(1e-3))
-	e.buildOrder(6, nil)
+	e.buildOrder(6)
 	want := []int{5, 0, 4, 3, 2, 1}
 	for i, v := range want {
 		if e.order[i] != v {

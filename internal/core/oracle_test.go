@@ -97,7 +97,7 @@ func oracleTrace(cfg Config, in Inputs, gap func(float64)) *Report {
 	}
 
 	e := MustNewEstimator(cfg)
-	e.buildOrder(n, in.TrueScores)
+	e.buildOrder(n)
 	order := append([]int(nil), e.order...)
 	if cfg.Schedule == ScheduleDepthFirst {
 		for _, i := range order {
@@ -166,18 +166,15 @@ func specInstance(rng *rand.Rand, cs fixed.ChunkSpec, n, dim int, peaked bool) I
 		slope = 0.1
 	}
 	in := Inputs{
-		Q:          fixed.Quantize(qf, cs.TotalBits),
-		K:          make([]fixed.Vector, n),
-		KScale:     fixed.ScaleFor(maxMag, cs.TotalBits),
-		Scale:      1 / math.Sqrt(float64(dim)),
-		Bias:       make([]float32, n),
-		TrueScores: make([]float64, n),
+		Q:      fixed.Quantize(qf, cs.TotalBits),
+		K:      make([]fixed.Vector, n),
+		KScale: fixed.ScaleFor(maxMag, cs.TotalBits),
+		Scale:  1 / math.Sqrt(float64(dim)),
+		Bias:   make([]float32, n),
 	}
-	c := in.Scale * in.Q.Scale * in.KScale
 	for i := range kf {
 		in.K[i] = fixed.QuantizeWithScale(kf[i], cs.TotalBits, in.KScale).Data
 		in.Bias[i] = -slope * float32(n-1-i)
-		in.TrueScores[i] = c*float64(fixed.Dot(in.Q.Data, in.K[i])) + float64(in.Bias[i])
 	}
 	return in
 }
@@ -220,7 +217,7 @@ func TestStepMatchesOracle(t *testing.T) {
 		{TotalBits: 8, ChunkBits: 3}, // narrower last chunk
 		{TotalBits: 15, ChunkBits: 5},
 	}
-	orders := []OrderPolicy{OrderPaper, OrderForward, OrderReverse, OrderOracle}
+	orders := []OrderPolicy{OrderPaper, OrderForward, OrderReverse}
 	rng := rand.New(rand.NewSource(51))
 	const thr = 1e-3
 	var pruned, early int

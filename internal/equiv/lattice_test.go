@@ -22,7 +22,6 @@ const (
 	axStore
 	axExec
 	axWorkers
-	axChunk
 	axSpec
 	axShare
 	axPressure
@@ -49,7 +48,6 @@ var axes = [numAxes]struct {
 	// mid-iteration and serially otherwise, written shared.
 	axExec:    {"exec", []string{"serial", "shared", "pool2", "pool3", "pool8"}},
 	axWorkers: {"workers", []string{"1", "2", "3"}},
-	axChunk:   {"chunk", []string{"default", "8"}},
 	// A speculating point drafts n-grams (model.NgramDraft).
 	axSpec: {"spec", []string{"0", "2", "4", "8"}},
 	// on: prefix sharing; the later waves adopt the first's blocks.
@@ -68,7 +66,7 @@ var rules = []struct{ when, then string }{
 	// SpAtten accumulates per-sequence state: library only, never drafted.
 	{"kernel=spatten", "engine=library spec=0"},
 	// Scheduling axes exist only behind the serving loop.
-	{"engine=library", "workers=1 chunk=default share=off pressure=none replicas=1"},
+	{"engine=library", "workers=1 share=off pressure=none replicas=1"},
 	// Servers store KV in their pool, and their runners ride the shared pool.
 	{"engine=server|fleet", "store=paged4|paged5|paged8|paged16|paged32 exec=shared"},
 	{"engine=server", "replicas=1"},
@@ -85,20 +83,20 @@ var regressions = []string{
 	// shared pool and serial steps.
 	"engine=server kernel=token-picker store=paged16 exec=shared workers=3",
 	// TestIterationBatchingPreemptionChurnBitExact: churn mid-batch.
-	"engine=server kernel=token-picker store=paged8 exec=shared workers=2 chunk=8 share=on pressure=tight",
+	"engine=server kernel=token-picker store=paged8 exec=shared workers=2 share=on pressure=tight",
 	// The head-parallel pool-recycling test: recycled blocks, quantized side-car.
 	"engine=server kernel=quantized-exact store=paged4 exec=shared workers=3 pressure=tight",
 	// TestServerPrefixSharingMatchesUnshared: publisher wave, then adopters.
 	"engine=server kernel=token-picker store=paged32 exec=shared workers=2 share=off|on",
 	// TestIterationBatchingBitExact: every serving kernel, two or three
 	// runners, chunked prefill, adopters mid-wave.
-	"engine=server kernel=exact|quantized-exact|token-picker|oracle store=paged16 exec=shared workers=2|3 chunk=8 share=on",
+	"engine=server kernel=exact|quantized-exact|token-picker|oracle store=paged16 exec=shared workers=2|3 share=on",
 	// TestSpeculativeServingBitExact: verify entries on every serving
 	// kernel, with rollbacks inside a block and across 4-row blocks.
-	"engine=server kernel=exact|quantized-exact|token-picker|oracle store=paged16|paged4 exec=shared workers=2 chunk=8 spec=4 share=on",
+	"engine=server kernel=exact|quantized-exact|token-picker|oracle store=paged16|paged4 exec=shared workers=2 spec=4 share=on",
 	// TestSpeculativeServingSeededBitExact: the seeded chain across the
 	// speculation boundary.
-	"engine=server kernel=exact store=paged16|paged4 exec=shared workers=2 chunk=8 spec=4 sampling=seeded",
+	"engine=server kernel=exact store=paged16|paged4 exec=shared workers=2 spec=4 sampling=seeded",
 	// TestSpeculativeDecodeSeededBitExact: a library verify pass consumes
 	// the sampler's RNG once per emitted token.
 	"engine=library kernel=exact exec=serial spec=4 sampling=seeded",
@@ -109,11 +107,11 @@ var regressions = []string{
 	// preempted each other until both preemption budgets were spent, and
 	// one finished rejected (Server.canResume now waits for a finish).
 	"model=parallel engine=server kernel=token-picker store=paged32 exec=shared share=on pressure=tight",
-	"engine=fleet kernel=oracle store=paged16 exec=shared chunk=8 spec=4 share=on pressure=tight replicas=2",
+	"engine=fleet kernel=oracle store=paged16 exec=shared spec=4 share=on pressure=tight replicas=2",
 	// Found by the lattice: a session alone in a pool sized exactly to its
 	// rows was rejected, because its first generated row needed a copy of
 	// its own published tail block (the index now lets go of the tail).
-	"model=parallel engine=fleet kernel=exact store=paged32 exec=shared workers=2 chunk=8 share=on pressure=exact replicas=1 sampling=seeded",
+	"model=parallel engine=fleet kernel=exact store=paged32 exec=shared workers=2 share=on pressure=exact replicas=1 sampling=seeded",
 }
 
 // Point is one configuration: a value index per axis (-1 = unset while a

@@ -301,21 +301,20 @@ func driveServing(t *testing.T, p Point) Outcome {
 	if p.value(axKernel) != "exact" {
 		sc.NewKernel = func() model.Kernel { return p.newKernel(cfg) }
 	}
-	if p.value(axChunk) != "default" {
-		sc.PromptChunk = p.int(axChunk)
-	}
 	sc.SpeculateK = p.int(axSpec)
 	if pressure := p.value(axPressure); pressure != "none" {
-		// Room for the longest session and its draft window, plus at tight
-		// one spare block row for the copy of a shared tail block (at
-		// exact, a lone session must unpublish its own tail instead): two
-		// sessions of one system prompt, which affinity routes to one
-		// replica, overflow it together.
+		// Room for the longest session, plus at tight one spare block row
+		// for the copy of a shared tail block (at exact, a lone session
+		// must unpublish its own tail instead): two sessions of one system
+		// prompt, which affinity routes to one replica, overflow it
+		// together. A verify pass's drafts stop at the session's token
+		// budget, so speculation needs no room of its own; room for a
+		// draft window would let two sessions fit at some block sizes.
 		longest := 0
 		for _, pr := range fx.prompts {
 			longest = max(longest, len(pr))
 		}
-		rows := longest + maxNew + p.int(axSpec)
+		rows := longest + maxNew
 		blocks := (rows + sc.BlockRows - 1) / sc.BlockRows
 		if pressure == "tight" {
 			blocks++

@@ -8,46 +8,42 @@ import (
 	"tokenpicker/internal/tensor"
 )
 
-// BatchEntry is one decoder's contribution to a BatchEngine step: a decode
-// row (one generation or replay token), a verify pass, or a prefill chunk
-// (several consecutive prompt tokens advanced in layer lockstep). A serving
-// runner hands one entry per iteration to BatchEngine.Step.
+// BatchEntry is one decoder's contribution to a BatchEngine step: a
+// generation-phase entry (one decode or replay token, or a verify pass: the
+// pending token with drafts behind it) or a prefill chunk (several
+// consecutive prompt tokens advanced in layer lockstep). A serving runner
+// hands one entry per iteration to BatchEngine.Step.
 type BatchEntry struct {
 	// Dec is the session's decoder; its KV caches receive the new rows and
 	// its consumed-token count advances by len(Tokens) on success. A decoder
 	// may appear in at most one entry per Step.
 	Dec *Decoder
-	// Tokens are consumed in order starting at Dec.Len(). Decode entries
-	// carry exactly one token; prefill entries carry a chunk of the prompt.
+	// Tokens are consumed in order starting at Dec.Len(). A prefill entry
+	// carries a chunk of the prompt; a generation-phase entry carries one
+	// token, or several for a verify pass, which then makes up its step
+	// alone.
 	Tokens []int
 	// Prefill marks prompt-phase entries: their rows attend with the exact
-	// kernel (the paper prunes only the memory-bound generation phase) and
-	// may number more than one. A step's entries are all prefill or all
-	// generation-phase.
+	// kernel (the paper prunes only the memory-bound generation phase). A
+	// step's entries are all prefill or all generation-phase.
 	Prefill bool
-	// NeedLogits requests next-token logits after the entry's last token
-	// (decode rows sampling a token; the prefill chunk that completes a
-	// prompt). Rows that skip it also skip the final layer norm and the
-	// vocabulary projection — the largest matmul of the step.
+	// NeedLogits requests next-token logits: after the last token of a
+	// prefill entry (the chunk that completes a prompt), after every token
+	// of a generation-phase entry. Rows that skip it also skip the final
+	// layer norm and the vocabulary projection — the largest matmul of the
+	// step.
 	NeedLogits bool
-	// Verify marks a speculative-verification entry: a generation-phase
-	// entry whose Tokens are the session's pending token followed by drafted
-	// continuation tokens, all advanced in one pass. Unlike plain decode
-	// entries it may carry several tokens, and with NeedLogits set the
-	// engine exposes every position's next-token logits through LogitsAll so
-	// the caller can apply the longest-accepted-prefix rule and roll the
-	// decoder back past the rejection point. Verify entries are decode-phase
-	// (they use the generation kernel) and cannot be Prefill.
-	Verify bool
 
-	// Logits is the output when NeedLogits was set: a view into engine-owned
-	// storage, valid until the next Step. Nil when Err is set. For a Verify
-	// entry this is the final position's row (the bonus-token logits).
+	// Logits is the output when NeedLogits was set: the last token's
+	// next-token logits (a verify pass's bonus-token row), a view into
+	// engine-owned storage, valid until the next Step. Nil when Err is set.
 	Logits []float32
-	// LogitsAll is the Verify-entry output when NeedLogits was set: the
-	// next-token logits of every position, len(Tokens) rows of VocabSize
-	// flattened row-major (row i answers "what follows Tokens[0..i]?"). A
-	// view into engine-owned storage, valid until the next Step.
+	// LogitsAll is a generation-phase entry's output when NeedLogits was set:
+	// the next-token logits of every token, len(Tokens) rows of VocabSize
+	// flattened row-major (row i answers "what follows Tokens[0..i]?"), so a
+	// verify pass can apply the longest-accepted-prefix rule and roll the
+	// decoder back past the rejection point. A view into engine-owned
+	// storage, valid until the next Step.
 	LogitsAll []float32
 	// Err reports a per-entry storage failure (ErrContextFull, or a pool
 	// allocation error): the entry consumed nothing and took no part in the
@@ -70,7 +66,7 @@ type BatchEntry struct {
 // on which other rows share its step or on the executor's width, so logits
 // and KV rows are bit-identical however a token sequence is split into steps
 // and entries — one row at a time (Decoder.Step), a prompt chunk, a verify
-// pass, or several decoders' rows at once.
+// pass, or several decoders' decode rows at once.
 //
 // The engine owns the forward-pass scratch; it is not goroutine-safe and must
 // not be shared between concurrent Steps. Steady-state Step calls allocate
@@ -94,12 +90,6 @@ type BatchEngine struct {
 	// Per-layer attention views, refilled each layer without allocating.
 	ns         []int
 	keys, vals []tensor.RowSource
-
-	// Row-group scheduling for multi-token (verify) entries: one run length
-	// per generation-phase entry that advances, handed to AttendBatch only
-	// when some entry carries more than one row (see AttendBatch.Groups).
-	groups   []int
-	groupRun groupedTasks
 }
 
 // batchRow is one query row of the current step.
@@ -120,9 +110,11 @@ func NewBatchEngine(p *Params) *BatchEngine {
 }
 
 // Step advances every entry by its tokens in one batched iteration. The
-// entries are all generation-phase (decode or verify), attending through gen
-// (nil means exact), or all prefill, attending exactly; a step mixing the two
-// panics. ex schedules the rows×heads attention tasks and the dense stages'
+// entries are all generation-phase, attending through gen (nil means exact),
+// or all prefill, attending exactly; a step mixing the two panics, and so
+// does a multi-token generation entry (a verify pass) beside any other
+// entry. ex schedules the rows×heads attention tasks — one task per head for
+// a verify pass, whose rows share their caches — and the dense stages'
 // blocks (nil = serial). Per-entry storage failures land in BatchEntry.Err;
 // the rest of the step is unaffected.
 //
@@ -130,8 +122,6 @@ func NewBatchEngine(p *Params) *BatchEngine {
 func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 	cfg := e.p.Cfg
 	e.rows = e.rows[:0]
-	e.groups = e.groups[:0]
-	grouped := false
 	for i := range entries {
 		ent := &entries[i]
 		ent.Logits, ent.LogitsAll, ent.Err = nil, nil, nil
@@ -144,11 +134,8 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 		if ent.Prefill != entries[0].Prefill {
 			panic("model: a step mixes decode and prefill entries")
 		}
-		if ent.Prefill && ent.Verify {
-			panic("model: a verify entry cannot be prefill")
-		}
-		if !ent.Prefill && !ent.Verify && len(ent.Tokens) != 1 {
-			panic(fmt.Sprintf("model: decode entry carries %d tokens, want 1", len(ent.Tokens)))
+		if !ent.Prefill && len(ent.Tokens) > 1 && len(entries) > 1 {
+			panic(fmt.Sprintf("model: a generation entry of %d tokens shares its step", len(ent.Tokens)))
 		}
 		for _, t := range ent.Tokens {
 			if t < 0 || t >= cfg.VocabSize {
@@ -167,10 +154,6 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 		}
 		for j, t := range ent.Tokens {
 			e.rows = append(e.rows, batchRow{entry: i, pos: n + j, token: t})
-		}
-		if !ent.Prefill {
-			e.groups = append(e.groups, len(ent.Tokens))
-			grouped = grouped || len(ent.Tokens) > 1
 		}
 	}
 	R := len(e.rows)
@@ -201,20 +184,15 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 		copy(e.x[r*d:(r+1)*d], e.p.TokEmb.Row(row.token))
 		e.ns[r] = row.pos + 1
 	}
+	prefill := entries[0].Prefill
 	kernel := gen
-	if kernel == nil || entries[0].Prefill {
+	if kernel == nil || prefill {
 		kernel = &e.exact
 	}
-
-	// Multi-token verify entries put several rows of one session — one KV
-	// cache, one quantized side-car — into the generation-phase batch; group
-	// those rows so same-head tasks of one session never run concurrently.
-	// With no such entry (the common case) and for every prefill step,
-	// groups stays nil and scheduling is the plain per-(row, head) layout.
-	var groups []int
-	if grouped {
-		groups = e.groups
-	}
+	// A verify pass puts several rows of one session — one KV cache, one
+	// quantized side-car per head — through the generation kernel, so its
+	// same-head tasks must not run concurrently.
+	perHead := !prefill && len(entries[0].Tokens) > 1
 
 	for l, b := range e.p.Blocks {
 		w := &e.w.blocks[l]
@@ -234,20 +212,19 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 			copy(e.vals[r*H:(r+1)*H], dec.valSrc[l])
 		}
 		kernel.AttendLayer(AttendBatch{
-			Layer:    l,
-			Rows:     R,
-			Ns:       e.ns,
-			Heads:    H,
-			HeadDim:  hd,
-			Scale:    scale,
-			Slopes:   e.slopes,
-			Q:        e.q[:R*d],
-			Out:      e.attnOut[:R*d],
-			Keys:     e.keys[:R*H],
-			Vals:     e.vals[:R*H],
-			Exec:     ex,
-			Groups:   groups,
-			groupRun: &e.groupRun,
+			Layer:   l,
+			Rows:    R,
+			Ns:      e.ns,
+			Heads:   H,
+			HeadDim: hd,
+			Scale:   scale,
+			Slopes:  e.slopes,
+			Q:       e.q[:R*d],
+			Out:     e.attnOut[:R*d],
+			Keys:    e.keys[:R*H],
+			Vals:    e.vals[:R*H],
+			Exec:    ex,
+			perHead: perHead,
 		})
 		e.dense(ex, R, e.attnOut, false, gemv{w.wo, b.Bo, e.tmp})
 		tensor.Add(e.x, e.x, e.tmp)
@@ -261,34 +238,28 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 		tensor.Add(e.x, e.x, e.tmp)
 	}
 
-	// Vocabulary projection for the rows that sample from it. Each
-	// requesting entry's logits view stays valid until the next Step.
+	// Vocabulary projection for the rows that sample from it: every row of
+	// a generation-phase entry, the last row of a prefill entry. Each
+	// requesting entry's logits views stay valid until the next Step.
 	V := cfg.VocabSize
 	needed := 0
-	for i := range entries {
-		if entries[i].Err == nil && entries[i].NeedLogits {
-			if entries[i].Verify {
-				needed += len(entries[i].Tokens)
-			} else {
-				needed++
-			}
+	for _, row := range e.rows {
+		if entries[row.entry].sampled(row.pos) {
+			needed++
 		}
 	}
 	e.logits = tensor.Grow(e.logits, needed*V)
 	out := 0
 	for r, row := range e.rows {
 		ent := &entries[row.entry]
-		if !ent.NeedLogits {
-			continue
-		}
-		if !ent.Verify && row.pos != ent.Dec.n+len(ent.Tokens)-1 {
+		if !ent.sampled(row.pos) {
 			continue
 		}
 		tensor.LayerNorm(e.h[r*d:(r+1)*d], e.x[r*d:(r+1)*d], e.p.LnFG, e.p.LnFB, cfg.Eps)
 		lg := e.logits[out*V : (out+1)*V]
 		e.w.emb.MatVecRange(lg, 0, V, e.h[r*d:(r+1)*d])
 		ent.Logits = lg
-		if ent.Verify {
+		if !prefill {
 			// An entry's rows are consecutive in row order, so its logits
 			// rows land contiguously; extend the flat view one row at a time.
 			if row.pos == ent.Dec.n {
@@ -304,6 +275,13 @@ func (e *BatchEngine) Step(entries []BatchEntry, gen Kernel, ex exec.Executor) {
 			entries[i].Dec.n += len(entries[i].Tokens)
 		}
 	}
+}
+
+// sampled reports whether the entry's row at context position pos gets
+// next-token logits: every row of a generation-phase entry that needs
+// logits, the last row of a prefill entry that does.
+func (ent *BatchEntry) sampled(pos int) bool {
+	return ent.NeedLogits && (!ent.Prefill || pos == ent.Dec.n+len(ent.Tokens)-1)
 }
 
 // gemv is one matrix of a dense stage: dst[r] = W·src[r] + bias for every

@@ -231,7 +231,9 @@ func TestBatchEngineIsolatesStorageErrors(t *testing.T) {
 }
 
 // TestBatchEngineOrderingPanics pins the layout contract: a step's entries
-// are all decode or all prefill, and decode entries carry exactly one token.
+// are all generation-phase or all prefill, and a multi-token generation entry
+// (a verify pass) makes up its step alone, while several one-token decode
+// entries still share one.
 func TestBatchEngineOrderingPanics(t *testing.T) {
 	p := model.NewParams(model.TestConfig(), 17)
 	eng := model.NewBatchEngine(p)
@@ -252,16 +254,42 @@ func TestBatchEngineOrderingPanics(t *testing.T) {
 		{Dec: model.NewDecoder(p, nil), Tokens: []int{1}},
 		{Dec: model.NewDecoder(p, nil), Tokens: []int{1, 2}, Prefill: true},
 	})
-	mustPanic("multi-token decode", []model.BatchEntry{
+	mustPanic("verify pass before a decode entry", []model.BatchEntry{
 		{Dec: model.NewDecoder(p, nil), Tokens: []int{1, 2}},
+		{Dec: model.NewDecoder(p, nil), Tokens: []int{1}},
 	})
+	mustPanic("verify pass after a decode entry", []model.BatchEntry{
+		{Dec: model.NewDecoder(p, nil), Tokens: []int{1}},
+		{Dec: model.NewDecoder(p, nil), Tokens: []int{1, 2, 3}, NeedLogits: true},
+	})
+
+	// Several one-token decode entries share a step; each gets its row.
+	decode := []model.BatchEntry{
+		{Dec: model.NewDecoder(p, nil), Tokens: []int{1}, NeedLogits: true},
+		{Dec: model.NewDecoder(p, nil), Tokens: []int{2}, NeedLogits: true},
+		{Dec: model.NewDecoder(p, nil), Tokens: []int{3}, NeedLogits: true},
+	}
+	eng.Step(decode, nil, nil)
+	V := p.Cfg.VocabSize
+	for i, ent := range decode {
+		if ent.Err != nil || ent.Dec.Len() != 1 || len(ent.Logits) != V || len(ent.LogitsAll) != V {
+			t.Fatalf("decode entry %d: err=%v len=%d logits %d/%d", i, ent.Err, ent.Dec.Len(), len(ent.Logits), len(ent.LogitsAll))
+		}
+	}
+	// A lone verify pass gets every position's logits, the last as Logits.
+	verify := []model.BatchEntry{{Dec: model.NewDecoder(p, nil), Tokens: []int{1, 2, 3}, NeedLogits: true}}
+	eng.Step(verify, nil, nil)
+	if ent := verify[0]; ent.Err != nil || len(ent.LogitsAll) != 3*V || &ent.Logits[0] != &ent.LogitsAll[2*V] {
+		t.Fatalf("verify entry: err=%v logits %d, want %d rows ending in Logits", ent.Err, len(ent.LogitsAll), 3)
+	}
 }
 
 // TestBatchEngineSteadyStateZeroAllocs guards the batched decode hot path:
 // once scratch has grown and KV capacity covers the measured window, a
 // batched step must not allocate — under the serial executor and pools of
 // widths 2 and 3 alike, for one decode row (the dense stages split by output
-// rows) and for four (split by whole rows).
+// rows), for four (split by whole rows), and for a four-token verify pass
+// rolled back after each step (attention scheduled one task per head).
 func TestBatchEngineSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is skewed by race instrumentation")
@@ -311,6 +339,26 @@ func TestBatchEngineSteadyStateZeroAllocs(t *testing.T) {
 					}
 				})
 			}
+			t.Run("verify=4", func(t *testing.T) {
+				eng := model.NewBatchEngine(p)
+				dec := model.NewDecoder(p, nil)
+				dec.MustPrompt(testPromptN(0, 90, cfg.VocabSize))
+				base := dec.Len()
+				entries := []model.BatchEntry{{Dec: dec, Tokens: []int{1, 2, 3, 4}, NeedLogits: true}}
+				step := func() {
+					dec.Rollback(base)
+					eng.Step(entries, nil, tc.ex)
+					if entries[0].Err != nil {
+						t.Fatalf("verify entry: %v", entries[0].Err)
+					}
+				}
+				for i := 0; i < 10; i++ {
+					step()
+				}
+				if allocs := testing.AllocsPerRun(20, step); allocs > 0 {
+					t.Fatalf("steady-state verify pass allocates %.1f allocs/op, want 0", allocs)
+				}
+			})
 		})
 	}
 }

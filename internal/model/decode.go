@@ -43,22 +43,17 @@ type AttendBatch struct {
 	// executor, which runs the layer's dense stages too. Kernels must route
 	// every task through Run so the executor choice is honoured.
 	Exec exec.Executor
-	// Groups, when non-nil, partitions the rows into consecutive runs that
-	// share mutable per-(layer, head) cache state: group g spans Groups[g]
-	// consecutive rows (the sum over Groups is Rows). The speculative-verify
-	// path puts several positions of ONE session in one batch; those rows
-	// share KV caches and quantized side-cars, so their same-head tasks must
-	// not run concurrently. Run then schedules group×head super-tasks —
-	// same-group same-head rows execute sequentially in ascending row order
-	// on one slot; everything else still parallelizes. Task indexing and
-	// kernel outputs are unchanged: quantized side-car syncs are
-	// path-independent (the shared scale depends only on the running max),
-	// so grouped execution stays bit-identical to the serial reference.
-	Groups []int
-	// groupRun is the caller-provided scratch for grouped scheduling (the
-	// serving engine presets it so steady-state verify steps allocate
-	// nothing); Run lazily allocates one when Groups is set without it.
-	groupRun *groupedTasks
+	// perHead is set by BatchEngine when every row belongs to one decoder
+	// and attends through the generation kernel (a verify pass): the rows
+	// share each head's KV caches and quantized side-cars, so same-head
+	// tasks must not run concurrently. Run then schedules one task per head
+	// that walks the head's rows in ascending order; heads still run in
+	// parallel. Task indexing and outputs are unchanged: a side-car sync
+	// depends only on the rows it covers, so the walk is bit-identical to
+	// the serial reference.
+	perHead bool
+	// inner is the kernel's task set while a perHead Run is in flight.
+	inner exec.Tasks
 }
 
 // NumTasks returns the number of independent (row, head) attention tasks.
@@ -92,58 +87,32 @@ func (b *AttendBatch) Width() int {
 
 // Run schedules one task per (row, head) pair on the batch's executor; the
 // work-stealing pool spreads rows×heads over its slots, so wide multi-row
-// batches keep every core busy even on few-head models. When Groups is set,
-// scheduling switches to group×head super-tasks so rows sharing cache state
-// never race (see Groups).
+// batches keep every core busy even on few-head models. Under perHead it
+// schedules one task per head instead (see perHead). Kernels call Run on the
+// batch copy they keep, which lives on the heap: the perHead path hands the
+// batch itself to the executor.
 func (b *AttendBatch) Run(tasks exec.Tasks) {
-	if b.Groups != nil {
-		gr := b.groupRun
-		if gr == nil {
-			//topick:alloc-ok grouped verify path only; nil-Groups decode batches never reach this
-			gr = &groupedTasks{}
-		}
-		// Copy the fields rather than retaining b: storing the batch pointer
-		// would make every by-value AttendBatch parameter escape to the heap,
-		// breaking the zero-alloc decode path even when Groups is nil.
-		gr.groups = b.Groups
-		gr.heads = b.Heads
-		gr.inner = tasks
-		n := len(b.Groups) * b.Heads
-		if b.Exec == nil {
-			exec.Serial{}.Run(n, gr)
-		} else {
-			b.Exec.Run(n, gr)
-		}
-		gr.inner = nil
-		gr.groups = nil
+	var ex exec.Executor = exec.Serial{}
+	if b.Exec != nil {
+		ex = b.Exec
+	}
+	if !b.perHead {
+		ex.Run(b.NumTasks(), tasks)
 		return
 	}
-	if b.Exec == nil {
-		exec.Serial{}.Run(b.NumTasks(), tasks)
-		return
-	}
-	b.Exec.Run(b.NumTasks(), tasks)
+	b.inner = tasks
+	ex.Run(b.Heads, (*headWalk)(b))
+	b.inner = nil
 }
 
-// groupedTasks adapts a kernel's per-(row, head) tasks to group×head
-// super-tasks: super-task t covers group t/heads, head t%heads, and runs that
-// group's rows in ascending order on one slot — the serialization that keeps
-// rows sharing a cache side-car race-free.
-type groupedTasks struct {
-	groups []int
-	heads  int
-	inner  exec.Tasks
-}
+// headWalk is AttendBatch's exec.Tasks view under perHead: task h runs head
+// h's tasks in ascending row order on one slot.
+type headWalk AttendBatch
 
 // Do implements exec.Tasks.
-func (g *groupedTasks) Do(t, slot int) {
-	grp, head := t/g.heads, t%g.heads
-	row := 0
-	for i := 0; i < grp; i++ {
-		row += g.groups[i]
-	}
-	for i := 0; i < g.groups[grp]; i++ {
-		g.inner.Do((row+i)*g.heads+head, slot)
+func (w *headWalk) Do(h, slot int) {
+	for t := h; t < w.Rows*w.Heads; t += w.Heads {
+		w.inner.Do(t, slot)
 	}
 }
 
@@ -212,7 +181,7 @@ func (k *ExactKernel) AttendLayer(batch AttendBatch) {
 	}
 	k.runner.k = k
 	k.runner.b = batch
-	batch.Run(&k.runner)
+	k.runner.b.Run(&k.runner)
 }
 
 func (k *ExactKernel) attendTask(b *AttendBatch, t, slot int) {
@@ -430,9 +399,11 @@ type Decoder struct {
 	tok   [1]int
 }
 
-// promptChunkRows is how many prompt tokens Decoder.Prompt advances per
-// engine step.
-const promptChunkRows = 32
+// PromptChunk is how many prompt tokens one engine step prefills, for
+// Decoder.Prompt and the serving engine's runners alike: a long prompt
+// advances a chunk per step, so it cannot starve other sessions' generation
+// on a shared runner.
+const PromptChunk = 32
 
 // NewDecoder creates a decoder with the given attention kernel for the
 // generation phase. kernel may be nil, which means exact attention
@@ -445,8 +416,8 @@ func NewDecoder(p *Params, kernel Kernel) *Decoder {
 // NewDecoderWith creates a decoder whose KV caches come from the given
 // provider (nil = default dense provider), with Exec set to exec.Shared().
 // The serving engine passes a pooled block-paged provider here so thousands
-// of short sessions share recycled storage; its runners step sessions with
-// executors of their own, so a session never uses Exec.
+// of short sessions share recycled storage; its runners step sessions on
+// engines of their own, so a session never uses Exec.
 func NewDecoderWith(p *Params, kernel Kernel, prov CacheProvider) *Decoder {
 	if prov == nil {
 		prov = denseProvider{}
@@ -541,7 +512,7 @@ func (dec *Decoder) Cache(layer, head int) (keys, vals tensor.RowSource) {
 }
 
 // Prompt consumes the prompt tokens with exact attention, filling the KV
-// cache promptChunkRows tokens per engine step. It returns the logits after
+// cache PromptChunk tokens per engine step. It returns the logits after
 // the final prompt token. On ErrContextFull the tokens that fit the window
 // remain consumed; on a pool allocation failure the chunks before the failing
 // one do.
@@ -550,7 +521,7 @@ func (dec *Decoder) Cache(layer, head int) (keys, vals tensor.RowSource) {
 func (dec *Decoder) Prompt(tokens []int) ([]float32, error) {
 	var logits []float32
 	for len(tokens) > 0 {
-		n := min(len(tokens), promptChunkRows)
+		n := min(len(tokens), PromptChunk)
 		if room := dec.P.Cfg.MaxSeq - dec.n; room > 0 {
 			n = min(n, room)
 		}

@@ -141,7 +141,7 @@ func TestStepReturnsErrContextFull(t *testing.T) {
 // ErrContextFull only after every token that fits has entered the KV cache,
 // whether the overrun falls inside the first chunk or a later one.
 func TestPromptLongerThanWindowConsumesWhatFits(t *testing.T) {
-	for _, maxSeq := range []int{8, promptChunkRows, promptChunkRows + 8} {
+	for _, maxSeq := range []int{8, PromptChunk, PromptChunk + 8} {
 		cfg := TestConfig()
 		cfg.MaxSeq = maxSeq
 		p := NewParams(cfg, 3)

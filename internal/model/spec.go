@@ -26,25 +26,21 @@ type DraftSource interface {
 
 // NgramDraft is the default, model-free draft source: prompt-lookup decoding.
 // It finds the most recent earlier occurrence of the longest suffix of
-// history (up to MaxN tokens) and proposes the tokens that followed it —
+// history (up to ngramMaxN tokens) and proposes the tokens that followed it —
 // free to compute, surprisingly effective on natural text and on anything
 // repetitive (code, templated output, the demo corpus), and useless exactly
 // when it proposes nothing, costing only the bonus-token pass.
-type NgramDraft struct {
-	// MaxN is the longest history suffix to match (default 3).
-	MaxN int
-}
+type NgramDraft struct{}
+
+// ngramMaxN is the longest history suffix NgramDraft matches.
+const ngramMaxN = 3
 
 // Draft implements DraftSource.
 func (d *NgramDraft) Draft(dst, history []int, max int) int {
 	if max <= 0 || len(history) < 2 {
 		return 0
 	}
-	maxN := d.MaxN
-	if maxN <= 0 {
-		maxN = 3
-	}
-	for n := maxN; n >= 1; n-- {
+	for n := ngramMaxN; n >= 1; n-- {
 		if n >= len(history) {
 			continue
 		}
@@ -109,9 +105,9 @@ func (s SpecStats) AcceptanceRate() float64 {
 
 // SpecDecoder drives draft-and-verify generation for one decoder. Each pass:
 // BeginEntry drafts up to k tokens behind the pending token, the caller runs
-// them as a Verify entry through a BatchEngine (alone via Step, or next to
-// other sessions' entries by the serving engine), and FinishEntry applies the
-// longest-accepted-prefix rule, rolls the decoder back to the accepted
+// them as one generation-phase entry in a BatchEngine step of its own (Step
+// here, a runner iteration in the serving engine), and FinishEntry applies
+// the longest-accepted-prefix rule, rolls the decoder back to the accepted
 // length, and adapts k to the observed acceptance. k shrinks by one on any
 // rejection and grows by one on a fully-accepted pass, bounded by [1, MaxK] —
 // a session the draft source models well speculates deeper, one it models
@@ -250,7 +246,7 @@ func (sd *SpecDecoder) FinishEntry(ent *BatchEntry, emit Emitter) SpecResult {
 //
 //topick:noalloc
 func (sd *SpecDecoder) Step(eng *BatchEngine, gen Kernel, ex exec.Executor, history []int, maxDraft int, emit Emitter) (SpecResult, error) {
-	sd.entries[0] = BatchEntry{Dec: sd.Dec, Tokens: sd.BeginEntry(history, maxDraft), NeedLogits: true, Verify: true}
+	sd.entries[0] = BatchEntry{Dec: sd.Dec, Tokens: sd.BeginEntry(history, maxDraft), NeedLogits: true}
 	eng.Step(sd.entries[:], gen, ex)
 	if err := sd.entries[0].Err; err != nil {
 		return SpecResult{}, err

@@ -117,7 +117,7 @@ func TestSpeculativeDecodeMatchesSequential(t *testing.T) {
 // longest recent suffix match wins, proposals continue its earlier
 // occurrence, and histories without repeats propose nothing.
 func TestNgramDraftPromptLookup(t *testing.T) {
-	d := &model.NgramDraft{MaxN: 3}
+	d := &model.NgramDraft{}
 	dst := make([]int, 8)
 
 	// ... 7 8 9 | 5 6 | 7 8 9 → suffix [7 8 9] matched at the start,

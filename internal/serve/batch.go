@@ -88,8 +88,11 @@ func (r *runner) iterate(sess *session, ex exec.Executor) {
 	}
 
 	// Build the step's one entry. Its token slice is a view into
-	// session-owned storage, so assembly allocates nothing.
+	// session-owned storage, so assembly allocates nothing. A speculating
+	// session's replay rows are plain one-token rows; only the case that
+	// drafts makes a verify pass.
 	ent := &r.entry[0]
+	verify := false
 	switch {
 	case sess.promptPos < len(sess.req.Prompt):
 		if sess.promptPos == 0 && sess.adopted == 0 && s.prefixes != nil {
@@ -104,7 +107,7 @@ func (r *runner) iterate(sess *session, ex exec.Executor) {
 		// The chunk is clamped to the context window as well as the prompt, so
 		// an over-long prompt's rows that fit are consumed and accounted
 		// before the session finishes context_full.
-		end := min(sess.promptPos+s.cfg.PromptChunk, len(sess.req.Prompt))
+		end := min(sess.promptPos+model.PromptChunk, len(sess.req.Prompt))
 		if window := s.params.Cfg.MaxSeq; sess.promptPos < window {
 			end = min(end, window)
 		}
@@ -135,12 +138,8 @@ func (r *runner) iterate(sess *session, ex exec.Executor) {
 			s.trace(sess, obs.KindDraftStep, int32(sess.generated), int32(m), int32(n0), 0)
 		}
 		sess.specEmit = specEmitter{s: s, sess: sess, wid: r.wid, rows: n0}
-		*ent = model.BatchEntry{
-			Dec:        sess.dec,
-			Tokens:     toks,
-			NeedLogits: true,
-			Verify:     true,
-		}
+		*ent = model.BatchEntry{Dec: sess.dec, Tokens: toks, NeedLogits: true}
+		verify = true
 	default:
 		// penCtx's tail is sess.next: the pending token advance queued.
 		*ent = model.BatchEntry{
@@ -189,7 +188,7 @@ func (r *runner) iterate(sess *session, ex exec.Executor) {
 		return
 	}
 	s.met.DecodeStep.Observe(elapsed)
-	if ent.Verify {
+	if verify {
 		// Speculative pass: apply the acceptance rule, roll back, and
 		// route the deferred terminal condition through finish — after
 		// rollback, never inside the emitter: finish releases the KV caches

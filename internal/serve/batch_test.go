@@ -27,10 +27,11 @@ var batchTestKernels = []struct {
 }
 
 // TestIterationBatchingBitExact is the serving invariance gate: for every
-// serving kernel and two prompt chunks — 8, and 5, whose chunks straddle
-// the 16-row blocks — with two runners and prefix sharing on, tokens must
-// equal the single-tenant serial reference bit for bit, whichever executor
-// each iteration stepped on.
+// serving kernel and two pool block sizes — 16 rows, and 12, which the
+// 32-row prompt chunks straddle — with two runners and prefix sharing on,
+// tokens must equal the single-tenant serial reference bit for bit,
+// whichever executor each iteration stepped on. The prompts run 24 to 73
+// tokens, so most prefill in two or three chunks.
 func TestIterationBatchingBitExact(t *testing.T) {
 	r := train.TestModel()
 	const (
@@ -40,16 +41,15 @@ func TestIterationBatchingBitExact(t *testing.T) {
 	prompts := testPrompts(r, sessions)
 
 	for _, kc := range batchTestKernels {
-		for _, chunk := range []int{8, 5} {
-			t.Run(fmt.Sprintf("%s/chunk=%d", kc.name, chunk), func(t *testing.T) {
+		for _, blockRows := range []int{16, 12} {
+			t.Run(fmt.Sprintf("%s/block-rows=%d", kc.name, blockRows), func(t *testing.T) {
 				var newKernel func() model.Kernel
 				if kc.mk != nil {
 					newKernel = kc.mk
 				}
 				srv := NewServer(r.Params, Config{
 					Workers:     2,
-					BlockRows:   16,
-					PromptChunk: chunk,
+					BlockRows:   blockRows,
 					SharePrefix: true,
 					NewKernel:   newKernel,
 				})
@@ -169,7 +169,6 @@ func TestIterationBatchingSchedulerFairness(t *testing.T) {
 		BlockRows:   8,
 		MaxBlocks:   40 * cfg.Layers * cfg.Heads,
 		MaxPreempts: 128,
-		PromptChunk: 8,
 		SharePrefix: true,
 		Tracer:      tracer,
 		NewKernel:   func() model.Kernel { return attention.NewTokenPicker(1e-3) },
@@ -266,7 +265,6 @@ func TestConfigValidateRejectsNegatives(t *testing.T) {
 		cfg   Config
 	}{
 		{"SpeculateK", Config{SpeculateK: -1}},
-		{"PromptChunk", Config{PromptChunk: -4}},
 	}
 	for _, tc := range cases {
 		err := tc.cfg.Validate()
@@ -284,7 +282,7 @@ func TestConfigValidateRejectsNegatives(t *testing.T) {
 	if err := (Config{}).Validate(); err != nil {
 		t.Fatalf("zero config must validate (defaults apply): %v", err)
 	}
-	if err := (Config{PromptChunk: 16, SpeculateK: 2}).Validate(); err != nil {
+	if err := (Config{Workers: 2, BlockRows: 16, SpeculateK: 2}).Validate(); err != nil {
 		t.Fatalf("positive config must validate: %v", err)
 	}
 
@@ -297,6 +295,6 @@ func TestConfigValidateRejectsNegatives(t *testing.T) {
 			t.Fatalf("NewServer panic = %v, want ErrBadConfig", err)
 		}
 	}()
-	NewServer(r.Params, Config{PromptChunk: -1})
-	t.Fatal("NewServer accepted a negative PromptChunk")
+	NewServer(r.Params, Config{SpeculateK: -1})
+	t.Fatal("NewServer accepted a negative SpeculateK")
 }

@@ -247,28 +247,32 @@ func TestContextFullFinishesGracefully(t *testing.T) {
 	}
 }
 
+// TestPromptLongerThanWindowAccountsConsumedTokens pins the runner's
+// window clamp: a prompt that overruns the context window finishes
+// context_full with every token that fit prefilled and accounted, whether the
+// window fills inside the first model.PromptChunk chunk or a later one.
 func TestPromptLongerThanWindowAccountsConsumedTokens(t *testing.T) {
-	cfg := model.TestConfig()
-	cfg.MaxSeq = 24
-	params := model.NewParams(cfg, 9)
-	for _, chunk := range []int{10, 7} {
-		srv := NewServer(params, Config{Workers: 1, BlockRows: 8, PromptChunk: chunk})
+	for _, maxSeq := range []int{24, model.PromptChunk + 12} {
+		cfg := model.TestConfig()
+		cfg.MaxSeq = maxSeq
+		params := model.NewParams(cfg, 9)
+		srv := NewServer(params, Config{Workers: 1, BlockRows: 8})
 
-		long := make([]int, 40) // the window fills mid-chunk at either size
+		long := make([]int, maxSeq+16)
 		st, err := srv.Submit(context.Background(), GenerateRequest{Prompt: long, MaxTokens: 4})
 		if err != nil {
 			t.Fatal(err)
 		}
 		res := st.Result()
 		if res.Reason != ReasonContextFull || res.Usage.GeneratedTokens != 0 {
-			t.Fatalf("chunk %d: result %+v, want context_full with no generated tokens", chunk, res)
+			t.Fatalf("MaxSeq %d: result %+v, want context_full with no generated tokens", maxSeq, res)
 		}
-		if res.Usage.PromptTokens != cfg.MaxSeq {
-			t.Fatalf("chunk %d: PromptLen %d, want the %d tokens the decoder consumed", chunk, res.Usage.PromptTokens, cfg.MaxSeq)
+		if res.Usage.PromptTokens != maxSeq {
+			t.Fatalf("MaxSeq %d: PromptLen %d, want the %d tokens the decoder consumed", maxSeq, res.Usage.PromptTokens, maxSeq)
 		}
 		srv.Close()
-		if rep := srv.Report(); rep.PromptTokens != int64(cfg.MaxSeq) {
-			t.Fatalf("chunk %d: fleet PromptTokens %d, want %d", chunk, rep.PromptTokens, cfg.MaxSeq)
+		if rep := srv.Report(); rep.PromptTokens != int64(maxSeq) {
+			t.Fatalf("MaxSeq %d: fleet PromptTokens %d, want %d", maxSeq, rep.PromptTokens, maxSeq)
 		}
 	}
 }

@@ -4,12 +4,13 @@
 // immediately instead of waiting for the batch in flight to drain.
 //
 // One scheduling loop drives everything. Each of Config.Workers runner
-// goroutines owns an attention kernel, a head executor and a
-// model.BatchEngine, and repeats: pop the front session of the FIFO run
-// queue, advance it by one engine step — a decode, replay or
-// speculative-verify step, or its next PromptChunk prompt rows — then
-// sample, emit, and requeue. Generated tokens are bit-identical for every
-// worker count.
+// goroutines owns an attention kernel and a model.BatchEngine, and repeats:
+// pop the front session of the FIFO run queue, advance it by one engine
+// step — a decode, replay or speculative-verify step, or its next
+// model.PromptChunk prompt rows — then sample, emit, and requeue. A runner
+// alone mid-iteration in the process steps on the shared executor
+// (exec.Shared), otherwise serially. Generated tokens are bit-identical for
+// every worker count.
 //
 // Every session owns a decoder whose KV caches are leased block-by-block
 // from a shared Pool and recycled on completion. Per-session transfer
@@ -65,17 +66,13 @@ const (
 // attention, and paper-ish defaults everywhere else.
 type Config struct {
 	// Workers is the number of runner goroutines, each looping over the run
-	// queue with its own kernel, head executor and engine (default NumCPU).
+	// queue with its own kernel and engine (default NumCPU).
 	// Runners share nothing but the queue and the pool, so non-attention
 	// work (projections, FFN, sampling) of different sessions overlaps
 	// across cores.
 	Workers int
 	// MaxSessions bounds concurrently admitted sessions (default 64).
 	MaxSessions int
-	// PromptChunk caps the prompt tokens one session prefills per
-	// iteration, so long prompts cannot starve running generations
-	// (default 32; negative is rejected by Validate).
-	PromptChunk int
 	// BlockRows is the KV pool block granularity in rows (default 32).
 	BlockRows int
 	// MaxBlocks bounds live pool blocks; 0 = unbounded.
@@ -148,9 +145,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxSessions <= 0 {
 		c.MaxSessions = 64
-	}
-	if c.PromptChunk <= 0 {
-		c.PromptChunk = 32
 	}
 	if c.BlockRows <= 0 {
 		c.BlockRows = defaultBlockRows

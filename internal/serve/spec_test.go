@@ -74,7 +74,6 @@ func TestSpeculativeServingBitExact(t *testing.T) {
 				srv := NewServer(r.Params, Config{
 					Workers:     2,
 					BlockRows:   blocks.rows,
-					PromptChunk: 8,
 					SharePrefix: true,
 					SpeculateK:  4,
 					Tracer:      tracer,

@@ -85,14 +85,13 @@ func TestIterationAdvancesOneSession(t *testing.T) {
 	const (
 		sessions = 8
 		maxNew   = 12
-		chunk    = 16
+		chunk    = model.PromptChunk
 	)
 	hold := make(chan struct{})
 	srv := NewServer(r.Params, Config{
-		Workers:     1,
-		BlockRows:   32,
-		PromptChunk: chunk,
-		NewKernel:   func() model.Kernel { return heldKernel{attention.NewTokenPicker(1e-3), hold} },
+		Workers:   1,
+		BlockRows: 32,
+		NewKernel: func() model.Kernel { return heldKernel{attention.NewTokenPicker(1e-3), hold} },
 	})
 	var streams []*Stream
 	for i, p := range testPrompts(r, sessions) {

@@ -144,7 +144,7 @@ var ErrContextFull = model.ErrContextFull
 type (
 	// Server is the continuous-batching inference engine.
 	Server = serve.Server
-	// ServeConfig sizes a Server (workers, prompt chunk, pool geometry).
+	// ServeConfig sizes a Server (workers, pool geometry, speculation).
 	ServeConfig = serve.Config
 	// GenerateRequest is one generation job: prompt, token budget, full
 	// sampling configuration, stop sequences. Validate reports typed
